@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-fault bench-recovery bench-solver bench-solver-smoke bench-degraded bench-lint bench-serve figures fmt lint lint-vet ci-lint check ci
+.PHONY: all build vet test race perfbench-test bench bench-fault bench-recovery bench-solver bench-solver-smoke bench-degraded bench-lint bench-serve figures fmt lint lint-vet ci-lint check ci
 
 all: build
 
@@ -15,6 +15,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repository benchmark's own tests (perfbench is a separate module,
+# outside ./...): a reduced-size run of every workload, and a check
+# that a corrupted answer fails the run.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

@@ -64,15 +64,28 @@ type CoarseOptions struct {
 // It requires increasing cost functions, like Algorithm2. Instances
 // with n <= 4g fall back to the exact DP.
 func SolveCoarse(procs []Processor, n, g int) (CoarseResult, error) {
-	return solveCoarse(nil, procs, n, g, CoarseOptions{})
+	return solveCoarse(nil, procs, n, g, 0, CoarseOptions{})
 }
 
 // SolveCoarseOpt is SolveCoarse with explicit refinement options.
 func SolveCoarseOpt(procs []Processor, n, g int, opts CoarseOptions) (CoarseResult, error) {
-	return solveCoarse(nil, procs, n, g, opts)
+	return solveCoarse(nil, procs, n, g, 0, opts)
 }
 
-func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) (CoarseResult, error) {
+func solveCoarse(tc *tabCache, procs []Processor, n, g, workers int, opts CoarseOptions) (CoarseResult, error) {
+	return solveCoarseScans(tc, procs, n, g, workers, opts, coarseScans{grid: gridRow, refine: refineRow})
+}
+
+// coarseScans are the two row scans of a coarse solve. Every solve runs
+// the pruned gridRow and refineRow; the tests run the unpruned scans
+// they replaced through the same driver, as the reference the pruned
+// ones must match bit for bit.
+type coarseScans struct {
+	grid   func(gr coarseGrid, comm, comp, upNext, lbNext, up, lb []float64, choice []int32)
+	refine func(comm, comp, next []float64, loNext int, cost []float64, choice []int32, lo, hi int)
+}
+
+func solveCoarseScans(tc *tabCache, procs []Processor, n, g, workers int, opts CoarseOptions, scans coarseScans) (CoarseResult, error) {
 	if g < 1 {
 		return CoarseResult{}, fmt.Errorf("core: granularity %d < 1", g)
 	}
@@ -82,7 +95,7 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 	if g == 1 || n <= 4*g {
 		// The grid would be too small to help; the exact DP is cheap
 		// here and gives a zero band.
-		res, err := Algorithm2(procs, n)
+		res, err := algorithm2(tc, procs, n, workers)
 		if err != nil {
 			return CoarseResult{}, err
 		}
@@ -92,22 +105,8 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 	fps := fingerprints(procs)
 
 	K := (n + g - 1) / g
-	r := n - (K-1)*g // size of the first (partial) grid segment, in (0, g]
-	// sv maps a grid state k to the remainder it stands for: s_k.
-	sv := func(k int) int {
-		if k == 0 {
-			return 0
-		}
-		return r + (k-1)*g
-	}
-	// dLo is the smallest remainder in the interval I_k = (s_{k-1}, s_k]
-	// that grid state k abstracts in the lower-bound DP.
-	dLo := func(k int) int {
-		if k == 0 {
-			return 0
-		}
-		return sv(k-1) + 1
-	}
+	// r is the size of the first (partial) grid segment, in (0, g].
+	gr := coarseGrid{g: g, r: n - (K-1)*g, K: K}
 
 	// Two dynamic programs over the grid, filled in one pass per row:
 	//
@@ -118,8 +117,7 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 	//
 	// lb[k]: an optimistic value <= cost[d, i] for every d in I_k. Each
 	// transition consuming j grid segments is charged the smallest
-	// share that can realize it — eLo(j) = (j-1)·g + 1 interior,
-	// s_{k-1}+1 when it empties the remainder — so by induction (costs
+	// share that can realize it (gr.eLo), so by induction (costs
 	// increasing, float rounding monotone) lb[K] at row 0 is a true
 	// lower bound on the exact optimum for d = n.
 	up := make([]float64, K+1)
@@ -133,38 +131,17 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 
 	comm, comp, done := tc.tables(procs[p-1], fps[p-1], n)
 	for k := 0; k <= K; k++ {
-		d := sv(k)
+		d := gr.sv(k)
 		upNext[k] = comm[d] + comp[d]
 		choice[p-1][k] = int32(k)
-		d = dLo(k)
+		d = gr.dLo(k)
 		lbNext[k] = comm[d] + comp[d]
 	}
 	done()
 
 	for i := p - 2; i >= 0; i-- {
 		comm, comp, done := tc.tables(procs[i], fps[i], n)
-		for k := 0; k <= K; k++ {
-			base := sv(k)
-			bj := 0
-			bm := comm[0] + maxf(comp[0], upNext[k])
-			lm := comm[0] + maxf(comp[0], lbNext[k])
-			for j := 1; j <= k; j++ {
-				e := base - sv(k-j)
-				if m := comm[e] + maxf(comp[e], upNext[k-j]); m < bm {
-					bj, bm = j, m
-				}
-				elo := (j-1)*g + 1
-				if j == k {
-					elo = dLo(k)
-				}
-				if m := comm[elo] + maxf(comp[elo], lbNext[k-j]); m < lm {
-					lm = m
-				}
-			}
-			up[k] = bm
-			choice[i][k] = int32(bj)
-			lb[k] = lm
-		}
+		scans.grid(gr, comm, comp, upNext, lbNext, up, lb, choice[i])
 		done()
 		up, upNext = upNext, up
 		lb, lbNext = lbNext, lb
@@ -176,7 +153,7 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 	k := K
 	for i := 0; i < p; i++ {
 		j := int(choice[i][k])
-		dist[i] = sv(k) - sv(k-j)
+		dist[i] = gr.sv(k) - gr.sv(k-j)
 		k -= j
 	}
 
@@ -231,9 +208,18 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 		choiceW[p-1][d-lo[p-1]] = int32(d)
 	}
 	done()
+	// Each banded cell scans up to 2w+1 shares, so a row is worth
+	// splitting over the row pool once its up to 2w+1 cells exceed
+	// one chunk.
+	var rp *rowPool
+	if 2*w+1 > minRowChunk {
+		rp = newRowPool(workers)
+		defer rp.close()
+	}
 	for i := p - 2; i >= 0; i-- {
 		comm, comp, done := tc.tables(procs[i], fps[i], n)
-		refineRow(comm, comp, costW[i+1], lo[i+1], costW[i], choiceW[i], lo[i], hi[i])
+		rp.run(hi[i]-lo[i], &bandRow{refine: scans.refine, comm: comm, comp: comp,
+			next: costW[i+1], loNext: lo[i+1], cost: costW[i], choice: choiceW[i], lo: lo[i]})
 		done()
 	}
 
@@ -256,14 +242,96 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 	return CoarseResult{Result: res, LowerBound: lower, Band: band, Granularity: g, Refined: true}, nil
 }
 
+// bandRow is one banded refinement row for the row pool: its cells
+// [a, b] are the remainders [lo+a, lo+b].
+type bandRow struct {
+	refine           func(comm, comp, next []float64, loNext int, cost []float64, choice []int32, lo, hi int)
+	comm, comp, next []float64
+	loNext, lo       int
+	cost             []float64
+	choice           []int32
+}
+
+func (r *bandRow) fill(a, b int) {
+	r.refine(r.comm, r.comp, r.next, r.loNext, r.cost[a:], r.choice[a:], r.lo+a, r.lo+b)
+}
+
+// coarseGrid is a coarse solve's state space: grid state k stands for
+// the remainder s_k, and K = ceil(n/g) states cover n.
+type coarseGrid struct {
+	g, r, K int // step, first (partial) segment, last state
+}
+
+// sv maps a grid state k to the remainder it stands for: s_k.
+func (gr coarseGrid) sv(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return gr.r + (k-1)*gr.g
+}
+
+// dLo is the smallest remainder in the interval I_k = (s_{k-1}, s_k]
+// that grid state k abstracts in the lower-bound DP.
+func (gr coarseGrid) dLo(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return gr.sv(k-1) + 1
+}
+
+// eLo is the smallest share that consuming j segments out of state k
+// can stand for: (j-1)·g + 1 interior, dLo(k) when it empties the
+// remainder. It never decreases in j.
+func (gr coarseGrid) eLo(k, j int) int {
+	if j == k {
+		return gr.dLo(k)
+	}
+	return (j-1)*gr.g + 1
+}
+
+// gridRow fills one row of both grid DPs — up[k], choice[k] and lb[k]
+// for every state k — from the next row's upNext and lbNext. Ties keep
+// the fewest segments.
+//
+// The scan over j stops at a lower-bound break: a candidate with share
+// e costs comm[e] + max(comp[e], next) >= comm[e] + comp[e], and that
+// sum never decreases in e. Both the upper share e and the optimistic
+// share eLo grow with j, so once both sums reach their running minima
+// no later j can win either DP (see DESIGN.md §15).
+func gridRow(gr coarseGrid, comm, comp, upNext, lbNext, up, lb []float64, choice []int32) {
+	for k := 0; k <= gr.K; k++ {
+		base := gr.sv(k)
+		bj := 0
+		bm := comm[0] + maxf(comp[0], upNext[k])
+		lm := comm[0] + maxf(comp[0], lbNext[k])
+		for j := 1; j <= k; j++ {
+			e, elo := base-gr.sv(k-j), gr.eLo(k, j)
+			if comm[e]+comp[e] >= bm && comm[elo]+comp[elo] >= lm {
+				break
+			}
+			if m := comm[e] + maxf(comp[e], upNext[k-j]); m < bm {
+				bj, bm = j, m
+			}
+			if m := comm[elo] + maxf(comp[elo], lbNext[k-j]); m < lm {
+				lm = m
+			}
+		}
+		up[k] = bm
+		choice[k] = int32(bj)
+		lb[k] = lm
+	}
+}
+
 // refineRow fills one banded DP row: cost[d-lo] and choice[d-lo] for d
 // in [lo, hi], where the next row is only known on [loNext, loNext +
 // len(next) - 1]. The share range for each d is clipped so d-e stays
 // inside the next row's window; windows produced by solveCoarse are
-// monotone, which keeps that range non-empty. Unlike rowRange there is
-// no early break: a banded next row is not monotone at its window
-// edges, so the full clipped range is scanned (it is at most 2w+1
-// wide). Ties keep the smallest share, like Algorithm 1.
+// monotone, which keeps that range non-empty. A banded next row is not
+// monotone at its window edges, so rowRange's crossover search and
+// descending break do not apply; the ascending scan stops instead at
+// the lower-bound break of gridRow: once comm[e] + comp[e] reaches the
+// running minimum, no larger share can beat it. Ties keep the smallest
+// share, like Algorithm 1.
 func refineRow(comm, comp, next []float64, loNext int, cost []float64, choice []int32, lo, hi int) {
 	hiNext := loNext + len(next) - 1
 	for d := lo; d <= hi; d++ {
@@ -274,7 +342,7 @@ func refineRow(comm, comp, next []float64, loNext int, cost []float64, choice []
 		eMax := d - loNext
 		sol := eMin
 		min := comm[eMin] + maxf(comp[eMin], next[d-eMin-loNext])
-		for e := eMin + 1; e <= eMax; e++ {
+		for e := eMin + 1; e <= eMax && comm[e]+comp[e] < min; e++ {
 			if m := comm[e] + maxf(comp[e], next[d-e-loNext]); m < min {
 				sol, min = e, m
 			}

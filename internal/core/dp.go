@@ -98,102 +98,34 @@ func fillCosts(f cost.Function, n int, out []float64) {
 	}
 }
 
-// Algorithm2Options selects the individual optimizations of Algorithm 2
-// so their effect can be measured (ablation benchmarks). The zero value
-// enables everything, i.e. the full Algorithm 2.
-type Algorithm2Options struct {
-	// DisableBinarySearch replaces the binary search for the
-	// communication/computation crossover (the paper's lines 16-26)
-	// with a scan starting at e = d.
-	DisableBinarySearch bool
-	// DisableEarlyBreak removes the monotonicity cutoff (the paper's
-	// lines 32-34) from the descending scan.
-	DisableEarlyBreak bool
-}
-
 // Algorithm2 computes an optimal distribution with the paper's
 // optimized dynamic program (Algorithm 2). It requires the cost
 // functions to be increasing; same worst-case complexity as Algorithm
 // 1 (O(p·n²)) but O(p·n) in the best case and far faster in practice.
+// It runs the shared rowRange kernel, on a pool of GOMAXPROCS workers
+// from 2^15 items (planParallelThreshold) and on the calling goroutine
+// below, and tabulates duplicate processors' costs once.
 func Algorithm2(procs []Processor, n int) (Result, error) {
-	return Algorithm2Opt(procs, n, Algorithm2Options{})
+	return algorithm2(newTabCache(), procs, n, 0)
 }
 
-// Algorithm2Opt is Algorithm2 with explicit optimization switches.
-func Algorithm2Opt(procs []Processor, n int, opts Algorithm2Options) (Result, error) {
-	if err := validateDPInput(procs, n); err != nil {
+// Algorithm2Parallel is Algorithm2 with an explicit worker count for
+// the row pool (<= 0 selects GOMAXPROCS; 1 keeps every row on the
+// calling goroutine). Results are bit-identical to Algorithm2 at any
+// worker count: within a row, cells only read the previous row.
+func Algorithm2Parallel(procs []Processor, n, workers int) (Result, error) {
+	return algorithm2(newTabCache(), procs, n, workers)
+}
+
+// algorithm2 runs the exact driver without retaining cost rows and
+// reconstructs the full problem's distribution.
+func algorithm2(tc *tabCache, procs []Processor, n, workers int) (Result, error) {
+	pl, err := solveRows(tc, procs, n, workers, false)
+	if err != nil {
 		return Result{}, err
 	}
-	p := len(procs)
-
-	choice := make([][]int32, p)
-	for i := range choice {
-		choice[i] = make([]int32, n+1)
-	}
-	costNext := make([]float64, n+1)
-	costCur := make([]float64, n+1)
-	comm := make([]float64, n+1)
-	comp := make([]float64, n+1)
-
-	tabulate(procs[p-1], n, comm, comp)
-	for d := 0; d <= n; d++ {
-		costNext[d] = comm[d] + comp[d]
-		choice[p-1][d] = int32(d)
-	}
-
-	for i := p - 2; i >= 0; i-- {
-		tabulate(procs[i], n, comm, comp)
-		costCur[0] = comm[0] + maxf(comp[0], costNext[0])
-		choice[i][0] = 0
-		for d := 1; d <= n; d++ {
-			var sol int
-			var min float64
-			if opts.DisableBinarySearch {
-				// Start the descending scan from e = d.
-				sol = d
-				min = comm[d] + maxf(comp[d], costNext[0])
-			} else {
-				// Binary search for emax, the smallest e with
-				// Tcomp(i,e) >= cost[d-e, i+1]. The predicate is
-				// monotone because Tcomp increases with e while
-				// cost[d-e, i+1] decreases. emax always exists in
-				// [0, d]: at e = d the right side is cost[0, i+1],
-				// which is 0 for null-at-zero cost functions.
-				lo, hi := 0, d // invariant: predicate false at lo-1 ... search space [lo, hi]
-				for lo < hi {
-					mid := (lo + hi) / 2
-					if comp[mid] >= costNext[d-mid] {
-						hi = mid
-					} else {
-						lo = mid + 1
-					}
-				}
-				emax := lo
-				// For e >= emax the objective is Tcomm+Tcomp, both
-				// increasing, so emax is the best candidate there.
-				sol = emax
-				min = comm[emax] + maxf(comp[emax], costNext[d-emax])
-			}
-			// Descending scan over e < sol, where the max is realized
-			// by cost[d-e, i+1].
-			for e := sol - 1; e >= 0; e-- {
-				rest := costNext[d-e]
-				m := comm[e] + maxf(comp[e], rest)
-				if m < min {
-					sol, min = e, m
-				} else if !opts.DisableEarlyBreak && rest >= min {
-					// cost[d-e, i+1] only grows as e decreases and
-					// Tcomm is non-negative, so no smaller e can win.
-					break
-				}
-			}
-			choice[i][d] = int32(sol)
-			costCur[d] = min
-		}
-		costCur, costNext = costNext, costCur
-	}
-
-	return reconstruct(procs, n, costNext[n], choice), nil
+	defer pl.freeRows()
+	return pl.Lookup(n, 0)
 }
 
 func validateDPInput(procs []Processor, n int) error {

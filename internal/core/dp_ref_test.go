@@ -1,0 +1,446 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/cost"
+)
+
+// This file holds the test-only reference kernels the production
+// solvers are held to bit for bit: the paper's Algorithm 2 with a
+// binary search in every cell (and its two optimizations switchable,
+// for the ablation), the plain linear-scan specification of one
+// rowRange cell, and the unpruned grid and refine scans of the coarse
+// solver.
+
+// referenceCell is the specification of one rowRange cell, written as
+// plainly as possible: find the crossover emax by linear scan, then
+// take the largest e in [0, emax] minimizing the recurrence (ties keep
+// the larger e, matching the solver's descending strict-less scan).
+// No binary search, no neighbor seeding, no early break — everything
+// the kernel optimizes away must not change the answer.
+func referenceCell(comm, comp, costNext []float64, d int) (int32, float64) {
+	emax := d
+	for e := 0; e <= d; e++ {
+		if comp[e] >= costNext[d-e] {
+			emax = e
+			break
+		}
+	}
+	sol := emax
+	min := comm[sol] + maxf(comp[sol], costNext[d-sol])
+	for e := emax - 1; e >= 0; e-- {
+		if m := comm[e] + maxf(comp[e], costNext[d-e]); m < min {
+			sol, min = e, m
+		}
+	}
+	return int32(sol), min
+}
+
+// refOptions switches off the two optimizations that turn Algorithm 1
+// into Algorithm 2. The zero value is the full Algorithm 2.
+type refOptions struct {
+	// noBinarySearch replaces the binary search for the
+	// communication/computation crossover (the paper's lines 16-26)
+	// with a scan starting at e = d.
+	noBinarySearch bool
+	// noEarlyBreak removes the monotonicity cutoff (the paper's lines
+	// 32-34) from the descending scan.
+	noEarlyBreak bool
+}
+
+// referenceAlgorithm2 is the paper's Algorithm 2 as written: one
+// sequential loop over the rows, a fresh binary search for the
+// crossover in every cell, a descending scan from it with the early
+// break. It tabulates every processor afresh and shares no code with
+// solveRows beyond tabulate and reconstruct.
+func referenceAlgorithm2(procs []Processor, n int, opts refOptions) (Result, error) {
+	if err := validateDPInput(procs, n); err != nil {
+		return Result{}, err
+	}
+	p := len(procs)
+
+	choice := make([][]int32, p)
+	for i := range choice {
+		choice[i] = make([]int32, n+1)
+	}
+	costNext := make([]float64, n+1)
+	costCur := make([]float64, n+1)
+	comm := make([]float64, n+1)
+	comp := make([]float64, n+1)
+
+	tabulate(procs[p-1], n, comm, comp)
+	for d := 0; d <= n; d++ {
+		costNext[d] = comm[d] + comp[d]
+		choice[p-1][d] = int32(d)
+	}
+
+	for i := p - 2; i >= 0; i-- {
+		tabulate(procs[i], n, comm, comp)
+		costCur[0] = comm[0] + maxf(comp[0], costNext[0])
+		choice[i][0] = 0
+		for d := 1; d <= n; d++ {
+			var sol int
+			var min float64
+			if opts.noBinarySearch {
+				sol = d
+				min = comm[d] + maxf(comp[d], costNext[0])
+			} else {
+				// emax is the smallest e with Tcomp(i,e) >=
+				// cost[d-e, i+1]; the predicate is monotone in e.
+				lo, hi := 0, d
+				for lo < hi {
+					mid := (lo + hi) / 2
+					if comp[mid] >= costNext[d-mid] {
+						hi = mid
+					} else {
+						lo = mid + 1
+					}
+				}
+				sol = lo
+				min = comm[lo] + maxf(comp[lo], costNext[d-lo])
+			}
+			for e := sol - 1; e >= 0; e-- {
+				rest := costNext[d-e]
+				m := comm[e] + maxf(comp[e], rest)
+				if m < min {
+					sol, min = e, m
+				} else if !opts.noEarlyBreak && rest >= min {
+					break
+				}
+			}
+			choice[i][d] = int32(sol)
+			costCur[d] = min
+		}
+		costCur, costNext = costNext, costCur
+	}
+	return reconstruct(procs, n, costNext[n], choice), nil
+}
+
+// referenceGridRow is gridRow without the lower-bound break: every
+// segment count j in [1, k] is evaluated in both grid DPs.
+func referenceGridRow(gr coarseGrid, comm, comp, upNext, lbNext, up, lb []float64, choice []int32) {
+	for k := 0; k <= gr.K; k++ {
+		base := gr.sv(k)
+		bj := 0
+		bm := comm[0] + maxf(comp[0], upNext[k])
+		lm := comm[0] + maxf(comp[0], lbNext[k])
+		for j := 1; j <= k; j++ {
+			e, elo := base-gr.sv(k-j), gr.eLo(k, j)
+			if m := comm[e] + maxf(comp[e], upNext[k-j]); m < bm {
+				bj, bm = j, m
+			}
+			if m := comm[elo] + maxf(comp[elo], lbNext[k-j]); m < lm {
+				lm = m
+			}
+		}
+		up[k] = bm
+		choice[k] = int32(bj)
+		lb[k] = lm
+	}
+}
+
+// referenceRefineRow is refineRow without the lower-bound break: the
+// whole clipped share range is scanned.
+func referenceRefineRow(comm, comp, next []float64, loNext int, cost []float64, choice []int32, lo, hi int) {
+	hiNext := loNext + len(next) - 1
+	for d := lo; d <= hi; d++ {
+		eMin := d - hiNext
+		if eMin < 0 {
+			eMin = 0
+		}
+		sol := eMin
+		min := comm[eMin] + maxf(comp[eMin], next[d-eMin-loNext])
+		for e := eMin + 1; e <= d-loNext; e++ {
+			if m := comm[e] + maxf(comp[e], next[d-e-loNext]); m < min {
+				sol, min = e, m
+			}
+		}
+		cost[d-lo] = min
+		choice[d-lo] = int32(sol)
+	}
+}
+
+// referenceScans runs a coarse solve through the unpruned scans.
+var referenceScans = coarseScans{grid: referenceGridRow, refine: referenceRefineRow}
+
+// table1Procs is the paper's Table 1 platform (16 CPUs, root dinadan
+// last) in descending-bandwidth order, as platform.Table1 expands it;
+// the platform package cannot be imported from here.
+func table1Procs() []Processor {
+	machines := []struct {
+		name        string
+		cpus        int
+		beta, alpha float64
+	}{
+		{"dinadan", 1, 0.009288, 0},
+		{"pellinore", 1, 0.009365, 1.12e-5},
+		{"caseb", 1, 0.004629, 1.00e-5},
+		{"sekhmet", 1, 0.004885, 1.70e-5},
+		{"merlin", 2, 0.003976, 8.15e-5},
+		{"seven", 2, 0.016156, 2.10e-5},
+		{"leda", 8, 0.009677, 3.53e-5},
+	}
+	var procs []Processor
+	for _, m := range machines {
+		for k := 0; k < m.cpus; k++ {
+			name := m.name
+			if m.cpus > 1 {
+				name = fmt.Sprintf("%s#%d", m.name, k+1)
+			}
+			procs = append(procs, Processor{Name: name, Comm: cost.Linear{PerItem: m.alpha}, Comp: cost.Linear{PerItem: m.beta}})
+		}
+	}
+	// The root is served last and receives for free.
+	root := procs[0]
+	root.Comm = cost.Zero
+	procs = append(procs[1:], root)
+	return Permute(procs, OrderDecreasingBandwidth(procs, len(procs)-1))
+}
+
+// randomFloatAffineProcs draws affine processors with arbitrary float
+// coefficients, so cost sums round.
+func randomFloatAffineProcs(rng *rand.Rand, p int) []Processor {
+	procs := make([]Processor, p)
+	for i := range procs {
+		procs[i] = Processor{
+			Name: fmt.Sprintf("F%d", i),
+			Comm: cost.Affine{Fixed: rng.Float64() * 1e-2, PerItem: rng.Float64() * 1e-4},
+			Comp: cost.Affine{Fixed: rng.Float64() * 1e-2, PerItem: 1e-3 + rng.Float64()*1e-2},
+		}
+	}
+	procs[p-1].Comm = cost.Zero
+	return procs
+}
+
+// randomDyadicProcs draws affine processors whose coefficients are
+// small dyadic rationals, so every cost sum is exact in float64, with
+// per-item link costs three orders of magnitude below the CPUs' as on
+// Table 1 — which keeps the kernel's descending scans short at large n.
+func randomDyadicProcs(rng *rand.Rand, p int) []Processor {
+	procs := make([]Processor, p)
+	for i := range procs {
+		procs[i] = Processor{
+			Name: fmt.Sprintf("D%d", i),
+			Comm: cost.Affine{Fixed: float64(rng.Intn(4)) / 16, PerItem: float64(rng.Intn(8)) / (1 << 20)},
+			Comp: cost.Affine{Fixed: float64(rng.Intn(4)) / 16, PerItem: float64(1+rng.Intn(8)) / 128},
+		}
+	}
+	procs[p-1].Comm = cost.Zero
+	return procs
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func requireSameResult(t *testing.T, label string, got, want Result) {
+	t.Helper()
+	if !sameBits(got.Makespan, want.Makespan) || !equalDist(got.Distribution, want.Distribution) {
+		t.Fatalf("%s: got %v (makespan %x), want %v (makespan %x)",
+			label, got.Distribution, got.Makespan, want.Distribution, want.Makespan)
+	}
+}
+
+// TestAlgorithm2AblationsAgree: each of Algorithm 2's optimizations
+// may be switched off without changing the optimal makespan.
+func TestAlgorithm2AblationsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	variants := []refOptions{
+		{noBinarySearch: true},
+		{noEarlyBreak: true},
+		{noBinarySearch: true, noEarlyBreak: true},
+	}
+	for trial := 0; trial < 25; trial++ {
+		p := 1 + rng.Intn(5)
+		n := rng.Intn(30)
+		procs := randomAffineProcs(rng, p)
+		ref, err := referenceAlgorithm2(procs, n, refOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for vi, v := range variants {
+			got, err := referenceAlgorithm2(procs, n, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Makespan != ref.Makespan {
+				t.Errorf("trial %d variant %d: makespan %g != %g", trial, vi+1, got.Makespan, ref.Makespan)
+			}
+		}
+	}
+}
+
+// TestAlgorithm2MatchesReferenceKernel holds the one exact driver to
+// the paper's per-cell-search Algorithm 2 bit for bit, on both sides of
+// the row-pool threshold and at every worker count.
+func TestAlgorithm2MatchesReferenceKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	platforms := []struct {
+		name  string
+		procs []Processor
+		sizes []int
+	}{
+		{"table1", table1Procs(), []int{0, 1, 4097, planParallelThreshold - 1, planParallelThreshold + 1234}},
+		{"dyadic", randomDyadicProcs(rng, 6), []int{2, 4097, planParallelThreshold - 1, planParallelThreshold, planParallelThreshold + 1234}},
+		{"dyadic-linear", randomLinearProcs(rng, 5), []int{0, 17, 2000}},
+		{"dyadic-affine", randomAffineProcs(rng, 4), []int{1, 33, 2000}},
+		{"float-affine", randomFloatAffineProcs(rng, 3), []int{5000, planParallelThreshold + 1234}},
+	}
+	workers := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
+	for _, pf := range platforms {
+		for _, n := range pf.sizes {
+			want, err := referenceAlgorithm2(pf.procs, n, refOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Algorithm2(pf.procs, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("%s n=%d Algorithm2", pf.name, n), got, want)
+			if n <= planParallelThreshold {
+				continue // one pooled size per platform sweeps the workers
+			}
+			for _, w := range workers {
+				got, err := Algorithm2Parallel(pf.procs, n, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("%s n=%d workers=%d", pf.name, n, w), got, want)
+			}
+		}
+	}
+}
+
+// TestAlgorithm2Concurrent runs Algorithm2 from 16 goroutines at once,
+// at a size that starts a row pool per call and at one that stays on
+// the caller; every answer must match the reference kernel's.
+func TestAlgorithm2Concurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	procs := randomDyadicProcs(rng, 4)
+	for _, n := range []int{3000, planParallelThreshold + 7} {
+		want, err := referenceAlgorithm2(procs, n, refOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := Algorithm2(procs, n)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !sameBits(got.Makespan, want.Makespan) || !equalDist(got.Distribution, want.Distribution) {
+					t.Errorf("n=%d: concurrent %v != reference %v", n, got.Distribution, want.Distribution)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+func requireSameCoarse(t *testing.T, label string, got, want CoarseResult) {
+	t.Helper()
+	if !equalDist(got.Distribution, want.Distribution) || !sameBits(got.Makespan, want.Makespan) ||
+		!sameBits(got.LowerBound, want.LowerBound) || !sameBits(got.Band, want.Band) ||
+		got.Granularity != want.Granularity || got.Refined != want.Refined || got.Exact != want.Exact {
+		t.Fatalf("%s: pruned %+v != unpruned reference %+v", label, got, want)
+	}
+}
+
+// TestSolveCoarseMatchesUnprunedReference: the lower-bound breaks in
+// the grid and refine scans never change a coarse answer — not the
+// distribution, its makespan, the lower bound or the band.
+func TestSolveCoarseMatchesUnprunedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, g := range []int{2, 3, 16, 128, 1024} {
+		for trial := 0; trial < 12; trial++ {
+			p := 1 + rng.Intn(6)
+			var procs []Processor
+			switch trial % 3 {
+			case 0:
+				procs = randomLinearProcs(rng, p)
+			case 1:
+				procs = randomAffineProcs(rng, p)
+			default:
+				procs = randomFloatAffineProcs(rng, p)
+			}
+			n := rng.Intn(40*g + 1)
+			if trial == 0 {
+				n = 4 * g // the largest exact fallback
+			}
+			for _, skip := range []bool{false, true} {
+				opts := CoarseOptions{SkipRefine: skip}
+				label := fmt.Sprintf("g=%d trial=%d p=%d n=%d skip=%v", g, trial, p, n, skip)
+				got, err := SolveCoarseOpt(procs, n, g, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := solveCoarseScans(nil, procs, n, g, 0, opts, referenceScans)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameCoarse(t, label, got, want)
+				if got.Exact {
+					exact, err := referenceAlgorithm2(procs, n, refOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameResult(t, label+" fallback", got.Result, exact)
+				}
+			}
+		}
+	}
+}
+
+// TestSolveCoarseTable1MatchesUnprunedReference pins the pruned coarse
+// solver to the unpruned scans at the paper's full 817,101-item scale.
+func TestSolveCoarseTable1MatchesUnprunedReference(t *testing.T) {
+	procs := table1Procs()
+	const n, g = 817101, 1024
+	for _, skip := range []bool{false, true} {
+		opts := CoarseOptions{SkipRefine: skip}
+		got, err := SolveCoarseOpt(procs, n, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solveCoarseScans(nil, procs, n, g, 0, opts, referenceScans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameCoarse(t, fmt.Sprintf("table1 skip=%v", skip), got, want)
+	}
+}
+
+// BenchmarkAlg2Ablation isolates the two optimizations that turn
+// Algorithm 1 into Algorithm 2: the binary-searched crossover and the
+// early break (DESIGN.md ablation A1), on the reference kernel.
+func BenchmarkAlg2Ablation(b *testing.B) {
+	procs := table1Procs()
+	const n = 10000
+	variants := []struct {
+		name string
+		opts refOptions
+	}{
+		{"full", refOptions{}},
+		{"noBinarySearch", refOptions{noBinarySearch: true}},
+		{"noEarlyBreak", refOptions{noEarlyBreak: true}},
+		{"neither", refOptions{noBinarySearch: true, noEarlyBreak: true}},
+	}
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := referenceAlgorithm2(procs, n, v.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -181,34 +181,6 @@ func TestAlgorithm2MatchesAlgorithm1(t *testing.T) {
 	}
 }
 
-func TestAlgorithm2AblationsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	variants := []Algorithm2Options{
-		{},
-		{DisableBinarySearch: true},
-		{DisableEarlyBreak: true},
-		{DisableBinarySearch: true, DisableEarlyBreak: true},
-	}
-	for trial := 0; trial < 25; trial++ {
-		p := 1 + rng.Intn(5)
-		n := rng.Intn(30)
-		procs := randomAffineProcs(rng, p)
-		ref, err := Algorithm2Opt(procs, n, variants[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for vi, v := range variants[1:] {
-			got, err := Algorithm2Opt(procs, n, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Makespan != ref.Makespan {
-				t.Errorf("trial %d variant %d: makespan %g != %g", trial, vi+1, got.Makespan, ref.Makespan)
-			}
-		}
-	}
-}
-
 func TestAlgorithm2Table1Shape(t *testing.T) {
 	// A miniature of the paper's experiment: heterogeneous linear
 	// processors; the balanced makespan must beat the uniform one.

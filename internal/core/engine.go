@@ -315,7 +315,7 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 	for _, fp := range fps {
 		if fp == "" {
 			e.count(func(s *EngineStats) { s.Fallbacks++ })
-			res, err := Algorithm2(procs, n)
+			res, err := algorithm2(e.tabs, procs, n, e.workers)
 			return res, SolveInfo{Source: SourceFallback}, err
 		}
 	}
@@ -364,7 +364,7 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 		}
 	}
 	if pl == nil {
-		pl, err = solvePlan(e.tabs, procs, n, e.workers)
+		pl, err = solveRows(e.tabs, procs, n, e.workers, true)
 	}
 
 	e.mu.Lock()
@@ -413,7 +413,7 @@ func (e *Engine) solveCoarseDetailed(procs []Processor, n int, sig string) (Resu
 	e.flights[key] = f
 	e.mu.Unlock()
 
-	cr, err := solveCoarse(e.tabs, procs, n, e.gran, CoarseOptions{SkipRefine: e.policy == PolicyCoarseOnly})
+	cr, err := solveCoarse(e.tabs, procs, n, e.gran, e.workers, CoarseOptions{SkipRefine: e.policy == PolicyCoarseOnly})
 
 	e.mu.Lock()
 	var info SolveInfo

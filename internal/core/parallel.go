@@ -12,18 +12,32 @@ import (
 // one per chunk — and the chunk size can shrink for load balance
 // without growing coordination traffic.
 type rowWork struct {
-	comm, comp, costNext, costCur []float64
-	choice                        []int32
-	n, chunk                      int
-	cursor                        atomic.Int64
+	k        rowKernel
+	n, chunk int
+	cursor   atomic.Int64
 }
 
+// rowKernel fills the cells [lo, hi] of one DP row. It reads only the
+// next row, so disjoint ranges may run concurrently.
+type rowKernel interface {
+	fill(lo, hi int)
+}
+
+// exactRow is a row of the exact recurrence, filled by rowRange.
+type exactRow struct {
+	comm, comp, next, cost []float64
+	choice                 []int32
+}
+
+func (r *exactRow) fill(lo, hi int) { rowRange(r.comm, r.comp, r.next, r.cost, r.choice, lo, hi) }
+
 // rowPool is a persistent pool of workers computing disjoint chunks of
-// DP rows. The workers are spawned once per solve and reused for every
-// row. Within a row, chunks are independent (they only read the
-// previous row), so the result is bit-identical to the sequential
-// recurrence; the row-to-row dependency stays sequential via the
-// per-row barrier in row().
+// DP rows: the exact rows of solveRows and the banded refinement rows
+// of the coarse solver. The workers are spawned once per solve and
+// reused for every row. Within a row, chunks are independent (they
+// only read the previous row), so the result is bit-identical to the
+// sequential recurrence; the row-to-row dependency stays sequential
+// via the per-row barrier in run().
 type rowPool struct {
 	work    chan *rowWork
 	wg      sync.WaitGroup // per-row barrier, one Done per worker
@@ -31,10 +45,15 @@ type rowPool struct {
 }
 
 // newRowPool starts workers goroutines (GOMAXPROCS when workers <= 0)
-// that wait for rows. Callers must close() the pool when done.
+// that wait for rows. Callers must close() the pool when done. A
+// single worker needs no pool: the result is nil, whose rows run
+// inline.
 func newRowPool(workers int) *rowPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 {
+		return nil
 	}
 	rp := &rowPool{work: make(chan *rowWork, workers), workers: workers}
 	for k := 0; k < workers; k++ {
@@ -42,7 +61,7 @@ func newRowPool(workers int) *rowPool {
 			for w := range rp.work {
 				for {
 					c := int(w.cursor.Add(1) - 1)
-					lo := 1 + c*w.chunk
+					lo := c * w.chunk
 					if lo > w.n {
 						break
 					}
@@ -50,7 +69,7 @@ func newRowPool(workers int) *rowPool {
 					if hi > w.n {
 						hi = w.n
 					}
-					rowRange(w.comm, w.comp, w.costNext, w.costCur, w.choice, lo, hi)
+					w.k.fill(lo, hi)
 				}
 				rp.wg.Done()
 			}
@@ -68,25 +87,26 @@ const (
 	rowChunksPerWorker = 8
 )
 
-// row fills costCur[1..n] and choice[1..n] from costNext across the
-// pool and returns once the whole row is done (the caller fills the
-// d = 0 entry). The chunk size adapts to n and the worker count
-// instead of a fixed floor, so small rows stay on one worker and large
-// rows split finely enough to balance.
-func (rp *rowPool) row(comm, comp, costNext, costCur []float64, choice []int32, n int) {
-	if n < 1 {
+// run fills the cells [0, n] of one DP row with k, over disjoint
+// chunks, and returns once every chunk is done. The chunk size adapts to n and the
+// worker count instead of a fixed floor, so small rows stay on one
+// worker and large rows split finely enough to balance. A nil pool
+// runs the row inline.
+func (rp *rowPool) run(n int, k rowKernel) {
+	if rp == nil {
+		k.fill(0, n)
 		return
 	}
-	chunk := (n + rp.workers*rowChunksPerWorker - 1) / (rp.workers * rowChunksPerWorker)
+	chunk := (n + rp.workers*rowChunksPerWorker) / (rp.workers * rowChunksPerWorker)
 	if chunk < minRowChunk {
 		chunk = minRowChunk
 	}
-	if rp.workers == 1 || n <= chunk {
+	if n < chunk {
 		// The fan-out would cost more than the row: run it inline.
-		rowRange(comm, comp, costNext, costCur, choice, 1, n)
+		k.fill(0, n)
 		return
 	}
-	w := &rowWork{comm: comm, comp: comp, costNext: costNext, costCur: costCur, choice: choice, n: n, chunk: chunk}
+	w := &rowWork{k: k, n: n, chunk: chunk}
 	rp.wg.Add(rp.workers)
 	for k := 0; k < rp.workers; k++ {
 		rp.work <- w
@@ -95,72 +115,19 @@ func (rp *rowPool) row(comm, comp, costNext, costCur []float64, choice []int32, 
 }
 
 // close shuts the workers down once all submitted rows have completed.
-func (rp *rowPool) close() { close(rp.work) }
-
-// Algorithm2Parallel is Algorithm 2 with the inner loop parallelized:
-// within one DP row i, the entries cost[d, i] for different d are
-// independent (they only read the previous row), so they are computed
-// by a persistent pool of workers over chunks of the d range. The
-// row-to-row dependency remains sequential. Results are bit-identical
-// to Algorithm2.
-//
-// Parallelism pays off when n is large (the paper's 817,101-item runs
-// take tens of seconds single-threaded); for small n the pool costs
-// more than it saves, so callers with tiny inputs should prefer
-// Algorithm2. Workers <= 0 selects GOMAXPROCS.
-func Algorithm2Parallel(procs []Processor, n, workers int) (Result, error) {
-	if err := validateDPInput(procs, n); err != nil {
-		return Result{}, err
+func (rp *rowPool) close() {
+	if rp != nil {
+		close(rp.work)
 	}
-	p := len(procs)
-
-	// One contiguous backing array for every choice row: rows are
-	// touched in strict sequence, so blocking them together keeps the
-	// allocator from scattering p large slices across the heap.
-	backing := make([]int32, p*(n+1))
-	choice := make([][]int32, p)
-	for i := range choice {
-		choice[i] = backing[i*(n+1) : (i+1)*(n+1) : (i+1)*(n+1)]
-	}
-	costNext := make([]float64, n+1)
-	costCur := make([]float64, n+1)
-
-	// Duplicate processors (identical cluster nodes are the norm on
-	// real grids) share one tabulated comm/comp table through the same
-	// per-fingerprint memoization the Engine uses, instead of
-	// re-tabulating O(n) entries for every row.
-	tc := newTabCache()
-	fps := fingerprints(procs)
-
-	comm, comp, done := tc.tables(procs[p-1], fps[p-1], n)
-	for d := 0; d <= n; d++ {
-		costNext[d] = comm[d] + comp[d]
-		choice[p-1][d] = int32(d)
-	}
-	done()
-
-	rp := newRowPool(workers)
-	defer rp.close()
-
-	for i := p - 2; i >= 0; i-- {
-		comm, comp, done := tc.tables(procs[i], fps[i], n)
-		costCur[0] = comm[0] + maxf(comp[0], costNext[0])
-		choice[i][0] = 0
-		rp.row(comm, comp, costNext, costCur, choice[i], n)
-		done()
-		costCur, costNext = costNext, costCur
-	}
-
-	return reconstruct(procs, n, costNext[n], choice), nil
 }
 
 // rowRange fills cost[d] and choice[d] for d in [lo, hi] using the
-// Algorithm 2 recurrence (binary-searched crossover + early break).
-// It only reads comm, comp and costNext, so disjoint ranges may run
-// concurrently. This is the single row kernel shared by
-// Algorithm2Parallel, the incremental Plan solver, and the coarse
-// refinement pass, which is what keeps their results bit-identical to
-// Algorithm2.
+// Algorithm 2 recurrence (crossover search + early break). It only
+// reads comm, comp and costNext, so disjoint ranges may run
+// concurrently. It is the one row kernel of every exact solve —
+// Algorithm2, Algorithm2Parallel, SolvePlan and Plan.Resolve all fill
+// their rows through solveRows — which is what keeps their results
+// bit-identical to each other.
 //
 // The crossover emax(d) — the smallest e with comp[e] >= costNext[d-e]
 // (or d when no such e exists) — is monotone in d, and moreover
@@ -170,7 +137,8 @@ func Algorithm2Parallel(procs []Processor, n, workers int) (Result, error) {
 // left neighbor with a single comparison, replacing O(log n) scattered
 // probes per cell with an amortized O(1) sequential access. The seeded
 // value is the same lower bound the binary search would return, so the
-// kernel stays bit-identical to Algorithm2Opt's per-cell search.
+// kernel stays bit-identical to the paper's per-cell search (kept as
+// the test-only reference in dp_ref_test.go).
 func rowRange(comm, comp, costNext, costCur []float64, choiceRow []int32, lo, hi int) {
 	if lo > hi {
 		return

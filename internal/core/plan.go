@@ -75,20 +75,24 @@ func (pl *Plan) Size() int { return len(pl.procs) }
 
 // SolvePlan runs the Algorithm 2 dynamic program over increasing cost
 // functions and retains every DP row. The distribution reachable via
-// Lookup(n, 0) is bit-identical to Algorithm2's: both fill rows with
-// the same binary-searched crossover and early-break recurrence.
+// Lookup(n, 0) is bit-identical to Algorithm2's: both run solveRows.
 func SolvePlan(procs []Processor, n int) (*Plan, error) {
-	return solvePlan(nil, procs, n, 0)
+	return solveRows(nil, procs, n, 0, true)
 }
 
-// planParallelThreshold is the item count above which solvePlan fills
+// planParallelThreshold is the item count from which solveRows fills
 // rows with a worker pool; below it the fan-out costs more than the
-// row computation.
+// row computation, so small solves stay on the calling goroutine.
 const planParallelThreshold = 1 << 15
 
-// workers bounds the row pool for large solves; <= 0 selects
-// GOMAXPROCS.
-func solvePlan(tc *tabCache, procs []Processor, n, workers int) (*Plan, error) {
+// solveRows is the one exact Algorithm 2 driver. It tabulates each
+// processor's costs through tc (nil: pooled scratch per row), fills
+// the base row, then every other row with rowRange, on a pool of
+// workers (<= 0: GOMAXPROCS) once n reaches planParallelThreshold.
+// With retain the plan keeps every cost row for Lookup and Resolve;
+// without, each cost row is recycled as soon as the row before it is
+// filled and only the choice rows survive — enough for Lookup(n, 0).
+func solveRows(tc *tabCache, procs []Processor, n, workers int, retain bool) (*Plan, error) {
 	if err := validateDPInput(procs, n); err != nil {
 		return nil, err
 	}
@@ -99,13 +103,6 @@ func solvePlan(tc *tabCache, procs []Processor, n, workers int) (*Plan, error) {
 		n:     n,
 		rows:  make([]planRow, p),
 	}
-
-	var rp *rowPool
-	if n >= planParallelThreshold && p > 1 {
-		rp = newRowPool(workers)
-		defer rp.close()
-	}
-
 	// Base row: the last processor takes everything that remains.
 	comm, comp, done := tc.tables(procs[p-1], pl.fps[p-1], n)
 	base := newPlanRow(n)
@@ -115,31 +112,33 @@ func solvePlan(tc *tabCache, procs []Processor, n, workers int) (*Plan, error) {
 	}
 	pl.rows[p-1] = base
 	done()
-
-	for i := p - 2; i >= 0; i-- {
-		comm, comp, done := tc.tables(procs[i], pl.fps[i], n)
-		fillPlanRow(rp, comm, comp, pl.rows[i+1].cost, &pl.rows[i], n)
-		done()
-	}
+	pl.fillRows(tc, p-1, workers, retain)
 	return pl, nil
 }
 
-// fillPlanRow allocates row *out and fills it from the next row's costs
-// using the exact Algorithm 2 recurrence (rowRange), optionally spread
-// over a worker pool. Chunks are disjoint, so the result is
-// bit-identical either way.
-func fillPlanRow(rp *rowPool, comm, comp, next []float64, out *planRow, n int) {
-	row := newPlanRow(n)
-	row.cost[0] = comm[0] + maxf(comp[0], next[0])
-	row.choice[0] = 0
-	if n >= 1 {
-		if rp != nil {
-			rp.row(comm, comp, next, row.cost, row.choice, n)
-		} else {
-			rowRange(comm, comp, next, row.cost, row.choice, 1, n)
+// fillRows computes rows top-1 down to 0 at width pl.n from the
+// filled row top. Without retain, each consumed cost row goes back to
+// the buffer pool.
+func (pl *Plan) fillRows(tc *tabCache, top, workers int, retain bool) {
+	if top == 0 {
+		return
+	}
+	var rp *rowPool
+	if pl.n >= planParallelThreshold {
+		rp = newRowPool(workers)
+		defer rp.close()
+	}
+	for i := top - 1; i >= 0; i-- {
+		comm, comp, done := tc.tables(pl.procs[i], pl.fps[i], pl.n)
+		row, next := newPlanRow(pl.n), pl.rows[i+1].cost
+		rp.run(pl.n, &exactRow{comm: comm, comp: comp, next: next, cost: row.cost, choice: row.choice})
+		done()
+		pl.rows[i] = row
+		if !retain {
+			putF64(next)
+			pl.rows[i+1].cost = nil
 		}
 	}
-	*out = row
 }
 
 // Lookup answers the suffix subproblem "distribute d items over
@@ -202,7 +201,7 @@ func (pl *Plan) resolve(tc *tabCache, remaining int, survivors []Processor, work
 	}
 	if remaining > pl.n {
 		// The retained rows are too narrow; nothing reusable.
-		return solvePlan(tc, survivors, remaining, workers)
+		return solveRows(tc, survivors, remaining, workers, true)
 	}
 	p, m := len(pl.procs), len(survivors)
 	sfps := fingerprints(survivors)
@@ -211,7 +210,7 @@ func (pl *Plan) resolve(tc *tabCache, remaining int, survivors []Processor, work
 	// reused.
 	t := commonFPSuffix(pl.fps, sfps)
 	if t == 0 {
-		return solvePlan(tc, survivors, remaining, workers)
+		return solveRows(tc, survivors, remaining, workers, true)
 	}
 
 	d := &Plan{
@@ -235,16 +234,7 @@ func (pl *Plan) resolve(tc *tabCache, remaining int, survivors []Processor, work
 	// Partial reuse: recompute the invalidated prefix rows, at the
 	// width actually needed now.
 	d.n = remaining
-	var rp *rowPool
-	if remaining >= planParallelThreshold {
-		rp = newRowPool(workers)
-		defer rp.close()
-	}
-	for i := m - t - 1; i >= 0; i-- {
-		comm, comp, done := tc.tables(survivors[i], sfps[i], remaining)
-		fillPlanRow(rp, comm, comp, d.rows[i+1].cost, &d.rows[i], remaining)
-		done()
-	}
+	d.fillRows(tc, m-t, workers, true)
 	return d, nil
 }
 

@@ -329,7 +329,7 @@ func TestPlanCacheLRU(t *testing.T) {
 }
 
 // TestPlanSolveParallelIdentical forces the pooled row fill past the
-// parallel threshold and checks bit-identity with the sequential path.
+// parallel threshold and checks bit-identity with the one-worker path.
 func TestPlanSolveParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large n")
@@ -344,7 +344,7 @@ func TestPlanSolveParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Algorithm2(procs, n)
+	want, err := Algorithm2Parallel(procs, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-// referenceCell is the specification of one rowRange cell, written as
-// plainly as possible: find the crossover emax by linear scan, then
-// take the largest e in [0, emax] minimizing the recurrence (ties keep
-// the larger e, matching the solver's descending strict-less scan).
-// No binary search, no neighbor seeding, no early break — everything
-// the kernel optimizes away must not change the answer.
-func referenceCell(comm, comp, costNext []float64, d int) (int32, float64) {
-	emax := d
-	for e := 0; e <= d; e++ {
-		if comp[e] >= costNext[d-e] {
-			emax = e
-			break
-		}
-	}
-	sol := emax
-	min := comm[sol] + maxf(comp[sol], costNext[d-sol])
-	for e := emax - 1; e >= 0; e-- {
-		if m := comm[e] + maxf(comp[e], costNext[d-e]); m < min {
-			sol, min = e, m
-		}
-	}
-	return int32(sol), min
-}
-
 // dyadicTable builds an increasing cost table that is null at zero
 // items, with dyadic increments so float comparisons are exact.
 func dyadicTable(rng *rand.Rand, n int, flat bool) []float64 {

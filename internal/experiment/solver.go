@@ -181,14 +181,15 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 	boolp := func(b bool) *bool { return &b }
 
 	// Cold from-scratch sequential DP: the baseline everything else is
-	// priced against.
+	// priced against. Pinned to one worker, since Algorithm2 itself
+	// runs a row pool at this size.
 	var cold core.Result
-	coldSecs, err := timeSolve(func() (e error) { cold, e = core.Algorithm2(procs, items); return })
+	coldSecs, err := timeSolve(func() (e error) { cold, e = core.Algorithm2Parallel(procs, items, 1); return })
 	if err != nil {
 		return doc, err
 	}
 	add(solverRow{Name: "algorithm2_cold", Seconds: coldSecs, Makespan: cold.Makespan,
-		Note: "from-scratch sequential DP; the cold baseline"})
+		Note: "from-scratch sequential DP (Algorithm2Parallel at one worker); the cold baseline"})
 
 	// Worker-pool scaling curve. Every point is checked bit-identical
 	// to the sequential solve; times are reported honestly even when

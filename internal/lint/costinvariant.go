@@ -64,7 +64,6 @@ var negativeFieldRules = map[[2]string]map[string]string{
 var itemCountArgs = map[string]int{
 	"Algorithm1":          1,
 	"Algorithm2":          1,
-	"Algorithm2Opt":       1,
 	"Algorithm2Parallel":  1,
 	"SolveLinear":         1,
 	"SolveLinearRational": 1,
