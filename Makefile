@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race perfbench-test bench bench-fault bench-recovery bench-solver bench-solver-smoke bench-degraded bench-lint bench-serve figures fmt lint lint-vet ci-lint check ci
+.PHONY: all build vet test race perfbench-test bench bench-fault bench-recovery bench-solver bench-solver-smoke bench-degraded bench-lint bench-serve figures fmt lint lint-vet lint-audit ci-lint check ci
 
 all: build
 
@@ -63,9 +63,10 @@ bench-serve:
 	$(GO) run ./cmd/scatterbench -serve BENCH_serve.json
 
 # Regenerate BENCH_lint.json (scatterlint runtime over this module:
-# loader, the five syntactic analyzers, the three dataflow analyzers,
-# the three SSA analyzers, the generated synthetic fixture, and the
-# incremental cache cold vs. warm after a one-package edit).
+# loader, the four syntactic analyzers, the three dataflow analyzers,
+# the three SSA analyzers, the four lock-set analyzers, the generated
+# synthetic fixture, and the incremental cache cold vs. warm after a
+# one-package edit).
 bench-lint:
 	$(GO) test -run '^$$' -bench BenchmarkLint -benchtime 1x .
 
@@ -104,6 +105,12 @@ lint: bin/scatterlint
 lint-vet: bin/scatterlint
 	$(GO) vet -vettool=$(CURDIR)/bin/scatterlint ./...
 
+# Stale-suppression gate: fail if any //scatterlint:ignore directive
+# suppresses nothing or names an unknown analyzer — e.g. a rule moved
+# to another analyzer while a directive still names the old one.
+lint-audit: bin/scatterlint
+	./bin/scatterlint -ignoreaudit ./...
+
 # Cache-coherence gate: run scatterlint twice from an empty cache —
 # cold, then fully warm — and fail if the findings differ by a byte.
 ci-lint: bin/scatterlint
@@ -113,6 +120,6 @@ ci-lint: bin/scatterlint
 	cmp bin/lint-cold.json bin/lint-warm.json
 
 # Umbrella gate: everything CI enforces, in one target.
-check: build vet lint race
+check: build vet lint lint-audit race
 
 ci: fmt check ci-lint

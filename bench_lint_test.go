@@ -53,25 +53,24 @@ func copyModule(b *testing.B, dst string) {
 }
 
 // BenchmarkLint measures scatterlint's runtime over this module: the
-// loader (go list -export plus type-checking), the five original
-// syntactic analyzers, the three dataflow analyzers (CFG + reaching
-// definitions + summary fixpoint), the three SSA analyzers (phi
-// placement + interval/nilness propagation + happens-before proofs),
-// the three lock-set analyzers (guarded-field dataflow + lock-order
-// graph + release discipline), the full suite over the generated
-// synthetic fixture (internal/lint/testdata/bench), and the
-// incremental cache cold vs. warm after a one-package edit. The tree
-// is clean, so every findings count must be zero and the benchmark
-// measures pure analysis cost. Results go to BENCH_lint.json;
-// regenerate with `make bench-lint`.
+// loader (go list -export plus type-checking), the four syntactic
+// analyzers, the three dataflow analyzers (CFG + reaching definitions
+// + summary fixpoint), the three SSA analyzers (phi placement +
+// interval/nilness propagation + happens-before proofs), the four
+// lock-set analyzers (guarded-field dataflow + lock-order graph +
+// release discipline + channel ops under a held lock), the full suite
+// over the generated synthetic fixture (internal/lint/testdata/bench),
+// and the incremental cache cold vs. warm after a one-package edit. Each
+// family runs as its own suite, so it builds every shared fact it
+// reads (summaries, CFGs, lock sets) itself. The tree is clean, so
+// every findings count must be zero and the benchmark measures pure
+// analysis cost. Results go to BENCH_lint.json; regenerate with
+// `make bench-lint`.
 func BenchmarkLint(b *testing.B) {
-	legacy := []*lint.Analyzer{
-		lint.MPIErrCheck, lint.CollectiveOrder, lint.SimClock,
-		lint.CostInvariant, lint.MutexChan,
-	}
+	legacy := []*lint.Analyzer{lint.MPIErrCheck, lint.CollectiveOrder, lint.SimClock, lint.CostInvariant}
 	dataflow := []*lint.Analyzer{lint.PoolAlias, lint.DetOrder, lint.LedgerOrder}
 	ssa := []*lint.Analyzer{lint.CollectiveDeadlock, lint.GoroLeak, lint.BandCheck}
-	lockset := []*lint.Analyzer{lint.LockGuard, lint.LockOrder, lint.UnlockPath}
+	lockset := []*lint.Analyzer{lint.LockGuard, lint.LockOrder, lint.UnlockPath, lint.MutexChan}
 
 	run := func(b *testing.B, pkgs []*lint.Package, analyzers []*lint.Analyzer) (float64, int) {
 		b.Helper()

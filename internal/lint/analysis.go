@@ -36,7 +36,8 @@ type Analyzer struct {
 }
 
 // A Pass presents one package to an analyzer: its syntax, its type
-// information, and a sink for diagnostics.
+// information, and a sink for diagnostics. The driver builds passes;
+// all passes of one run share that run's fact base.
 type Pass struct {
 	// Analyzer is the analyzer being run.
 	Analyzer *Analyzer
@@ -50,6 +51,8 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Report delivers one finding.
 	Report func(Diagnostic)
+
+	facts *runFacts
 }
 
 // Reportf reports a finding at pos with a formatted message.

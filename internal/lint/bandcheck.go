@@ -8,8 +8,7 @@ import (
 )
 
 // BandCheck proves value-range preconditions of the paper's solvers
-// with the SSA interval layer (interval.go), strengthening
-// costinvariant's constant-only checks to anything the sparse
+// with the SSA interval layer (interval.go), for anything the sparse
 // propagation can bound:
 //
 //  1. an item-count argument at a core solver entry point whose
@@ -25,8 +24,8 @@ import (
 //     values, and an unguarded divide is a latent panic the paper's
 //     preconditions do not cover.
 //
-// Constant arguments are left to costinvariant, so each defect is
-// reported exactly once.
+// A constant argument is the interval [c, c], so one interval rule
+// covers constant and proven counts alike; the message says which.
 var BandCheck = &Analyzer{
 	Name: "bandcheck",
 	Doc: "solver entry points must not receive provably negative item counts " +
@@ -44,6 +43,32 @@ var divGuardPkgPrefixes = []string{
 	"repro/internal/masterslave",
 }
 
+// itemCountArgs maps core solver entry points to the index of their
+// item-count argument. Package-level functions are keyed by name,
+// methods by "Receiver.Name". A negative count at any of these call
+// sites, constant or proven, is a guaranteed runtime validation error
+// (the paper's algorithms are defined for n >= 0), so reject it at vet
+// time. The Plan/Engine entries keep the incremental-solver surface
+// (Plan.Lookup subproblems, Plan.Resolve re-solves, Engine.Solve)
+// under the same invariant as the from-scratch solvers.
+var itemCountArgs = map[string]int{
+	"Algorithm1":          1,
+	"Algorithm2":          1,
+	"Algorithm2Parallel":  1,
+	"SolveLinear":         1,
+	"SolveLinearRational": 1,
+	"Heuristic":           1,
+	"HeuristicRational":   1,
+	"BruteForce":          1,
+	"SolvePlan":           1,
+	"SolveCoarse":         1,
+	"SolveCoarseOpt":      1,
+	"Uniform":             1,
+	"Plan.Lookup":         0,
+	"Plan.Resolve":        0,
+	"Engine.Solve":        1,
+}
+
 func runBandCheck(pass *Pass) error {
 	divScoped := false
 	if pass.Pkg != nil {
@@ -53,7 +78,7 @@ func runBandCheck(pass *Pass) error {
 			}
 		}
 	}
-	for _, unit := range buildFuncUnits(pass) {
+	for _, unit := range pass.facts.funcUnits() {
 		params := paramObjs(pass.TypesInfo, unitRecv(unit), unit.Type)
 		walkOwnBody(unit.Body, func(n ast.Node) {
 			switch v := n.(type) {
@@ -104,10 +129,11 @@ func checkBandCall(pass *Pass, unit *funcUnit, call *ast.CallExpr) {
 	}
 	if idx < len(call.Args) {
 		arg := call.Args[idx]
-		// Constants belong to costinvariant; flag only what interval
-		// propagation adds.
-		if _, isConst := constSign(pass, arg); !isConst {
-			if iv := unit.Eng.IntervalOfExpr(arg); iv.DefinitelyNegative() {
+		if iv := unit.Eng.IntervalOfExpr(arg); iv.DefinitelyNegative() {
+			if pass.TypesInfo.Types[arg].Value != nil {
+				pass.Reportf(arg.Pos(),
+					"%s called with a constant negative item count: the paper's solvers are defined for n >= 0 only", key)
+			} else {
 				pass.Reportf(arg.Pos(),
 					"%s called with a provably negative item count (interval proves n <= %d): the paper's solvers are defined for n >= 0 only",
 					key, iv.Hi)

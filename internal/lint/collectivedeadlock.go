@@ -68,7 +68,7 @@ func runCollectiveDeadlock(pass *Pass) error {
 	if !pkgInScope(pass.Pkg, concurrencySimPkgPrefixes) {
 		return nil
 	}
-	for _, unit := range buildFuncUnits(pass) {
+	for _, unit := range pass.facts.funcUnits() {
 		if unit.Decl == nil {
 			continue // literals are analyzed as threads of their spawner
 		}

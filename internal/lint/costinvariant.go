@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strings"
 )
 
 // CostInvariant statically rejects cost-model literals that violate
@@ -15,12 +14,12 @@ import (
 // negative α or β, or a cost table that is nonzero at zero items,
 // silently produces schedules the optimality proofs do not cover —
 // catch the constant cases at compile time instead of at Validate
-// time deep inside a run.
+// time deep inside a run. Item counts at the solver entry points are
+// bandcheck's: one interval rule covers constants and proofs alike.
 var CostInvariant = &Analyzer{
 	Name: "costinvariant",
 	Doc: "cost-function literals must satisfy the paper's preconditions: " +
-		"non-negative α/β constants (Eq. 2) and tables null at zero items; " +
-		"solver entry points must not receive constant negative item counts",
+		"non-negative α/β constants (Eq. 2) and tables null at zero items",
 	Run: runCostInvariant,
 }
 
@@ -53,93 +52,28 @@ var negativeFieldRules = map[[2]string]map[string]string{
 	},
 }
 
-// itemCountArgs maps core solver entry points to the index of their
-// item-count argument. Package-level functions are keyed by name,
-// methods by "Receiver.Name". A constant negative count at any of
-// these call sites is a guaranteed runtime validation error (the
-// paper's algorithms are defined for n >= 0), so reject it at vet
-// time. The Plan/Engine entries keep the incremental-solver surface
-// (Plan.Lookup subproblems, Plan.Resolve re-solves, Engine.Solve)
-// under the same invariant as the from-scratch solvers.
-var itemCountArgs = map[string]int{
-	"Algorithm1":          1,
-	"Algorithm2":          1,
-	"Algorithm2Parallel":  1,
-	"SolveLinear":         1,
-	"SolveLinearRational": 1,
-	"Heuristic":           1,
-	"HeuristicRational":   1,
-	"BruteForce":          1,
-	"SolvePlan":           1,
-	"SolveCoarse":         1,
-	"SolveCoarseOpt":      1,
-	"Uniform":             1,
-	"Plan.Lookup":         0,
-	"Plan.Resolve":        0,
-	"Engine.Solve":        1,
-}
-
 func runCostInvariant(pass *Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch node := n.(type) {
-			case *ast.CompositeLit:
-				named := namedStructType(pass, node)
-				if named == nil {
-					return true
-				}
-				pkg := named.Obj().Pkg()
-				if pkg == nil {
-					return true
-				}
-				key := [2]string{pkg.Path(), named.Obj().Name()}
-				if rules, ok := negativeFieldRules[key]; ok {
-					checkNegativeFields(pass, node, named, rules)
-				}
-				if key == [2]string{costPkgPath, "Table"} {
-					checkTableLiteral(pass, node, named)
-				}
-			case *ast.CallExpr:
-				checkItemCountArg(pass, node)
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			named := namedStructType(pass, lit)
+			if named == nil || named.Obj().Pkg() == nil {
+				return true
+			}
+			key := [2]string{named.Obj().Pkg().Path(), named.Obj().Name()}
+			if rules, ok := negativeFieldRules[key]; ok {
+				checkNegativeFields(pass, lit, named, rules)
+			}
+			if key == [2]string{costPkgPath, "Table"} {
+				checkTableLiteral(pass, lit, named)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// checkItemCountArg rejects constant negative item counts passed to
-// the core solver entry points listed in itemCountArgs. Test files
-// are exempt: the solver tests deliberately pass negative counts to
-// exercise the runtime validation this check front-runs.
-func checkItemCountArg(pass *Pass, call *ast.CallExpr) {
-	if fname := pass.Fset.Position(call.Pos()).Filename; strings.HasSuffix(fname, "_test.go") {
-		return
-	}
-	fn := calleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != corePkgPath {
-		return
-	}
-	key := fn.Name()
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok {
-			return
-		}
-		key = named.Obj().Name() + "." + key
-	}
-	idx, ok := itemCountArgs[key]
-	if !ok || idx >= len(call.Args) {
-		return
-	}
-	if sign, ok := constSign(pass, call.Args[idx]); ok && sign < 0 {
-		pass.Reportf(call.Args[idx].Pos(),
-			"%s called with a constant negative item count: the paper's solvers are defined for n >= 0 only", key)
-	}
 }
 
 // namedStructType returns the named struct type of a composite

@@ -59,7 +59,7 @@ func inDetOrderScope(path string) bool {
 }
 
 func runDetOrder(pass *Pass) error {
-	sum := summarize(pass)
+	sum := pass.facts.summary()
 	orderScope := inDetOrderScope(pass.Pkg.Path())
 	// simclock already polices wall-clock use inside the simulated
 	// packages; detorder extends the rule interprocedurally to rank
@@ -103,7 +103,7 @@ func runDetOrder(pass *Pass) error {
 // over a map: appends to outer accumulators (unless sorted after the
 // loop), channel sends, and printed output.
 func checkMapOrder(pass *Pass, body *ast.BlockStmt) {
-	g := BuildCFG(body)
+	g := pass.facts.cfg(body)
 	walkOwnBody(body, func(n ast.Node) {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {

@@ -215,6 +215,7 @@ func RunAnalyzersAudit(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Dir
 	collect := func(d Diagnostic) { raw = append(raw, d) }
 
 	dirs := parseDirectives(pkg.Fset, pkg.Files, collect)
+	facts := newRunFacts(pkg)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -226,6 +227,7 @@ func RunAnalyzersAudit(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Dir
 				d.Analyzer = a.Name
 				raw = append(raw, d)
 			},
+			facts: facts,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.Path, err)
@@ -238,7 +240,18 @@ func RunAnalyzersAudit(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Dir
 			kept = append(kept, d)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
+	// Ties at one position break by analyzer and message, so the
+	// order never depends on the order the analyzers ran in.
+	sort.Slice(kept, func(i, j int) bool {
+		a, b := kept[i], kept[j]
+		if a.Pos != b.Pos {
+			return a.Pos < b.Pos
+		}
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
+	})
 
 	audits := make([]DirectiveAudit, 0, len(dirs))
 	for _, dir := range dirs {

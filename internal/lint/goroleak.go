@@ -37,7 +37,7 @@ func runGoroLeak(pass *Pass) error {
 	if !pkgInScope(pass.Pkg, concurrencySimPkgPrefixes) {
 		return nil
 	}
-	for _, unit := range buildFuncUnits(pass) {
+	for _, unit := range pass.facts.funcUnits() {
 		var goStmts []*ast.GoStmt
 		walkOwnBody(unit.Body, func(n ast.Node) {
 			if gs, ok := n.(*ast.GoStmt); ok {

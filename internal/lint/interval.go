@@ -945,8 +945,9 @@ type funcUnit struct {
 }
 
 // buildFuncUnits constructs a unit for every function declaration and
-// every function literal (at any nesting depth) in the pass's files.
-func buildFuncUnits(pass *Pass) []*funcUnit {
+// every function literal (at any nesting depth) in the package's files,
+// on the fact base's shared CFGs.
+func buildFuncUnits(f *runFacts) []*funcUnit {
 	var units []*funcUnit
 	build := func(decl *ast.FuncDecl, lit *ast.FuncLit) {
 		var recv *ast.FieldList
@@ -960,8 +961,7 @@ func buildFuncUnits(pass *Pass) []*funcUnit {
 		if body == nil {
 			return
 		}
-		g := BuildCFG(body)
-		ssa := BuildSSA(g, pass.TypesInfo, recv, ftype, body)
+		ssa := BuildSSA(f.cfg(body), f.pkg.Info, recv, ftype, body)
 		units = append(units, &funcUnit{
 			Decl: decl,
 			Lit:  lit,
@@ -971,7 +971,7 @@ func buildFuncUnits(pass *Pass) []*funcUnit {
 			Eng:  newIntervalEngine(ssa),
 		})
 	}
-	for _, file := range pass.Files {
+	for _, file := range f.pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -33,7 +33,7 @@ var LedgerOrder = &Analyzer{
 }
 
 func runLedgerOrder(pass *Pass) error {
-	sum := summarize(pass)
+	sum := pass.facts.summary()
 	for _, file := range pass.Files {
 		if fname := pass.Fset.Position(file.Pos()).Filename; strings.HasSuffix(fname, "_test.go") {
 			continue
@@ -62,7 +62,7 @@ func checkReclaimOrder(pass *Pass, sum *pkgSummary, body *ast.BlockStmt) {
 	var appends, reclaims []site
 	var reclaimCalls []*ast.CallExpr
 
-	g := BuildCFG(body)
+	g := pass.facts.cfg(body)
 	walkOwnBody(body, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -293,5 +295,62 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		if a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %q incomplete", a.Name)
 		}
+	}
+}
+
+// fixtureScopes overrides the import path a fixture directory loads
+// under where an analyzer's rules are scoped by package path; the rest
+// load under repro/internal/lint/testdata/<dir>.
+var fixtureScopes = map[string]string{
+	"bandcheck":          "repro/internal/core/fixture",
+	"bench":              "repro/internal/chaos/benchfixture",
+	"collectivedeadlock": "repro/internal/mpi/fixture",
+	"detorder":           "repro/internal/chaos/fixture",
+	"goroleak":           "repro/internal/chaos/fixture",
+	"simclock":           "repro/internal/fault/fixture",
+}
+
+func TestAnalyzerOrderIndependent(t *testing.T) {
+	// The run's shared facts (summaries, lock sets, CFGs, SSA units and
+	// their lazy guard caches) must not depend on which analyzer built
+	// them first: the suite and its reverse report the same findings.
+	entries, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := All()
+	reverse := slices.Clone(forward)
+	slices.Reverse(reverse)
+	total := 0
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		path, ok := fixtureScopes[e.Name()]
+		if !ok {
+			path = "repro/internal/lint/testdata/" + e.Name()
+		}
+		pkg, err := sharedLoader.LoadDir(fixturePath(e.Name()), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs [2][]string
+		for i, suite := range [][]*Analyzer{forward, reverse} {
+			diags, err := RunAnalyzers(pkg, suite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range diags {
+				runs[i] = append(runs[i], Format(pkg.Fset, d))
+			}
+		}
+		if !slices.Equal(runs[0], runs[1]) {
+			t.Errorf("%s: findings depend on analyzer order:\nAll():\n%s\nreversed:\n%s",
+				e.Name(), strings.Join(runs[0], "\n"), strings.Join(runs[1], "\n"))
+		}
+		total += len(runs[0])
+	}
+	if total == 0 {
+		t.Fatal("no findings on any fixture: the comparison is vacuous")
 	}
 }

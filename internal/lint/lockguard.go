@@ -21,6 +21,6 @@ var LockGuard = &Analyzer{
 }
 
 func runLockGuard(pass *Pass) error {
-	reportLockFindings(pass, computeLockSets(pass).guardFindings)
+	reportLockFindings(pass, pass.facts.lockSets().guardFindings)
 	return nil
 }

@@ -21,6 +21,6 @@ var LockOrder = &Analyzer{
 }
 
 func runLockOrder(pass *Pass) error {
-	reportLockFindings(pass, computeLockSets(pass).orderFindings)
+	reportLockFindings(pass, pass.facts.lockSets().orderFindings)
 	return nil
 }

@@ -1,7 +1,7 @@
 package lint
 
-// The lock-set layer shared by lockguard, lockorder and unlockpath
-// (PR 10). It turns the prose concurrency contracts of PRs 8–9
+// The lock-set layer shared by lockguard, lockorder, unlockpath and
+// mutexchan. It turns the repository's prose concurrency contracts
 // ("the engine mutex guards only cache bookkeeping") into
 // machine-checked facts:
 //
@@ -231,45 +231,43 @@ type lockEdge struct {
 	via      string // callee chain for indirect acquisitions, "" for direct
 }
 
-// lockSummary is the memoized lock-set analysis of one package.
+// lockSummary is the lock-set analysis of one package.
 type lockSummary struct {
-	pass   *Pass
+	pkg    *Package
 	info   *types.Info
 	sum    *pkgSummary
 	guards map[*types.Var]*guardSpec
 	byFunc map[*types.Func]*lockFacts
 	byLit  map[*ast.FuncLit]*lockFacts
 	all    []*lockFacts
+	// selectComm maps every select comm statement to the select it
+	// reports as (mutexchan): the first comm of a select without
+	// default maps to its select, every other comm to nil.
+	selectComm map[ast.Node]*ast.SelectStmt
 
 	guardFindings  []lockFinding
 	orderFindings  []lockFinding
 	unlockFindings []lockFinding
+	chanFindings   []lockFinding
 }
 
-// locksets memoizes the analysis per type-checked package, like
-// summaries: lockguard, lockorder and unlockpath share one pass over
-// the package and report disjoint finding sets.
-var locksets = make(map[*types.Package]*lockSummary)
-
-// computeLockSets runs (or returns the memoized) lock-set analysis.
-func computeLockSets(pass *Pass) *lockSummary {
-	if ls, ok := locksets[pass.Pkg]; ok {
-		return ls
-	}
+// newLockSummary runs the lock-set analysis once per run, on the fact
+// base's summary: lockguard, lockorder, unlockpath and mutexchan share
+// it and report disjoint finding sets.
+func newLockSummary(f *runFacts) *lockSummary {
 	ls := &lockSummary{
-		pass:   pass,
-		info:   pass.TypesInfo,
-		sum:    summarize(pass),
-		guards: make(map[*types.Var]*guardSpec),
-		byFunc: make(map[*types.Func]*lockFacts),
-		byLit:  make(map[*ast.FuncLit]*lockFacts),
+		pkg:        f.pkg,
+		info:       f.pkg.Info,
+		sum:        f.summary(),
+		guards:     make(map[*types.Var]*guardSpec),
+		byFunc:     make(map[*types.Func]*lockFacts),
+		byLit:      make(map[*ast.FuncLit]*lockFacts),
+		selectComm: make(map[ast.Node]*ast.SelectStmt),
 	}
-	locksets[pass.Pkg] = ls
-
 	ls.parseGuards()
 	ls.buildFacts()
 	for _, ff := range ls.all {
-		ls.flowFunc(ff)
+		ls.flowFunc(ff, f.cfg(ff.body))
 		ls.scanFunc(ff)
 	}
 	ls.solveRequirements()
@@ -279,6 +277,7 @@ func computeLockSets(pass *Pass) *lockSummary {
 	sortFindings(ls.guardFindings)
 	sortFindings(ls.orderFindings)
 	sortFindings(ls.unlockFindings)
+	sortFindings(ls.chanFindings)
 	return ls
 }
 
@@ -309,7 +308,7 @@ var classGuardRE = regexp.MustCompile(`^\(([A-Za-z_]\w*)\)\.([A-Za-z_]\w*)$`)
 
 // parseGuards scans every named struct type for field annotations.
 func (ls *lockSummary) parseGuards() {
-	for _, file := range ls.pass.Files {
+	for _, file := range ls.pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
@@ -418,7 +417,7 @@ func (ls *lockSummary) resolveSiblingGuard(ts *ast.TypeSpec, st *ast.StructType,
 			if !ok || !isMutexType(v.Type()) {
 				return "", fmt.Sprintf("%s is not a sync.Mutex or sync.RWMutex field", name)
 			}
-			return lockClass(ls.pass.Pkg.Path() + "." + ts.Name.Name + "." + name), ""
+			return lockClass(ls.pkg.Pkg.Path() + "." + ts.Name.Name + "." + name), ""
 		}
 	}
 	return "", fmt.Sprintf("no sibling field named %s; want a mutex field, (Type).field, atomic or immutable", name)
@@ -427,9 +426,9 @@ func (ls *lockSummary) resolveSiblingGuard(ts *ast.TypeSpec, st *ast.StructType,
 // resolveClassGuard resolves a (Type).field guard against the
 // package scope.
 func (ls *lockSummary) resolveClassGuard(typeName, fieldName string) (lockClass, string) {
-	tn, ok := ls.pass.Pkg.Scope().Lookup(typeName).(*types.TypeName)
+	tn, ok := ls.pkg.Pkg.Scope().Lookup(typeName).(*types.TypeName)
 	if !ok {
-		return "", fmt.Sprintf("no type %s in package %s", typeName, ls.pass.Pkg.Name())
+		return "", fmt.Sprintf("no type %s in package %s", typeName, ls.pkg.Pkg.Name())
 	}
 	su, ok := tn.Type().Underlying().(*types.Struct)
 	if !ok {
@@ -443,7 +442,7 @@ func (ls *lockSummary) resolveClassGuard(typeName, fieldName string) (lockClass,
 		if !isMutexType(f.Type()) {
 			return "", fmt.Sprintf("(%s).%s is not a sync.Mutex or sync.RWMutex field", typeName, fieldName)
 		}
-		return lockClass(ls.pass.Pkg.Path() + "." + typeName + "." + fieldName), ""
+		return lockClass(ls.pkg.Pkg.Path() + "." + typeName + "." + fieldName), ""
 	}
 	return "", fmt.Sprintf("type %s has no field %s", typeName, fieldName)
 }
@@ -463,10 +462,11 @@ func isMutexType(t types.Type) bool {
 // ---- function facts ----
 
 // buildFacts registers a lockFacts for every function and literal
-// outside test files, in file order.
+// outside test files, in file order, and indexes their selects'
+// comm statements for scanChanOps.
 func (ls *lockSummary) buildFacts() {
-	for _, file := range ls.pass.Files {
-		if fname := ls.pass.Fset.Position(file.Pos()).Filename; strings.HasSuffix(fname, "_test.go") {
+	for _, file := range ls.pkg.Files {
+		if fname := ls.pkg.Fset.Position(file.Pos()).Filename; strings.HasSuffix(fname, "_test.go") {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -501,6 +501,19 @@ func (ls *lockSummary) buildFacts() {
 				}
 				ls.byLit[v] = ff
 				ls.all = append(ls.all, ff)
+			case *ast.SelectStmt:
+				report := v
+				for _, c := range v.Body.List {
+					if c.(*ast.CommClause).Comm == nil {
+						report = nil // a default case: the select never blocks
+					}
+				}
+				for _, c := range v.Body.List {
+					if comm := c.(*ast.CommClause).Comm; comm != nil {
+						ls.selectComm[comm] = report
+						report = nil
+					}
+				}
 			}
 			return true
 		})
@@ -638,8 +651,7 @@ func (ls *lockSummary) transfer(node ast.Node, set lockSet) {
 }
 
 // flowFunc solves the forward must-hold dataflow over ff's CFG.
-func (ls *lockSummary) flowFunc(ff *lockFacts) {
-	g := BuildCFG(ff.body)
+func (ls *lockSummary) flowFunc(ff *lockFacts, g *CFG) {
 	ff.g = g
 	ff.in = make([]lockSet, len(g.Blocks))
 	ff.in[g.Entry.Index] = lockSet{}
@@ -675,7 +687,7 @@ func (ls *lockSummary) flowFunc(ff *lockFacts) {
 // sites and direct acquisitions (lockorder), and release-discipline
 // findings (unlockpath).
 func (ls *lockSummary) scanFunc(ff *lockFacts) {
-	fset := ls.pass.Fset
+	fset := ls.pkg.Fset
 	for _, b := range ff.g.Blocks {
 		if b == ff.g.Exit || ff.in[b.Index] == nil {
 			continue
@@ -727,6 +739,9 @@ func (ls *lockSummary) scanFunc(ff *lockFacts) {
 			ls.scanNodeAccesses(node, func(sel *ast.SelectorExpr, mode accMode) {
 				ls.checkAccess(ff, sel, mode, state)
 			})
+			if len(state) > 0 {
+				ls.scanChanOps(node, state)
+			}
 			// Call sites for the requirement/acquire fixpoint. Calls
 			// inside go/defer run under an unknown held set: skipped.
 			switch node.(type) {
@@ -754,6 +769,47 @@ func (ls *lockSummary) scanFunc(ff *lockFacts) {
 			}
 		}
 	}
+}
+
+// scanChanOps records mutexchan findings for the blocking channel
+// operations node performs while the locks in state are held: a send
+// or receive, a range over a channel, or a select without default
+// (once, at the select keyword). A comm statement blocks only as part
+// of its select, so a select with a default case is silent.
+func (ls *lockSummary) scanChanOps(node ast.Node, state lockSet) {
+	keys := make([]string, 0, len(state))
+	for k := range state {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	held := strings.Join(keys, ", ")
+	report := func(pos token.Pos, format string) {
+		ls.chanFindings = append(ls.chanFindings, lockFinding{pos: pos, msg: fmt.Sprintf(format, held)})
+	}
+	if sel, ok := ls.selectComm[node]; ok {
+		if sel != nil {
+			report(sel.Pos(), "select without default while %s is held: every case can block with the lock taken")
+		}
+		return
+	}
+	if rs, ok := node.(*ast.RangeStmt); ok {
+		if t := ls.info.TypeOf(rs.X); t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				report(rs.Pos(), "ranging over a channel while %s is held: a quiet channel parks this goroutine with the lock taken")
+			}
+		}
+	}
+	visitOwnNode(node, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.SendStmt:
+			report(v.Arrow, "channel send while %s is held: a full or unbuffered channel parks this goroutine with the lock taken")
+		case *ast.UnaryExpr:
+			if v.Op == token.ARROW {
+				report(v.Pos(), "channel receive while %s is held: an empty channel parks this goroutine with the lock taken")
+			}
+		}
+		return true
+	})
 }
 
 func (ff *lockFacts) unlock(ls *lockSummary, pos token.Pos, format string, args ...any) {
@@ -825,7 +881,7 @@ func (ls *lockSummary) checkHeldAtExit(ff *lockFacts, state lockSet, pos token.P
 	sort.Strings(keys)
 	for _, k := range keys {
 		ff.unlock(ls, pos, "%s with %s held (acquired at line %d): missing Unlock on this path",
-			where, k, ls.pass.Fset.Position(state[k].pos).Line)
+			where, k, ls.pkg.Fset.Position(state[k].pos).Line)
 	}
 }
 
@@ -1261,7 +1317,7 @@ func (ls *lockSummary) solveRequirements() {
 					continue
 				}
 				// Cross-package calls: API lock knowledge only.
-				for _, class := range apiAcquiresOf(ls.info, cr.call, ls.pass.Pkg) {
+				for _, class := range apiAcquiresOf(ls.info, cr.call, ls.pkg.Pkg) {
 					if _, ok := ff.acquires[class]; !ok {
 						ff.acquires[class] = ff.name + " → " + apiCallName(ls.info, cr.call)
 						changed = true
@@ -1290,7 +1346,7 @@ func (ls *lockSummary) freshReceiverCall(call *ast.CallExpr, class lockClass, ff
 		return false
 	}
 	recvType := namedTypeName(sig.Recv().Type())
-	if recvType == "" || !strings.HasPrefix(string(class), ls.pass.Pkg.Path()+"."+recvType+".") {
+	if recvType == "" || !strings.HasPrefix(string(class), ls.pkg.Pkg.Path()+"."+recvType+".") {
 		return false
 	}
 	return ls.exemptPath(sel.X, ff)
@@ -1365,7 +1421,7 @@ func (ls *lockSummary) buildOrderGraph() {
 				}
 				continue
 			}
-			for _, class := range apiAcquiresOf(ls.info, cr.call, ls.pass.Pkg) {
+			for _, class := range apiAcquiresOf(ls.info, cr.call, ls.pkg.Pkg) {
 				addEdge(cr.held, class, cr.call.Pos(), ff.name, apiCallName(ls.info, cr.call))
 			}
 		}
@@ -1468,7 +1524,7 @@ func (ls *lockSummary) reportCycle(adj map[lockClass]map[lockClass]lockEdge, sta
 		if i == 0 {
 			firstPos = e.pos
 		}
-		w := fmt.Sprintf("%s → %s acquired in %s at line %d", c.display(), next.display(), e.fn, ls.pass.Fset.Position(e.pos).Line)
+		w := fmt.Sprintf("%s → %s acquired in %s at line %d", c.display(), next.display(), e.fn, ls.pkg.Fset.Position(e.pos).Line)
 		if e.via != "" {
 			w += " (via " + e.via + ")"
 		}

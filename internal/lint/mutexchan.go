@@ -1,24 +1,19 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"sort"
-	"strings"
-)
-
 // MutexChan flags blocking channel operations performed while a
-// sync.Mutex (or RWMutex) is held in the same function body. The
-// rank-per-goroutine runtime guards World state with World.mu while
-// every rank also parks on channel mailboxes; a channel send, receive
-// or defaultless select under the lock can park the goroutine with
-// the lock held, and every other rank then wedges on World.mu — a
+// sync.Mutex (or RWMutex) is held. The rank-per-goroutine runtime
+// guards World state with World.mu while every rank also parks on
+// channel mailboxes; a channel send, receive, channel range or
+// defaultless select under the lock can park the goroutine with the
+// lock held, and every other rank then wedges on World.mu — a
 // whole-world deadlock that no fail-fast path can unwind. close() is
 // fine (it never blocks); so is a select with a default case.
 //
-// The analysis is intraprocedural and block-local: it tracks
-// Lock/Unlock pairs along straight-line statement order, propagating
-// the held set into nested blocks but not out of them.
+// It is a query on the must-hold lock-set pass (lockset.go): a
+// blocking channel operation reached with a non-empty held set. A lock
+// held on only one arm of a branch is not held at the join, the same
+// trade lockguard and unlockpath make, and test files are out of
+// scope like theirs.
 var MutexChan = &Analyzer{
 	Name: "mutexchan",
 	Doc: "no blocking channel operation (send, receive, defaultless select) " +
@@ -28,181 +23,6 @@ var MutexChan = &Analyzer{
 }
 
 func runMutexChan(pass *Pass) error {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				scanLockedBlock(pass, body.List, map[string]bool{})
-			}
-			return true
-		})
-	}
+	reportLockFindings(pass, pass.facts.lockSets().chanFindings)
 	return nil
-}
-
-// mutexMethod classifies a call as Lock/RLock ("lock"), Unlock/RUnlock
-// ("unlock") or neither, returning the receiver expression's printed
-// form as the mutex identity.
-func mutexMethod(pass *Pass, call *ast.CallExpr) (key, kind string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	fn := calleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", ""
-	}
-	switch fn.Name() {
-	case "Lock", "RLock":
-		kind = "lock"
-	case "Unlock", "RUnlock":
-		kind = "unlock"
-	default:
-		return "", ""
-	}
-	return types.ExprString(sel.X), kind
-}
-
-// scanLockedBlock walks stmts in order, maintaining the set of held
-// mutexes, and reports blocking channel operations found while the set
-// is non-empty. Branch bodies are scanned with a copy of the current
-// state: a lock taken or released inside a branch is assumed not to
-// survive it (conservative in both directions, but free of
-// path-explosion).
-func scanLockedBlock(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
-	for _, s := range stmts {
-		switch v := s.(type) {
-		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(v.X).(*ast.CallExpr); ok {
-				if key, kind := mutexMethod(pass, call); kind != "" {
-					if kind == "lock" {
-						held[key] = true
-					} else {
-						delete(held, key)
-					}
-					continue
-				}
-			}
-			reportBlockingOps(pass, v, held)
-		case *ast.DeferStmt:
-			// defer mu.Unlock() keeps the mutex held for the rest of
-			// the body — that is the point of the pattern — so it does
-			// not clear the held set. Other deferred work is scanned
-			// with an empty held set (it runs at return time).
-			if _, kind := mutexMethod(pass, v.Call); kind == "" {
-				if fl, ok := ast.Unparen(v.Call.Fun).(*ast.FuncLit); ok {
-					scanLockedBlock(pass, fl.Body.List, map[string]bool{})
-				}
-			}
-		case *ast.BlockStmt:
-			scanLockedBlock(pass, v.List, copyHeld(held))
-		case *ast.IfStmt:
-			if v.Init != nil {
-				reportBlockingOps(pass, v.Init, held)
-			}
-			reportBlockingOps(pass, v.Cond, held)
-			scanLockedBlock(pass, v.Body.List, copyHeld(held))
-			if v.Else != nil {
-				scanLockedBlock(pass, []ast.Stmt{v.Else}, copyHeld(held))
-			}
-		case *ast.ForStmt:
-			if v.Cond != nil {
-				reportBlockingOps(pass, v.Cond, held)
-			}
-			scanLockedBlock(pass, v.Body.List, copyHeld(held))
-		case *ast.RangeStmt:
-			if len(held) > 0 {
-				if t, ok := pass.TypesInfo.Types[v.X]; ok {
-					if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
-						pass.Reportf(v.Pos(), "ranging over a channel while %s is held: a quiet channel parks this goroutine with the lock taken", heldNames(held))
-					}
-				}
-			}
-			scanLockedBlock(pass, v.Body.List, copyHeld(held))
-		case *ast.SwitchStmt:
-			for _, c := range v.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanLockedBlock(pass, cc.Body, copyHeld(held))
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range v.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanLockedBlock(pass, cc.Body, copyHeld(held))
-				}
-			}
-		case *ast.SelectStmt:
-			if len(held) > 0 && !selectHasDefault(v) {
-				pass.Reportf(v.Pos(), "select without default while %s is held: every case can block with the lock taken", heldNames(held))
-			}
-			for _, c := range v.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					scanLockedBlock(pass, cc.Body, copyHeld(held))
-				}
-			}
-		case *ast.LabeledStmt:
-			scanLockedBlock(pass, []ast.Stmt{v.Stmt}, held)
-		default:
-			reportBlockingOps(pass, s, held)
-		}
-	}
-}
-
-// reportBlockingOps scans one leaf statement or expression for channel
-// sends and receives, reporting each while a mutex is held. Function
-// literals are skipped (they block whoever calls them, later).
-func reportBlockingOps(pass *Pass, n ast.Node, held map[string]bool) {
-	if len(held) == 0 || n == nil {
-		return
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch v := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			pass.Reportf(v.Arrow, "channel send while %s is held: a full or unbuffered channel parks this goroutine with the lock taken", heldNames(held))
-		case *ast.UnaryExpr:
-			if v.Op.String() == "<-" {
-				pass.Reportf(v.Pos(), "channel receive while %s is held: an empty channel parks this goroutine with the lock taken", heldNames(held))
-			}
-		}
-		return true
-	})
-}
-
-// selectHasDefault reports whether the select has a default clause.
-func selectHasDefault(s *ast.SelectStmt) bool {
-	for _, c := range s.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// copyHeld clones the held-mutex set for a nested scope.
-func copyHeld(held map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(held))
-	for k := range held {
-		out[k] = true
-	}
-	return out
-}
-
-// heldNames renders the held mutexes for a diagnostic, in stable order.
-func heldNames(held map[string]bool) string {
-	names := make([]string, 0, len(held))
-	for k := range held {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
 }

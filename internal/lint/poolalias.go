@@ -26,7 +26,7 @@ var PoolAlias = &Analyzer{
 }
 
 func runPoolAlias(pass *Pass) error {
-	sum := summarize(pass)
+	sum := pass.facts.summary()
 	for _, file := range pass.Files {
 		if fname := pass.Fset.Position(file.Pos()).Filename; strings.HasSuffix(fname, "_test.go") {
 			// Tests construct and alias rows deliberately to exercise
@@ -64,7 +64,7 @@ type poolTaint struct {
 }
 
 func analyzePoolFunc(pass *Pass, sum *pkgSummary, recv *ast.FieldList, ftype *ast.FuncType, body *ast.BlockStmt) {
-	g := BuildCFG(body)
+	g := pass.facts.cfg(body)
 	rd := newReachDefs(g, pass.TypesInfo, recv, ftype)
 	pt := &poolTaint{
 		pass: pass,

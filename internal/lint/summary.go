@@ -51,34 +51,26 @@ type pkgSummary struct {
 	info     *types.Info
 }
 
-// summaries memoizes pkgSummary per type-checked package; the driver
-// is single-goroutine and short-lived (one vet unit or one standalone
-// run), so a plain map suffices.
-var summaries = make(map[*types.Package]*pkgSummary)
-
-// summarize computes (or returns the memoized) summary table for the
-// pass's package.
-func summarize(pass *Pass) *pkgSummary {
-	if s, ok := summaries[pass.Pkg]; ok {
-		return s
-	}
+// newPkgSummary computes the summary table of one package. The run's
+// fact base (facts.go) builds it once and shares it among the
+// analyzers of that run; nothing outlives the run.
+func newPkgSummary(pkg *Package) *pkgSummary {
 	s := &pkgSummary{
 		byFunc:   make(map[*types.Func]*funcFacts),
 		byLit:    make(map[*ast.FuncLit]*funcFacts),
 		closures: make(map[*types.Var]*ast.FuncLit),
-		info:     pass.TypesInfo,
+		info:     pkg.Info,
 	}
-	summaries[pass.Pkg] = s
 
 	litBindings := make(map[*types.Var]int)
-	for _, file := range pass.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.FuncDecl:
 				if v.Body == nil {
 					return true
 				}
-				fn, _ := pass.TypesInfo.Defs[v.Name].(*types.Func)
+				fn, _ := pkg.Info.Defs[v.Name].(*types.Func)
 				if fn == nil {
 					return true
 				}
@@ -88,7 +80,7 @@ func summarize(pass *Pass) *pkgSummary {
 				s.all = append(s.all, ff)
 			case *ast.FuncLit:
 				ff := &funcFacts{name: "func literal", body: v.Body, ftype: v.Type}
-				if sig, ok := pass.TypesInfo.TypeOf(v).(*types.Signature); ok {
+				if sig, ok := pkg.Info.TypeOf(v).(*types.Signature); ok {
 					ff.pooledResults = make([]bool, sig.Results().Len())
 				}
 				s.byLit[v] = ff

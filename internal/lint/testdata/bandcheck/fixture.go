@@ -8,9 +8,37 @@ import (
 	"repro/internal/core"
 )
 
+// Solver entry points must not receive constant negative item counts:
+// the paper's algorithms are defined for n >= 0, and a negative
+// constant is a guaranteed validation error at run time.
+func negItems(procs []core.Processor, pl *core.Plan, eng *core.Engine) {
+	_, _ = core.Algorithm1(procs, -1)                               // want "Algorithm1 called with a constant negative item count"
+	_, _ = core.Algorithm2(procs, -3)                               // want "Algorithm2 called with a constant negative item count"
+	_, _ = core.Algorithm2Parallel(procs, -1, 4)                    // want "Algorithm2Parallel called with a constant negative item count"
+	_, _ = core.SolvePlan(procs, -7)                                // want "SolvePlan called with a constant negative item count"
+	_, _ = core.SolveCoarse(procs, -2, 64)                          // want "SolveCoarse called with a constant negative item count"
+	_, _ = core.SolveCoarseOpt(procs, -9, 64, core.CoarseOptions{}) // want "SolveCoarseOpt called with a constant negative item count"
+	_, _ = pl.Lookup(-1, 0)                                         // want "Plan.Lookup called with a constant negative item count"
+	_, _ = pl.Resolve(-4, procs)                                    // want "Plan.Resolve called with a constant negative item count"
+	_, _ = eng.Solve(procs, -2)                                     // want "Engine.Solve called with a constant negative item count"
+	_ = core.Uniform(len(procs), -1)                                // want "Uniform called with a constant negative item count"
+}
+
+// Zero, positive, and non-constant counts are fine; so is a negative
+// constant in a non-count position (Plan.Lookup's second argument is
+// a row index, checked at run time only when d is in range).
+func okItems(procs []core.Processor, pl *core.Plan, eng *core.Engine, n int) {
+	_, _ = core.Algorithm2(procs, 0)
+	_, _ = core.SolvePlan(procs, 817101)
+	_, _ = core.SolveCoarse(procs, 817101, 1024)
+	_, _ = eng.Solve(procs, n)
+	_, _ = pl.Resolve(n, procs)
+	_, _ = pl.Lookup(n, 0)
+}
+
 // negativePhi: the item count joins two negative definitions — the
 // interval [-3,-1] proves the precondition violation even though the
-// argument is not a constant (costinvariant stays silent here).
+// argument is not a constant.
 func negativePhi(procs []core.Processor, flag bool) {
 	n := -3
 	if flag {

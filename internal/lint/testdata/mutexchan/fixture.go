@@ -82,3 +82,50 @@ func (w *world) rwLock(rw *sync.RWMutex) {
 	<-w.ch // want "channel receive while rw is held"
 	rw.RUnlock()
 }
+
+// Receives in a switch header and in a for post statement run before
+// any case or body, with the lock still held.
+
+func (w *world) switchInitUnderLock() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch v := <-w.ch; v { // want "channel receive while w.mu is held"
+	case 0:
+		return 0
+	}
+	return 1
+}
+
+func (w *world) forPostUnderLock(n int) {
+	w.mu.Lock()
+	for i := 0; i < n; i, _ = i+1, <-w.ch { // want "channel receive while w.mu is held"
+	}
+	w.mu.Unlock()
+}
+
+// A lock taken on both arms of a branch is held at the join.
+func (w *world) lockOnBothArms(flag bool) {
+	if flag {
+		w.mu.Lock()
+	} else {
+		w.mu.Lock()
+	}
+	w.ch <- 1 // want "channel send while w.mu is held"
+	w.mu.Unlock()
+}
+
+// Deliberately silent: the lock is released on one arm, so it is not
+// held on every path to the send. The analysis is must-hold, the same
+// trade lockguard and unlockpath make: a lock held on only some paths
+// never raises a finding, so conditional lock/unlock pairs cannot
+// raise false alarms.
+func (w *world) unlockOnOneArm(flag bool) {
+	w.mu.Lock()
+	if flag {
+		w.mu.Unlock()
+	}
+	w.ch <- 1
+	if !flag {
+		w.mu.Unlock()
+	}
+}

@@ -20,6 +20,6 @@ var UnlockPath = &Analyzer{
 }
 
 func runUnlockPath(pass *Pass) error {
-	reportLockFindings(pass, computeLockSets(pass).unlockFindings)
+	reportLockFindings(pass, pass.facts.lockSets().unlockFindings)
 	return nil
 }
