@@ -72,20 +72,11 @@ func SolveCoarseOpt(procs []Processor, n, g int, opts CoarseOptions) (CoarseResu
 	return solveCoarse(nil, procs, n, g, 0, opts)
 }
 
+// solveCoarse runs a coarse solve. Only the exact fallback reads tc:
+// the grid and refine passes evaluate each processor's costs at just
+// the shares they read (gridCosts, the refine windows), O(K + w)
+// values per processor instead of a [0, n] table.
 func solveCoarse(tc *tabCache, procs []Processor, n, g, workers int, opts CoarseOptions) (CoarseResult, error) {
-	return solveCoarseScans(tc, procs, n, g, workers, opts, coarseScans{grid: gridRow, refine: refineRow})
-}
-
-// coarseScans are the two row scans of a coarse solve. Every solve runs
-// the pruned gridRow and refineRow; the tests run the unpruned scans
-// they replaced through the same driver, as the reference the pruned
-// ones must match bit for bit.
-type coarseScans struct {
-	grid   func(gr coarseGrid, comm, comp, upNext, lbNext, up, lb []float64, choice []int32)
-	refine func(comm, comp, next []float64, loNext int, cost []float64, choice []int32, lo, hi int)
-}
-
-func solveCoarseScans(tc *tabCache, procs []Processor, n, g, workers int, opts CoarseOptions, scans coarseScans) (CoarseResult, error) {
 	if g < 1 {
 		return CoarseResult{}, fmt.Errorf("core: granularity %d < 1", g)
 	}
@@ -102,7 +93,6 @@ func solveCoarseScans(tc *tabCache, procs []Processor, n, g, workers int, opts C
 		return CoarseResult{Result: res, LowerBound: res.Makespan, Granularity: 1, Exact: true}, nil
 	}
 	p := len(procs)
-	fps := fingerprints(procs)
 
 	K := (n + g - 1) / g
 	// r is the size of the first (partial) grid segment, in (0, g].
@@ -115,9 +105,11 @@ func solveCoarseScans(tc *tabCache, procs []Processor, n, g, workers int, opts C
 	// true cost, achieved by a real distribution (reconstructed from
 	// choice).
 	//
-	// lb[k]: an optimistic value <= cost[d, i] for every d in I_k. Each
-	// transition consuming j grid segments is charged the smallest
-	// share that can realize it (gr.eLo), so by induction (costs
+	// lb[k]: an optimistic value <= cost[d, i] for every d in
+	// I_k = (s_{k-1}, s_k], whose smallest remainder is dLo(k) =
+	// s_{k-1} + 1. Each transition consuming j grid segments is charged
+	// the smallest share that can realize it ((j-1)·g + 1, or dLo(k)
+	// when it empties the remainder), so by induction (costs
 	// increasing, float rounding monotone) lb[K] at row 0 is a true
 	// lower bound on the exact optimum for d = n.
 	up := make([]float64, K+1)
@@ -129,20 +121,17 @@ func solveCoarseScans(tc *tabCache, procs []Processor, n, g, workers int, opts C
 		choice[i] = make([]int32, K+1)
 	}
 
-	comm, comp, done := tc.tables(procs[p-1], fps[p-1], n)
+	gc := newGridCosts(K)
+	gc.fill(procs[p-1], gr)
 	for k := 0; k <= K; k++ {
-		d := gr.sv(k)
-		upNext[k] = comm[d] + comp[d]
+		upNext[k] = gc.sv.comm[k] + gc.sv.comp[k]
 		choice[p-1][k] = int32(k)
-		d = gr.dLo(k)
-		lbNext[k] = comm[d] + comp[d]
+		lbNext[k] = gc.dLo.comm[k] + gc.dLo.comp[k]
 	}
-	done()
 
 	for i := p - 2; i >= 0; i-- {
-		comm, comp, done := tc.tables(procs[i], fps[i], n)
-		scans.grid(gr, comm, comp, upNext, lbNext, up, lb, choice[i])
-		done()
+		gc.fill(procs[i], gr)
+		gridRow(gr, gc, upNext, lbNext, up, lb, choice[i])
 		up, upNext = upNext, up
 		lb, lbNext = lbNext, lb
 	}
@@ -159,11 +148,7 @@ func solveCoarseScans(tc *tabCache, procs []Processor, n, g, workers int, opts C
 
 	if opts.SkipRefine {
 		res := Result{Distribution: dist, Makespan: Makespan(procs, dist)}
-		band := res.Makespan - lower
-		if band < 0 {
-			band = 0
-		}
-		return CoarseResult{Result: res, LowerBound: lower, Band: band, Granularity: g}, nil
+		return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g}, nil
 	}
 
 	// Banded refinement: re-run the exact recurrence restricted to a
@@ -202,12 +187,12 @@ func solveCoarseScans(tc *tabCache, procs []Processor, n, g, workers int, opts C
 		choiceW[i] = make([]int32, hi[i]-lo[i]+1)
 	}
 
-	comm, comp, done = tc.tables(procs[p-1], fps[p-1], n)
-	for d := lo[p-1]; d <= hi[p-1]; d++ {
-		costW[p-1][d-lo[p-1]] = comm[d] + comp[d]
-		choiceW[p-1][d-lo[p-1]] = int32(d)
+	base := newCostRow(hi[p-1] - lo[p-1] + 1)
+	base.fill(procs[p-1], lo[p-1], 1)
+	for t := range costW[p-1] {
+		costW[p-1][t] = base.comm[t] + base.comp[t]
+		choiceW[p-1][t] = int32(lo[p-1] + t)
 	}
-	done()
 	// Each banded cell scans up to 2w+1 shares, so a row is worth
 	// splitting over the row pool once its up to 2w+1 cells exceed
 	// one chunk.
@@ -217,10 +202,16 @@ func solveCoarseScans(tc *tabCache, procs []Processor, n, g, workers int, opts C
 		defer rp.close()
 	}
 	for i := p - 2; i >= 0; i-- {
-		comm, comp, done := tc.tables(procs[i], fps[i], n)
-		rp.run(hi[i]-lo[i], &bandRow{refine: scans.refine, comm: comm, comp: comp,
+		// Row i reads the shares d - d' for d in [lo_i, hi_i] and d' in
+		// [lo_{i+1}, hi_{i+1}].
+		eOff := lo[i] - hi[i+1]
+		if eOff < 0 {
+			eOff = 0
+		}
+		win := newCostRow(hi[i] - lo[i+1] - eOff + 1)
+		win.fill(procs[i], eOff, 1)
+		rp.run(hi[i]-lo[i], &bandRow{win: win, eOff: eOff,
 			next: costW[i+1], loNext: lo[i+1], cost: costW[i], choice: choiceW[i], lo: lo[i]})
-		done()
 	}
 
 	refined := make(Distribution, p)
@@ -235,25 +226,76 @@ func solveCoarseScans(tc *tabCache, procs []Processor, n, g, workers int, opts C
 	}
 
 	res := Result{Distribution: refined, Makespan: Makespan(procs, refined)}
-	band := res.Makespan - lower
+	return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g, Refined: true}, nil
+}
+
+// certifiedBand is a coarse answer's distance-to-optimal certificate,
+// max(0, makespan - lower).
+func certifiedBand(makespan, lower float64) float64 {
+	band := makespan - lower
 	if band < 0 {
-		band = 0
+		return 0
 	}
-	return CoarseResult{Result: res, LowerBound: lower, Band: band, Granularity: g, Refined: true}, nil
+	return band
+}
+
+// costRow holds one processor's comm and comp costs at a progression of
+// shares.
+type costRow struct{ comm, comp []float64 }
+
+func newCostRow(n int) costRow {
+	return costRow{comm: make([]float64, n), comp: make([]float64, n)}
+}
+
+// fill sets comm[k] and comp[k] to pr's costs at the share
+// start + k·step.
+func (c costRow) fill(pr Processor, start, step int) {
+	fillCosts(pr.Comm, start, step, c.comm)
+	fillCosts(pr.Comp, start, step, c.comp)
+}
+
+// from returns the row's entries from k on.
+func (c costRow) from(k int) costRow { return costRow{comm: c.comm[k:], comp: c.comp[k:]} }
+
+// gridCosts holds one processor's costs at the four share progressions
+// a grid row reads: at[j] = j·g and eLo[j] = (j-1)·g + 1 for the
+// transitions that leave a remainder (j < K), sv[k] = s_k and dLo[k]
+// for the one that empties it (k <= K). Every share lies in [0, n].
+type gridCosts struct {
+	at, eLo, sv, dLo costRow
+}
+
+func newGridCosts(K int) *gridCosts {
+	return &gridCosts{at: newCostRow(K), eLo: newCostRow(K), sv: newCostRow(K + 1), dLo: newCostRow(K + 1)}
+}
+
+// fill evaluates pr at every share the grid rows read. The shares
+// s_0 = dLo(0) = 0 and dLo(1) = eLo(1) = 1 sit off their progressions
+// and are copied from the entries that already hold them.
+func (c *gridCosts) fill(pr Processor, gr coarseGrid) {
+	c.at.fill(pr, 0, gr.g)
+	c.eLo.from(1).fill(pr, 1, gr.g)
+	c.sv.from(1).fill(pr, gr.r, gr.g)
+	c.dLo.from(2).fill(pr, gr.r+1, gr.g)
+	c.sv.comm[0], c.sv.comp[0] = c.at.comm[0], c.at.comp[0]
+	c.dLo.comm[0], c.dLo.comp[0] = c.at.comm[0], c.at.comp[0]
+	c.dLo.comm[1], c.dLo.comp[1] = c.eLo.comm[1], c.eLo.comp[1]
 }
 
 // bandRow is one banded refinement row for the row pool: its cells
-// [a, b] are the remainders [lo+a, lo+b].
+// [a, b] are the remainders [lo+a, lo+b], and win holds the row
+// processor's costs at the shares [eOff, eOff+len(win.comm)).
 type bandRow struct {
-	refine           func(comm, comp, next []float64, loNext int, cost []float64, choice []int32, lo, hi int)
-	comm, comp, next []float64
-	loNext, lo       int
-	cost             []float64
-	choice           []int32
+	win        costRow
+	eOff       int
+	next       []float64
+	loNext, lo int
+	cost       []float64
+	choice     []int32
 }
 
 func (r *bandRow) fill(a, b int) {
-	r.refine(r.comm, r.comp, r.next, r.loNext, r.cost[a:], r.choice[a:], r.lo+a, r.lo+b)
+	refineRow(r.win, r.eOff, r.next, r.loNext, r.cost[a:], r.choice[a:], r.lo+a, r.lo+b)
 }
 
 // coarseGrid is a coarse solve's state space: grid state k stands for
@@ -270,49 +312,36 @@ func (gr coarseGrid) sv(k int) int {
 	return gr.r + (k-1)*gr.g
 }
 
-// dLo is the smallest remainder in the interval I_k = (s_{k-1}, s_k]
-// that grid state k abstracts in the lower-bound DP.
-func (gr coarseGrid) dLo(k int) int {
-	if k == 0 {
-		return 0
-	}
-	return gr.sv(k-1) + 1
-}
-
-// eLo is the smallest share that consuming j segments out of state k
-// can stand for: (j-1)·g + 1 interior, dLo(k) when it empties the
-// remainder. It never decreases in j.
-func (gr coarseGrid) eLo(k, j int) int {
-	if j == k {
-		return gr.dLo(k)
-	}
-	return (j-1)*gr.g + 1
-}
-
 // gridRow fills one row of both grid DPs — up[k], choice[k] and lb[k]
-// for every state k — from the next row's upNext and lbNext. Ties keep
-// the fewest segments.
+// for every state k — from the next row's upNext and lbNext, reading
+// the row processor's costs from c. Consuming j < k segments takes the
+// share j·g (optimistically (j-1)·g + 1); consuming all k takes s_k
+// (optimistically dLo(k)). Ties keep the fewest segments.
 //
 // The scan over j stops at a lower-bound break: a candidate with share
 // e costs comm[e] + max(comp[e], next) >= comm[e] + comp[e], and that
 // sum never decreases in e. Both the upper share e and the optimistic
 // share eLo grow with j, so once both sums reach their running minima
 // no later j can win either DP (see DESIGN.md §15).
-func gridRow(gr coarseGrid, comm, comp, upNext, lbNext, up, lb []float64, choice []int32) {
+func gridRow(gr coarseGrid, c *gridCosts, upNext, lbNext, up, lb []float64, choice []int32) {
+	m0, p0 := c.at.comm[0], c.at.comp[0]
 	for k := 0; k <= gr.K; k++ {
-		base := gr.sv(k)
 		bj := 0
-		bm := comm[0] + maxf(comp[0], upNext[k])
-		lm := comm[0] + maxf(comp[0], lbNext[k])
+		bm := m0 + maxf(p0, upNext[k])
+		lm := m0 + maxf(p0, lbNext[k])
 		for j := 1; j <= k; j++ {
-			e, elo := base-gr.sv(k-j), gr.eLo(k, j)
-			if comm[e]+comp[e] >= bm && comm[elo]+comp[elo] >= lm {
+			u, l := &c.at, &c.eLo
+			if j == k {
+				u, l = &c.sv, &c.dLo
+			}
+			cm, cp, lcm, lcp := u.comm[j], u.comp[j], l.comm[j], l.comp[j]
+			if cm+cp >= bm && lcm+lcp >= lm {
 				break
 			}
-			if m := comm[e] + maxf(comp[e], upNext[k-j]); m < bm {
+			if m := cm + maxf(cp, upNext[k-j]); m < bm {
 				bj, bm = j, m
 			}
-			if m := comm[elo] + maxf(comp[elo], lbNext[k-j]); m < lm {
+			if m := lcm + maxf(lcp, lbNext[k-j]); m < lm {
 				lm = m
 			}
 		}
@@ -324,15 +353,15 @@ func gridRow(gr coarseGrid, comm, comp, upNext, lbNext, up, lb []float64, choice
 
 // refineRow fills one banded DP row: cost[d-lo] and choice[d-lo] for d
 // in [lo, hi], where the next row is only known on [loNext, loNext +
-// len(next) - 1]. The share range for each d is clipped so d-e stays
-// inside the next row's window; windows produced by solveCoarse are
-// monotone, which keeps that range non-empty. A banded next row is not
-// monotone at its window edges, so rowRange's crossover search and
-// descending break do not apply; the ascending scan stops instead at
-// the lower-bound break of gridRow: once comm[e] + comp[e] reaches the
-// running minimum, no larger share can beat it. Ties keep the smallest
-// share, like Algorithm 1.
-func refineRow(comm, comp, next []float64, loNext int, cost []float64, choice []int32, lo, hi int) {
+// len(next) - 1] and the row processor's costs only on the window of
+// shares win holds from eOff on. The share range for each d is clipped
+// so d-e stays inside the next row's window; windows produced by
+// solveCoarse are monotone, which keeps that range non-empty. A banded
+// next row is not monotone at its window edges, so rowRange's crossover
+// search and descending break do not apply; the ascending scan
+// (refineCell) stops instead at the lower-bound break of gridRow. Ties
+// keep the smallest share, like Algorithm 1.
+func refineRow(win costRow, eOff int, next []float64, loNext int, cost []float64, choice []int32, lo, hi int) {
 	hiNext := loNext + len(next) - 1
 	for d := lo; d <= hi; d++ {
 		eMin := d - hiNext
@@ -340,16 +369,56 @@ func refineRow(comm, comp, next []float64, loNext int, cost []float64, choice []
 			eMin = 0
 		}
 		eMax := d - loNext
-		sol := eMin
-		min := comm[eMin] + maxf(comp[eMin], next[d-eMin-loNext])
-		for e := eMin + 1; e <= eMax && comm[e]+comp[e] < min; e++ {
-			if m := comm[e] + maxf(comp[e], next[d-e-loNext]); m < min {
-				sol, min = e, m
-			}
-		}
+		a, b := eMin-eOff, eMax-eOff+1
+		t, min := refineCell(win.comm[a:b], win.comp[a:b], next[:eMax-eMin+1])
 		cost[d-lo] = min
-		choice[d-lo] = int32(sol)
+		choice[d-lo] = int32(eMin + t)
 	}
+}
+
+// refineCell scans one banded cell's shares in ascending order, four
+// at a time: share t costs comm[t] + max(comp[t], rests[L-1-t]) with
+// L = len(rests), and comm and comp hold at least L entries. It
+// returns the smallest minimizing share and its cost, stopping at the
+// first share whose lower bound comm[t] + comp[t] reaches the minimum:
+// no larger share can be strictly below it.
+func refineCell(comm, comp, rests []float64) (int, float64) {
+	L := len(rests)
+	comm, comp = comm[:L], comp[:L]
+	sol, min := 0, comm[0]+maxf(comp[0], rests[L-1])
+	t := 1
+	for ; t+3 < L; t += 4 {
+		if comm[t]+comp[t] >= min {
+			return sol, min
+		}
+		if m := comm[t] + maxf(comp[t], rests[L-1-t]); m < min {
+			sol, min = t, m
+		}
+		if comm[t+1]+comp[t+1] >= min {
+			return sol, min
+		}
+		if m := comm[t+1] + maxf(comp[t+1], rests[L-2-t]); m < min {
+			sol, min = t+1, m
+		}
+		if comm[t+2]+comp[t+2] >= min {
+			return sol, min
+		}
+		if m := comm[t+2] + maxf(comp[t+2], rests[L-3-t]); m < min {
+			sol, min = t+2, m
+		}
+		if comm[t+3]+comp[t+3] >= min {
+			return sol, min
+		}
+		if m := comm[t+3] + maxf(comp[t+3], rests[L-4-t]); m < min {
+			sol, min = t+3, m
+		}
+	}
+	for ; t < L && comm[t]+comp[t] < min; t++ {
+		if m := comm[t] + maxf(comp[t], rests[L-1-t]); m < min {
+			sol, min = t, m
+		}
+	}
+	return sol, min
 }
 
 // CoarsenBound computes the a-priori optimality gap of solving at

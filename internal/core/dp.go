@@ -68,32 +68,40 @@ func Algorithm1(procs []Processor, n int) (Result, error) {
 		costCur, costNext = costNext, costCur
 	}
 
-	return reconstruct(procs, n, costNext[n], choice), nil
+	return reconstruct(procs, n, choice), nil
 }
 
 // tabulate fills comm[e] = Tcomm(i,e) and comp[e] = Tcomp(i,e) for
-// e in [0, n], using closed forms for the linear and affine cost
-// types and falling back to per-entry evaluation otherwise.
+// e in [0, n].
 func tabulate(pr Processor, n int, comm, comp []float64) {
-	fillCosts(pr.Comm, n, comm)
-	fillCosts(pr.Comp, n, comp)
+	fillCosts(pr.Comm, 0, 1, comm[:n+1])
+	fillCosts(pr.Comp, 0, 1, comp[:n+1])
 }
 
-func fillCosts(f cost.Function, n int, out []float64) {
+// fillCosts sets out[k] to f at the share start + k·step, using closed
+// forms for the linear and affine cost types and falling back to
+// per-entry evaluation otherwise. Each share's value comes from the
+// same expression whatever the progression, so a window or a grid
+// progression holds exactly the bits of the full [0, n] table.
+func fillCosts(f cost.Function, start, step int, out []float64) {
 	switch cf := f.(type) {
 	case cost.Linear:
-		out[0] = 0
-		for e := 1; e <= n; e++ {
-			out[e] = cf.PerItem * float64(e)
+		for k := range out {
+			out[k] = 0
+			if e := start + k*step; e != 0 {
+				out[k] = cf.PerItem * float64(e)
+			}
 		}
 	case cost.Affine:
-		out[0] = 0
-		for e := 1; e <= n; e++ {
-			out[e] = cf.Fixed + cf.PerItem*float64(e)
+		for k := range out {
+			out[k] = 0
+			if e := start + k*step; e != 0 {
+				out[k] = cf.Fixed + cf.PerItem*float64(e)
+			}
 		}
 	default:
-		for e := 0; e <= n; e++ {
-			out[e] = f.Eval(e)
+		for k := range out {
+			out[k] = f.Eval(start + k*step)
 		}
 	}
 }
@@ -150,7 +158,7 @@ func maxf(a, b float64) float64 {
 // evaluated makespan equals the DP cost for consistent cost functions;
 // Result reports the evaluated value so that all solvers are compared
 // on the same footing.
-func reconstruct(procs []Processor, n int, dpCost float64, choice [][]int32) Result {
+func reconstruct(procs []Processor, n int, choice [][]int32) Result {
 	p := len(procs)
 	dist := make(Distribution, p)
 	d := n

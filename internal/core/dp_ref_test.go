@@ -15,8 +15,8 @@ import (
 // solvers are held to bit for bit: the paper's Algorithm 2 with a
 // binary search in every cell (and its two optimizations switchable,
 // for the ablation), the plain linear-scan specification of one
-// rowRange cell, and the unpruned grid and refine scans of the coarse
-// solver.
+// rowRange cell, and the coarse solver as first written — full [0, n]
+// cost tables and unpruned grid and refine scans.
 
 // referenceCell is the specification of one rowRange cell, written as
 // plainly as possible: find the crossover emax by linear scan, then
@@ -52,7 +52,15 @@ type refOptions struct {
 	// noEarlyBreak removes the monotonicity cutoff (the paper's lines
 	// 32-34) from the descending scan.
 	noEarlyBreak bool
+	// work, when set, counts the cells filled and the shares their
+	// descending scans visit.
+	work *kernelWork
 }
+
+// kernelWork is a counting run's tally: rowRange's cost per cell is
+// dominated by the descending tie-break scan, so scanShares/cells is
+// the length of the scan a cell pays for on average.
+type kernelWork struct{ cells, scanShares int64 }
 
 // referenceAlgorithm2 is the paper's Algorithm 2 as written: one
 // sequential loop over the rows, a fresh binary search for the
@@ -105,7 +113,9 @@ func referenceAlgorithm2(procs []Processor, n int, opts refOptions) (Result, err
 				sol = lo
 				min = comm[lo] + maxf(comp[lo], costNext[d-lo])
 			}
+			scanned := int64(0)
 			for e := sol - 1; e >= 0; e-- {
+				scanned++
 				rest := costNext[d-e]
 				m := comm[e] + maxf(comp[e], rest)
 				if m < min {
@@ -114,16 +124,140 @@ func referenceAlgorithm2(procs []Processor, n int, opts refOptions) (Result, err
 					break
 				}
 			}
+			if opts.work != nil {
+				opts.work.cells++
+				opts.work.scanShares += scanned
+			}
 			choice[i][d] = int32(sol)
 			costCur[d] = min
 		}
 		costCur, costNext = costNext, costCur
 	}
-	return reconstruct(procs, n, costNext[n], choice), nil
+	return reconstruct(procs, n, choice), nil
 }
 
-// referenceGridRow is gridRow without the lower-bound break: every
-// segment count j in [1, k] is evaluated in both grid DPs.
+// referenceSolveCoarse is the coarse solver as first written: a full
+// [0, n] comm/comp table per processor and row, the unpruned grid and
+// refine scans, and the reference Algorithm 2 as the small-instance
+// fallback. solveCoarse must match it bit for bit.
+func referenceSolveCoarse(procs []Processor, n, g int, opts CoarseOptions) (CoarseResult, error) {
+	if g < 1 {
+		return CoarseResult{}, fmt.Errorf("core: granularity %d < 1", g)
+	}
+	if err := validateDPInput(procs, n); err != nil {
+		return CoarseResult{}, err
+	}
+	if g == 1 || n <= 4*g {
+		res, err := referenceAlgorithm2(procs, n, refOptions{})
+		if err != nil {
+			return CoarseResult{}, err
+		}
+		return CoarseResult{Result: res, LowerBound: res.Makespan, Granularity: 1, Exact: true}, nil
+	}
+	p := len(procs)
+	comm := make([]float64, n+1)
+	comp := make([]float64, n+1)
+
+	K := (n + g - 1) / g
+	gr := coarseGrid{g: g, r: n - (K-1)*g, K: K}
+	up := make([]float64, K+1)
+	upNext := make([]float64, K+1)
+	lb := make([]float64, K+1)
+	lbNext := make([]float64, K+1)
+	choice := make([][]int32, p)
+	for i := range choice {
+		choice[i] = make([]int32, K+1)
+	}
+	tabulate(procs[p-1], n, comm, comp)
+	for k := 0; k <= K; k++ {
+		d := gr.sv(k)
+		upNext[k] = comm[d] + comp[d]
+		choice[p-1][k] = int32(k)
+		d = gr.dLo(k)
+		lbNext[k] = comm[d] + comp[d]
+	}
+	for i := p - 2; i >= 0; i-- {
+		tabulate(procs[i], n, comm, comp)
+		referenceGridRow(gr, comm, comp, upNext, lbNext, up, lb, choice[i])
+		up, upNext = upNext, up
+		lb, lbNext = lbNext, lb
+	}
+	lower := lbNext[K]
+
+	dist := make(Distribution, p)
+	k := K
+	for i := 0; i < p; i++ {
+		j := int(choice[i][k])
+		dist[i] = gr.sv(k) - gr.sv(k-j)
+		k -= j
+	}
+	if opts.SkipRefine {
+		res := Result{Distribution: dist, Makespan: Makespan(procs, dist)}
+		return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g}, nil
+	}
+
+	w := opts.Window
+	if w <= 0 {
+		w = g
+	}
+	lo := make([]int, p)
+	hi := make([]int, p)
+	rem := n
+	for i := 0; i < p; i++ {
+		lo[i], hi[i] = max(0, rem-w), min(n, rem+w)
+		rem -= dist[i]
+	}
+	lo[0], hi[0] = n, n
+	costW := make([][]float64, p)
+	choiceW := make([][]int32, p)
+	for i := range costW {
+		costW[i] = make([]float64, hi[i]-lo[i]+1)
+		choiceW[i] = make([]int32, hi[i]-lo[i]+1)
+	}
+	tabulate(procs[p-1], n, comm, comp)
+	for d := lo[p-1]; d <= hi[p-1]; d++ {
+		costW[p-1][d-lo[p-1]] = comm[d] + comp[d]
+		choiceW[p-1][d-lo[p-1]] = int32(d)
+	}
+	for i := p - 2; i >= 0; i-- {
+		tabulate(procs[i], n, comm, comp)
+		referenceRefineRow(comm, comp, costW[i+1], lo[i+1], costW[i], choiceW[i], lo[i], hi[i])
+	}
+	refined := make(Distribution, p)
+	d := n
+	for i := 0; i < p; i++ {
+		refined[i] = int(choiceW[i][d-lo[i]])
+		d -= refined[i]
+	}
+	if err := refined.Validate(p, n); err != nil {
+		return CoarseResult{}, err
+	}
+	res := Result{Distribution: refined, Makespan: Makespan(procs, refined)}
+	return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g, Refined: true}, nil
+}
+
+// dLo is the smallest remainder in the interval I_k = (s_{k-1}, s_k]
+// that grid state k abstracts in the lower-bound DP.
+func (gr coarseGrid) dLo(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return gr.sv(k-1) + 1
+}
+
+// eLo is the smallest share that consuming j segments out of state k
+// can stand for: (j-1)·g + 1 interior, dLo(k) when it empties the
+// remainder. It never decreases in j.
+func (gr coarseGrid) eLo(k, j int) int {
+	if j == k {
+		return gr.dLo(k)
+	}
+	return (j-1)*gr.g + 1
+}
+
+// referenceGridRow is one grid row without the lower-bound break,
+// reading full tables: every segment count j in [1, k] is evaluated in
+// both grid DPs.
 func referenceGridRow(gr coarseGrid, comm, comp, upNext, lbNext, up, lb []float64, choice []int32) {
 	for k := 0; k <= gr.K; k++ {
 		base := gr.sv(k)
@@ -145,8 +279,8 @@ func referenceGridRow(gr coarseGrid, comm, comp, upNext, lbNext, up, lb []float6
 	}
 }
 
-// referenceRefineRow is refineRow without the lower-bound break: the
-// whole clipped share range is scanned.
+// referenceRefineRow is one banded row without the lower-bound break,
+// reading full tables: the whole clipped share range is scanned.
 func referenceRefineRow(comm, comp, next []float64, loNext int, cost []float64, choice []int32, lo, hi int) {
 	hiNext := loNext + len(next) - 1
 	for d := lo; d <= hi; d++ {
@@ -165,9 +299,6 @@ func referenceRefineRow(comm, comp, next []float64, loNext int, cost []float64, 
 		choice[d-lo] = int32(sol)
 	}
 }
-
-// referenceScans runs a coarse solve through the unpruned scans.
-var referenceScans = coarseScans{grid: referenceGridRow, refine: referenceRefineRow}
 
 // table1Procs is the paper's Table 1 platform (16 CPUs, root dinadan
 // last) in descending-bandwidth order, as platform.Table1 expands it;
@@ -346,62 +477,92 @@ func TestAlgorithm2Concurrent(t *testing.T) {
 	}
 }
 
+// randomTableProcs draws processors whose costs are measured tables
+// (cost.Table, the per-entry branch of fillCosts) with arbitrary float
+// increments and flat stretches, covering half of [0, n] so the rest
+// is extrapolated.
+func randomTableProcs(rng *rand.Rand, p, n int) []Processor {
+	table := func(scale float64) cost.Table {
+		v := make([]float64, n/2+2)
+		for x := 1; x < len(v); x++ {
+			v[x] = v[x-1]
+			if rng.Intn(4) != 0 {
+				v[x] += rng.Float64() * scale
+			}
+		}
+		return cost.Table{Values: v, Increasing: true}
+	}
+	procs := make([]Processor, p)
+	for i := range procs {
+		procs[i] = Processor{Name: fmt.Sprintf("T%d", i), Comm: table(1e-4), Comp: table(1e-2)}
+	}
+	procs[p-1].Comm = cost.Zero
+	return procs
+}
+
 func requireSameCoarse(t *testing.T, label string, got, want CoarseResult) {
 	t.Helper()
 	if !equalDist(got.Distribution, want.Distribution) || !sameBits(got.Makespan, want.Makespan) ||
 		!sameBits(got.LowerBound, want.LowerBound) || !sameBits(got.Band, want.Band) ||
 		got.Granularity != want.Granularity || got.Refined != want.Refined || got.Exact != want.Exact {
-		t.Fatalf("%s: pruned %+v != unpruned reference %+v", label, got, want)
+		t.Fatalf("%s: solveCoarse %+v != reference %+v", label, got, want)
 	}
 }
 
-// TestSolveCoarseMatchesUnprunedReference: the lower-bound breaks in
-// the grid and refine scans never change a coarse answer — not the
-// distribution, its makespan, the lower bound or the band.
+// TestSolveCoarseMatchesUnprunedReference: evaluating costs only at
+// the shares the scans read, and the lower-bound breaks in the grid
+// and refine scans, never change a coarse answer — not the
+// distribution, its makespan, the lower bound or the band. It covers
+// every cost type fillCosts distinguishes (affine with fixed costs,
+// measured tables), g dividing n or not, both refinement options,
+// windows narrower and wider than g, the exact fallback and p = 1.
 func TestSolveCoarseMatchesUnprunedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, g := range []int{2, 3, 16, 128, 1024} {
 		for trial := 0; trial < 12; trial++ {
 			p := 1 + rng.Intn(6)
+			n := rng.Intn(40*g + 1)
+			switch trial {
+			case 0:
+				n = 4 * g // the largest exact fallback
+			case 1:
+				p, n = 1, 4*g+1+rng.Intn(8*g) // one processor takes everything
+			case 2:
+				n = (5 + rng.Intn(30)) * g // g divides n: no partial segment
+			}
 			var procs []Processor
-			switch trial % 3 {
+			switch trial % 4 {
 			case 0:
 				procs = randomLinearProcs(rng, p)
 			case 1:
 				procs = randomAffineProcs(rng, p)
-			default:
+			case 2:
 				procs = randomFloatAffineProcs(rng, p)
+			default:
+				procs = randomTableProcs(rng, p, n)
 			}
-			n := rng.Intn(40*g + 1)
-			if trial == 0 {
-				n = 4 * g // the largest exact fallback
-			}
-			for _, skip := range []bool{false, true} {
-				opts := CoarseOptions{SkipRefine: skip}
-				label := fmt.Sprintf("g=%d trial=%d p=%d n=%d skip=%v", g, trial, p, n, skip)
+			for _, opts := range []CoarseOptions{
+				{},
+				{SkipRefine: true},
+				{Window: []int{1, g/2 + 1, 2 * g}[trial%3]},
+			} {
+				label := fmt.Sprintf("g=%d trial=%d p=%d n=%d opts=%+v", g, trial, p, n, opts)
 				got, err := SolveCoarseOpt(procs, n, g, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := solveCoarseScans(nil, procs, n, g, 0, opts, referenceScans)
+				want, err := referenceSolveCoarse(procs, n, g, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireSameCoarse(t, label, got, want)
-				if got.Exact {
-					exact, err := referenceAlgorithm2(procs, n, refOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameResult(t, label+" fallback", got.Result, exact)
-				}
 			}
 		}
 	}
 }
 
-// TestSolveCoarseTable1MatchesUnprunedReference pins the pruned coarse
-// solver to the unpruned scans at the paper's full 817,101-item scale.
+// TestSolveCoarseTable1MatchesUnprunedReference pins the coarse solver
+// to the full-table reference at the paper's full 817,101-item scale.
 func TestSolveCoarseTable1MatchesUnprunedReference(t *testing.T) {
 	procs := table1Procs()
 	const n, g = 817101, 1024
@@ -411,7 +572,7 @@ func TestSolveCoarseTable1MatchesUnprunedReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := solveCoarseScans(nil, procs, n, g, 0, opts, referenceScans)
+		want, err := referenceSolveCoarse(procs, n, g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +582,11 @@ func TestSolveCoarseTable1MatchesUnprunedReference(t *testing.T) {
 
 // BenchmarkAlg2Ablation isolates the two optimizations that turn
 // Algorithm 1 into Algorithm 2: the binary-searched crossover and the
-// early break (DESIGN.md ablation A1), on the reference kernel.
+// early break (DESIGN.md ablation A1), on the reference kernel. The
+// table1-50381 case is a counting run at the repository benchmark's
+// Table 1 job size: it reports how many shares the descending
+// tie-break scan visits per cell, the work a (min,+) deque would
+// replace (DESIGN.md §15).
 func BenchmarkAlg2Ablation(b *testing.B) {
 	procs := table1Procs()
 	const n = 10000
@@ -443,4 +608,14 @@ func BenchmarkAlg2Ablation(b *testing.B) {
 			}
 		})
 	}
+	b.Run("table1-50381", func(b *testing.B) {
+		var work kernelWork
+		for i := 0; i < b.N; i++ {
+			work = kernelWork{}
+			if _, err := referenceAlgorithm2(procs, 50381, refOptions{work: &work}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(work.scanShares)/float64(work.cells), "scan-shares/cell")
+	})
 }

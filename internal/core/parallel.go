@@ -139,6 +139,16 @@ func (rp *rowPool) close() {
 // value is the same lower bound the binary search would return, so the
 // kernel stays bit-identical to the paper's per-cell search (kept as
 // the test-only reference in dp_ref_test.go).
+//
+// Below the crossover comp[e] < costNext[d-e] (both rows are
+// nondecreasing), so the recurrence's max is exactly costNext[d-e] and
+// the descending scan never loads comp. It walks 4-share blocks,
+// updating on < in the same order as a per-share scan, and checks the
+// early break once per block, on the block's last rest: every later
+// share has m >= rest' >= rest >= min (comm >= 0, rounding monotone),
+// so it can never be strictly below min, and shares a per-share scan
+// would have skipped never update. The last < 4 shares keep the
+// per-share break.
 func rowRange(comm, comp, costNext, costCur []float64, choiceRow []int32, lo, hi int) {
 	if lo > hi {
 		return
@@ -171,16 +181,36 @@ func rowRange(comm, comp, costNext, costCur []float64, choiceRow []int32, lo, hi
 		// so emax is the best candidate there.
 		sol := emax
 		min := comm[sol] + maxf(comp[sol], costNext[d-sol])
-		// Descending scan over e < sol, where the max is realized by
-		// costNext[d-e].
-		for e := sol - 1; e >= 0; e-- {
+		// Descending scan over e < emax, where the max is realized by
+		// costNext[d-e], in 4-share blocks.
+		e := emax - 1
+		for ; e >= 3; e -= 4 {
+			r0 := costNext[d-e]
+			if m := comm[e] + r0; m < min {
+				sol, min = e, m
+			}
+			r1 := costNext[d-e+1]
+			if m := comm[e-1] + r1; m < min {
+				sol, min = e-1, m
+			}
+			r2 := costNext[d-e+2]
+			if m := comm[e-2] + r2; m < min {
+				sol, min = e-2, m
+			}
+			r3 := costNext[d-e+3]
+			if m := comm[e-3] + r3; m < min {
+				sol, min = e-3, m
+			}
+			if r3 >= min {
+				e = -1 // no later share can win: skip the tail too
+				break
+			}
+		}
+		for ; e >= 0; e-- {
 			rest := costNext[d-e]
-			m := comm[e] + maxf(comp[e], rest)
-			if m < min {
+			if m := comm[e] + rest; m < min {
 				sol, min = e, m
 			} else if rest >= min {
-				// costNext[d-e] only grows as e decreases and Tcomm is
-				// non-negative, so no smaller e can win.
 				break
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -35,17 +36,74 @@ func checkRowAgainstReference(t *testing.T, comm, comp, costNext []float64, n in
 
 // TestRowRangeMatchesReference drives the optimized kernel against the
 // plain specification on random dyadic tables, including flat stretches
-// that force ties.
+// that force ties. The long trials scale the link costs down 64-fold,
+// as on Table 1, so cells scan hundreds of 4-share blocks below the
+// crossover before they break.
 func TestRowRangeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 44; trial++ {
 		n := 1 + rng.Intn(200)
+		if trial >= 40 {
+			n = 2000 + rng.Intn(2000)
+		}
 		flat := trial%2 == 0
 		comm := dyadicTable(rng, n, flat)
 		comp := dyadicTable(rng, n, flat)
 		costNext := dyadicTable(rng, n, flat)
+		if trial >= 40 {
+			for e := range comm {
+				comm[e] /= 64
+			}
+		}
 		checkRowAgainstReference(t, comm, comp, costNext, n, "random")
 	}
+}
+
+// FuzzRowRange holds rowRange to referenceCell, bit for bit, on
+// nondecreasing rows built from the fuzz bytes. Every row step is a
+// small dyadic multiple of the row's scale (shape bits 0-5 pick 1,
+// 1/8, 1/64 or 1/512 per row), so all sums are exact and zero steps
+// make ties. Shape bit 6 zeroes the link row, the case where a block
+// lowers min to exactly its last rest and breaks on it; bit 7 splits
+// [lo, n] into chunks of 1-16 cells, each re-seeding its crossover.
+func FuzzRowRange(f *testing.F) {
+	f.Add(uint16(40), uint16(0), uint8(0x0c), []byte{7, 7, 7})
+	f.Add(uint16(1500), uint16(3), uint8(0x23), []byte{5, 0, 2, 7, 1, 0, 3})
+	f.Fuzz(func(t *testing.T, nRaw, loRaw uint16, shape uint8, steps []byte) {
+		n := int(nRaw % 4096)
+		lo := int(loRaw) % (n + 1)
+		if len(steps) == 0 {
+			steps = []byte{0}
+		}
+		row := func(r int) []float64 {
+			scale := math.Ldexp(0.25, -3*int(shape>>(2*r)&3))
+			tab := make([]float64, n+1)
+			for x := 1; x <= n; x++ {
+				tab[x] = tab[x-1] + float64(steps[(3*x+r)%len(steps)]&7)*scale
+			}
+			return tab
+		}
+		comm, comp, costNext := row(0), row(1), row(2)
+		if shape&0x40 != 0 {
+			clear(comm)
+		}
+		cost := make([]float64, n+1)
+		choice := make([]int32, n+1)
+		chunk := n + 1
+		if shape&0x80 != 0 {
+			chunk = 1 + int(steps[0]%16)
+		}
+		for a := lo; a <= n; a += chunk {
+			rowRange(comm, comp, costNext, cost, choice, a, min(a+chunk-1, n))
+		}
+		for d := lo; d <= n; d++ {
+			wantSol, wantMin := referenceCell(comm, comp, costNext, d)
+			if choice[d] != wantSol || !sameBits(cost[d], wantMin) {
+				t.Fatalf("n=%d lo=%d shape=%#x d=%d: kernel (e=%d, %g) != reference (e=%d, %g)",
+					n, lo, shape, d, choice[d], cost[d], wantSol, wantMin)
+			}
+		}
+	})
 }
 
 // TestRowRangeCrossoverExtremes pins the emax boundary cases: a
