@@ -35,14 +35,18 @@ type CoarseResult struct {
 	// Band bounds the distance to optimal:
 	// Makespan - Topt <= Band = max(0, Makespan - LowerBound).
 	Band float64
-	// Granularity is the grid step the solve ran at (1 when the
-	// instance was small enough to fall back to the exact DP).
+	// Granularity is the grid step the solve ran at (1 for an Exact
+	// answer).
 	Granularity int
 	// Refined reports whether the banded refinement pass ran.
 	Refined bool
-	// Exact reports that the solver fell back to the exact Algorithm
-	// 2, so the distribution is optimal and Band is zero.
+	// Exact reports that the distribution is Algorithm 2's, so Band is
+	// zero and LowerBound is the makespan: the solver fell back to the
+	// exact DP, or (Certified) the engine proved it with a certificate.
 	Exact bool
+	// Certified reports an exact answer from the certified window
+	// refine (SolveCertified) instead of the DP.
+	Certified bool
 }
 
 // CoarseOptions tunes SolveCoarseOpt. The zero value refines with a
@@ -151,33 +155,46 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g, workers int, opts Coarse
 		return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g}, nil
 	}
 
-	// Banded refinement: re-run the exact recurrence restricted to a
-	// ±w window around the coarse trajectory's prefix remainders. The
-	// coarse trajectory itself lies inside every window, so the refined
-	// cost never exceeds the coarse one; the windows are monotone
-	// (rem[i] >= rem[i+1]), so every banded cell has a feasible share.
 	w := opts.Window
 	if w <= 0 {
 		w = g
 	}
-	rem := make([]int, p+1)
-	rem[0] = n
-	for i := 0; i < p; i++ {
-		rem[i+1] = rem[i] - dist[i]
+	b, err := refineBand(procs, n, dist, w, workers)
+	if err != nil {
+		return CoarseResult{}, err
 	}
-	lo := make([]int, p)
-	hi := make([]int, p)
+	res := Result{Distribution: b.dist, Makespan: Makespan(procs, b.dist)}
+	return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g, Refined: true}, nil
+}
+
+// band is a banded refinement's outcome.
+type band struct {
+	// lo and hi bound each row's window of remainders; row 0 is only
+	// ever read at d = n.
+	lo, hi []int
+	// dist is the refined distribution and value the banded DP's cost
+	// at the full problem: the float value of dist's path.
+	dist  Distribution
+	value float64
+	// strict reports that every non-root row's comm+comp is strictly
+	// increasing across the shares its window reads.
+	strict bool
+}
+
+// refineBand re-runs the exact recurrence restricted to a ±w window
+// around the prefix remainders of seed. The seed's own trajectory lies
+// inside every window, so the refined cost never exceeds the seed's;
+// the windows are monotone (rem[i] >= rem[i+1]), so every banded cell
+// has a feasible share.
+func refineBand(procs []Processor, n int, seed Distribution, w, workers int) (band, error) {
+	p := len(procs)
+	b := band{lo: make([]int, p), hi: make([]int, p), strict: true}
+	lo, hi := b.lo, b.hi
+	rem := n
 	for i := 0; i < p; i++ {
-		lo[i] = rem[i] - w
-		if lo[i] < 0 {
-			lo[i] = 0
-		}
-		hi[i] = rem[i] + w
-		if hi[i] > n {
-			hi[i] = n
-		}
+		lo[i], hi[i] = max(0, rem-w), min(n, rem+w)
+		rem -= seed[i]
 	}
-	// The first row is only ever read at d = n (the full problem).
 	lo[0], hi[0] = n, n
 
 	costW := make([][]float64, p)
@@ -204,29 +221,26 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g, workers int, opts Coarse
 	for i := p - 2; i >= 0; i-- {
 		// Row i reads the shares d - d' for d in [lo_i, hi_i] and d' in
 		// [lo_{i+1}, hi_{i+1}].
-		eOff := lo[i] - hi[i+1]
-		if eOff < 0 {
-			eOff = 0
-		}
+		eOff := max(0, lo[i]-hi[i+1])
 		win := newCostRow(hi[i] - lo[i+1] - eOff + 1)
 		win.fill(procs[i], eOff, 1)
+		b.strict = b.strict && win.strictlyIncreasing()
 		rp.run(hi[i]-lo[i], &bandRow{win: win, eOff: eOff,
 			next: costW[i+1], loNext: lo[i+1], cost: costW[i], choice: choiceW[i], lo: lo[i]})
 	}
 
-	refined := make(Distribution, p)
+	b.dist = make(Distribution, p)
 	d := n
 	for i := 0; i < p; i++ {
 		e := int(choiceW[i][d-lo[i]])
-		refined[i] = e
+		b.dist[i] = e
 		d -= e
 	}
-	if err := refined.Validate(p, n); err != nil {
-		return CoarseResult{}, fmt.Errorf("core: coarse refinement produced an invalid distribution: %w", err)
+	if err := b.dist.Validate(p, n); err != nil {
+		return band{}, fmt.Errorf("core: banded refinement produced an invalid distribution: %w", err)
 	}
-
-	res := Result{Distribution: refined, Makespan: Makespan(procs, refined)}
-	return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g, Refined: true}, nil
+	b.value = costW[0][0]
+	return b, nil
 }
 
 // certifiedBand is a coarse answer's distance-to-optimal certificate,
@@ -252,6 +266,17 @@ func newCostRow(n int) costRow {
 func (c costRow) fill(pr Processor, start, step int) {
 	fillCosts(pr.Comm, start, step, c.comm)
 	fillCosts(pr.Comp, start, step, c.comp)
+}
+
+// strictlyIncreasing reports whether comm[k] + comp[k] rises strictly
+// from each entry to the next.
+func (c costRow) strictlyIncreasing() bool {
+	for k := 1; k < len(c.comm); k++ {
+		if c.comm[k]+c.comp[k] <= c.comm[k-1]+c.comp[k-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // from returns the row's entries from k on.
@@ -360,7 +385,10 @@ func gridRow(gr coarseGrid, c *gridCosts, upNext, lbNext, up, lb []float64, choi
 // next row is not monotone at its window edges, so rowRange's crossover
 // search and descending break do not apply; the ascending scan
 // (refineCell) stops instead at the lower-bound break of gridRow. Ties
-// keep the smallest share, like Algorithm 1.
+// keep the largest share. That is Algorithm 2's rule whenever no share
+// above a cell's crossover ties its minimum — in particular when
+// comm+comp is strictly increasing on the row's window, which the
+// certified solve checks (certify.go).
 func refineRow(win costRow, eOff int, next []float64, loNext int, cost []float64, choice []int32, lo, hi int) {
 	hiNext := loNext + len(next) - 1
 	for d := lo; d <= hi; d++ {
@@ -379,42 +407,43 @@ func refineRow(win costRow, eOff int, next []float64, loNext int, cost []float64
 // refineCell scans one banded cell's shares in ascending order, four
 // at a time: share t costs comm[t] + max(comp[t], rests[L-1-t]) with
 // L = len(rests), and comm and comp hold at least L entries. It
-// returns the smallest minimizing share and its cost, stopping at the
-// first share whose lower bound comm[t] + comp[t] reaches the minimum:
-// no larger share can be strictly below it.
+// returns the largest minimizing share and its cost, stopping at the
+// first share whose lower bound comm[t] + comp[t] exceeds the minimum:
+// no larger share can reach it. A bound equal to the minimum does not
+// stop the scan, since a later share may still tie.
 func refineCell(comm, comp, rests []float64) (int, float64) {
 	L := len(rests)
 	comm, comp = comm[:L], comp[:L]
 	sol, min := 0, comm[0]+maxf(comp[0], rests[L-1])
 	t := 1
 	for ; t+3 < L; t += 4 {
-		if comm[t]+comp[t] >= min {
+		if comm[t]+comp[t] > min {
 			return sol, min
 		}
-		if m := comm[t] + maxf(comp[t], rests[L-1-t]); m < min {
+		if m := comm[t] + maxf(comp[t], rests[L-1-t]); m <= min {
 			sol, min = t, m
 		}
-		if comm[t+1]+comp[t+1] >= min {
+		if comm[t+1]+comp[t+1] > min {
 			return sol, min
 		}
-		if m := comm[t+1] + maxf(comp[t+1], rests[L-2-t]); m < min {
+		if m := comm[t+1] + maxf(comp[t+1], rests[L-2-t]); m <= min {
 			sol, min = t+1, m
 		}
-		if comm[t+2]+comp[t+2] >= min {
+		if comm[t+2]+comp[t+2] > min {
 			return sol, min
 		}
-		if m := comm[t+2] + maxf(comp[t+2], rests[L-3-t]); m < min {
+		if m := comm[t+2] + maxf(comp[t+2], rests[L-3-t]); m <= min {
 			sol, min = t+2, m
 		}
-		if comm[t+3]+comp[t+3] >= min {
+		if comm[t+3]+comp[t+3] > min {
 			return sol, min
 		}
-		if m := comm[t+3] + maxf(comp[t+3], rests[L-4-t]); m < min {
+		if m := comm[t+3] + maxf(comp[t+3], rests[L-4-t]); m <= min {
 			sol, min = t+3, m
 		}
 	}
-	for ; t < L && comm[t]+comp[t] < min; t++ {
-		if m := comm[t] + maxf(comp[t], rests[L-1-t]); m < min {
+	for ; t < L && comm[t]+comp[t] <= min; t++ {
+		if m := comm[t] + maxf(comp[t], rests[L-1-t]); m <= min {
 			sol, min = t, m
 		}
 	}

@@ -16,9 +16,17 @@ import (
 //
 //	cost[d, i] = min_{0<=e<=d} Tcomm(i,e) + max(Tcomp(i,e), cost[d-e, i+1])
 //
-// with cost[d, p] = Tcomm(p,d) + Tcomp(p,d). Among equal-cost choices
-// the smallest share e is kept (ties broken toward earlier processors
-// receiving less), so results are deterministic.
+// with cost[d, p] = Tcomm(p,d) + Tcomp(p,d).
+//
+// Ties follow Algorithm 2's rule, the one contract every exact path
+// keeps. Let the crossover emax be the smallest e with
+// Tcomp(i,e) >= cost[d-e, i+1], or d when there is none. Among the
+// shares of minimal cost, the largest one at or below emax is kept.
+// On increasing costs the minimum is always reached at or below emax
+// (above it the cost is Tcomm+Tcomp, which never drops below its value
+// at emax), so Algorithm 1 then returns Algorithm 2's distribution bit
+// for bit. On general costs the minimum may lie only above emax; the
+// smallest minimizing share above it is kept there.
 func Algorithm1(procs []Processor, n int) (Result, error) {
 	if err := validateDPInput(procs, n); err != nil {
 		return Result{}, err
@@ -53,12 +61,26 @@ func Algorithm1(procs []Processor, n int) (Result, error) {
 		costCur[0] = comm[0] + maxf(comp[0], costNext[0])
 		choice[i][0] = 0
 		for d := 1; d <= n; d++ {
-			// e = 0 initializer (the paper's line 11).
-			sol := 0
-			min := comm[0] + maxf(comp[0], costNext[d])
-			for e := 1; e <= d; e++ {
-				m := comm[e] + maxf(comp[e], costNext[d-e])
-				if m < min {
+			emax := d
+			for e := 0; e < d; e++ {
+				if comp[e] >= costNext[d-e] {
+					emax = e
+					break
+				}
+			}
+			// Scan down from the crossover, then up from it, updating
+			// only on a strictly smaller cost: the first scan keeps the
+			// largest minimizing share at or below emax, the second
+			// replaces it only by a strictly cheaper share above emax.
+			sol := emax
+			min := comm[emax] + maxf(comp[emax], costNext[d-emax])
+			for e := emax - 1; e >= 0; e-- {
+				if m := comm[e] + maxf(comp[e], costNext[d-e]); m < min {
+					sol, min = e, m
+				}
+			}
+			for e := emax + 1; e <= d; e++ {
+				if m := comm[e] + maxf(comp[e], costNext[d-e]); m < min {
 					sol, min = e, m
 				}
 			}
@@ -110,6 +132,10 @@ func fillCosts(f cost.Function, start, step int, out []float64) {
 // optimized dynamic program (Algorithm 2). It requires the cost
 // functions to be increasing; same worst-case complexity as Algorithm
 // 1 (O(p·n²)) but O(p·n) in the best case and far faster in practice.
+// Its tie rule is the contract of every exact path (see Algorithm1):
+// each cell keeps the largest minimizing share at or below the
+// crossover, because rowRange starts there, scans downwards and
+// updates only on a strictly smaller cost.
 // It runs the shared rowRange kernel, on a pool of GOMAXPROCS workers
 // from 2^15 items (planParallelThreshold) and on the calling goroutine
 // below, and tabulates duplicate processors' costs once.

@@ -280,7 +280,8 @@ func referenceGridRow(gr coarseGrid, comm, comp, upNext, lbNext, up, lb []float6
 }
 
 // referenceRefineRow is one banded row without the lower-bound break,
-// reading full tables: the whole clipped share range is scanned.
+// reading full tables: the whole clipped share range is scanned, and
+// ties keep the largest share (update on <=), as refineRow does.
 func referenceRefineRow(comm, comp, next []float64, loNext int, cost []float64, choice []int32, lo, hi int) {
 	hiNext := loNext + len(next) - 1
 	for d := lo; d <= hi; d++ {
@@ -291,7 +292,7 @@ func referenceRefineRow(comm, comp, next []float64, loNext int, cost []float64, 
 		sol := eMin
 		min := comm[eMin] + maxf(comp[eMin], next[d-eMin-loNext])
 		for e := eMin + 1; e <= d-loNext; e++ {
-			if m := comm[e] + maxf(comp[e], next[d-e-loNext]); m < min {
+			if m := comm[e] + maxf(comp[e], next[d-e-loNext]); m <= min {
 				sol, min = e, m
 			}
 		}

@@ -44,9 +44,18 @@ type EngineStats struct {
 	// identical in-flight solve (same signature and item count) instead
 	// of starting their own DP — the singleflight waiters.
 	Coalesced int
-	// CoarseSolves is the number of solves answered by the
-	// coarsen-then-refine solver under a coarse policy.
+	// CoarseSolves is the number of solves answered on a coarse
+	// policy's path: Certified of them exactly, the rest by the
+	// coarsen-then-refine solver with a band.
 	CoarseSolves int
+	// Certified is the number of coarse-path solves answered exactly by
+	// the certified window refine (SolveCertified).
+	Certified int
+	// CertifyFallbacks is the number of coarse-path solves on eligible
+	// (linear or affine) platforms whose certificate failed, so the
+	// grid solver answered instead. Ineligible platforms go straight to
+	// the grid and count in neither.
+	CertifyFallbacks int
 }
 
 // SolvePolicy selects how an Engine answers solves that miss every
@@ -142,17 +151,23 @@ type SolveInfo struct {
 	// platform cannot be fingerprinted (opaque or general-class costs).
 	Signature string
 	// Policy is the solve policy that produced the result. Exact
-	// sources — including coarse-policy solves small enough to fall
-	// back to the exact DP — report PolicyExact.
+	// answers report PolicyExact, including those on a coarse policy's
+	// path: certified solves and solves small enough to fall back to
+	// the exact DP.
 	Policy SolvePolicy
+	// Certified reports an exact answer from the certified window
+	// refine on a coarse policy's path: Algorithm 2's answer, proven
+	// without running it (SolveCertified).
+	Certified bool
 	// Granularity is the grid step of a coarse solve; 0 for exact.
 	Granularity int
 	// Bound is the realized optimality band: the makespan exceeds the
 	// optimum by at most Bound. Exact solves report 0.
 	Bound float64
 	// LowerBound is the proven lower bound on the optimal makespan
-	// backing Bound; 0 for exact solves (where the makespan itself is
-	// the optimum).
+	// backing Bound. Exact answers on a coarse policy's path report
+	// the makespan itself, so Bound/LowerBound is 0 there; the other
+	// exact sources report 0.
 	LowerBound float64
 }
 
@@ -413,12 +428,27 @@ func (e *Engine) solveCoarseDetailed(procs []Processor, n int, sig string) (Resu
 	e.flights[key] = f
 	e.mu.Unlock()
 
-	cr, err := solveCoarse(e.tabs, procs, n, e.gran, e.workers, CoarseOptions{SkipRefine: e.policy == PolicyCoarseOnly})
+	// An exact answer proven at coarse cost beats a banded one; the
+	// grid solver only answers where the certificate cannot.
+	var cr CoarseResult
+	var err error
+	res, cert := solveCertified(procs, n, e.workers)
+	if cert.Certified {
+		cr = CoarseResult{Result: res, LowerBound: res.Makespan, Granularity: 1, Exact: true, Certified: true}
+	} else {
+		cr, err = solveCoarse(e.tabs, procs, n, e.gran, e.workers, CoarseOptions{SkipRefine: e.policy == PolicyCoarseOnly})
+	}
 
 	e.mu.Lock()
 	var info SolveInfo
 	if err == nil {
 		e.stats.CoarseSolves++
+		switch {
+		case cert.Certified:
+			e.stats.Certified++
+		case cert.Reason != errNotAffine:
+			e.stats.CertifyFallbacks++
+		}
 		e.coarsePutLocked(key, cr)
 		info = e.coarseInfo(cr, sig, SourceCoarse)
 	}
@@ -430,13 +460,16 @@ func (e *Engine) solveCoarseDetailed(procs []Processor, n int, sig string) (Resu
 }
 
 // coarseInfo translates a CoarseResult into the SolveInfo reported to
-// callers. A coarse solve that fell back to the exact DP reports
-// PolicyExact with a zero band, so consumers gating on exactness (like
-// the daemon's durable store) see the truth rather than the knob.
+// callers. A certified answer, or a coarse solve that fell back to the
+// exact DP, reports PolicyExact with a zero band and the makespan as
+// its lower bound, so consumers gating on exactness (like the daemon's
+// durable store) see the truth rather than the knob.
 func (e *Engine) coarseInfo(cr CoarseResult, sig string, src SolveSource) SolveInfo {
 	info := SolveInfo{Source: src, Signature: sig}
 	if cr.Exact {
 		info.Policy = PolicyExact
+		info.Certified = cr.Certified
+		info.LowerBound = cr.LowerBound
 		return info
 	}
 	info.Policy = e.policy

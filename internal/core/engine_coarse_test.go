@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -64,6 +66,62 @@ func TestEngineCoarsePolicy(t *testing.T) {
 		if s := eng.Stats(); s.CoarseSolves != 1 || s.CacheHits != 1 {
 			t.Fatalf("%v: stats after hit = %+v", policy, s)
 		}
+	}
+}
+
+// TestEngineCoarseCertified: on a linear platform both coarse
+// policies answer with the certified exact solve — Algorithm 2's
+// answer, labelled exact, zero band, the makespan as lower bound — and
+// the memo replays it with the same labels.
+func TestEngineCoarseCertified(t *testing.T) {
+	procs := table1Procs()
+	const n = 20000
+	exact, err := Algorithm2(procs, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []SolvePolicy{PolicyCoarseRefine, PolicyCoarseOnly} {
+		eng := coarseTestEngine(policy)
+		for _, src := range []SolveSource{SourceCoarse, SourceCacheHit} {
+			res, info, err := eng.SolveDetailed(procs, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("%v %v", policy, src), res, exact)
+			if info.Source != src || info.Policy != PolicyExact || !info.Certified ||
+				info.Bound != 0 || !sameBits(info.LowerBound, res.Makespan) || info.Granularity != 0 {
+				t.Fatalf("%v: info = %+v, want a certified exact answer from %v", policy, info, src)
+			}
+		}
+		if s := eng.Stats(); s.CoarseSolves != 1 || s.Certified != 1 || s.CertifyFallbacks != 0 || s.CacheHits != 1 {
+			t.Fatalf("%v: stats = %+v", policy, s)
+		}
+	}
+}
+
+// TestEngineCoarseExactFallbackLowerBound: the grid solver's exact
+// fallback (n <= 4g) reports the makespan as its lower bound too, so
+// Bound/LowerBound is 0 on every exact coarse-path answer. Measured
+// cost tables are not affine, so the certificate is never tried.
+func TestEngineCoarseExactFallbackLowerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	procs := randomTableProcs(rng, 4, 200)
+	eng := NewEngineConfig(EngineConfig{Policy: PolicyCoarseRefine, Granularity: 64, CoarseMinItems: 10})
+	res, info, err := eng.SolveDetailed(procs, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := Algorithm2(procs, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "exact fallback", res, exact)
+	if info.Source != SourceCoarse || info.Policy != PolicyExact || info.Certified ||
+		info.Bound != 0 || !sameBits(info.LowerBound, res.Makespan) || info.Bound/info.LowerBound != 0 {
+		t.Fatalf("info = %+v, want an exact answer with the makespan as lower bound", info)
+	}
+	if s := eng.Stats(); s.CoarseSolves != 1 || s.Certified != 0 || s.CertifyFallbacks != 0 {
+		t.Fatalf("stats = %+v, want one coarse solve and no certificate attempt", s)
 	}
 }
 

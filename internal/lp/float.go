@@ -45,6 +45,14 @@ type FloatSolution struct {
 	X []float64
 	// Objective is the objective value at X.
 	Objective float64
+	// Duals are the optimal simplex multipliers, one per constraint,
+	// read off the final tableau: Objective = sum_i Duals[i]·RHS_i and
+	// Objective[j] - sum_i Duals[i]·Coeffs_i[j] >= 0 for every
+	// variable, with Duals[i] <= 0 on LE rows, >= 0 on GE rows and free
+	// on EQ rows — all up to float tolerance. They are a float guess at
+	// an optimal dual point; a caller that needs a proof must check the
+	// point it derives from them.
+	Duals []float64
 	// Pivots counts simplex pivots across both phases.
 	Pivots int
 }
@@ -102,6 +110,7 @@ func SolveFloat(p *FloatProblem) (*FloatSolution, error) {
 
 	sol.Status = Optimal
 	sol.X = t.extract(p.NumVars)
+	sol.Duals = t.duals()
 	for j := 0; j < len(p.Objective); j++ {
 		sol.Objective += p.Objective[j] * sol.X[j]
 	}
@@ -117,6 +126,11 @@ type floatTableau struct {
 	obj           []float64
 	objC          float64
 	basis         []int
+	// unit[i] is the column that started as row i's unit vector (its
+	// slack, or its artificial), and sign[i] is -1 where row i was
+	// negated to make its RHS non-negative.
+	unit          []int
+	sign          []float64
 	artificialLo  int
 	banArtificial bool
 }
@@ -151,6 +165,8 @@ func newFloatTableau(p *FloatProblem) *floatTableau {
 		b:             make([]float64, rows),
 		obj:           make([]float64, cols),
 		basis:         make([]int, rows),
+		unit:          make([]int, rows),
+		sign:          make([]float64, rows),
 		artificialLo:  cols - artificial,
 	}
 	slackCol := p.NumVars
@@ -166,6 +182,7 @@ func newFloatTableau(p *FloatProblem) *floatTableau {
 			t.set(i, j, coef*sign)
 		}
 		t.b[i] = c.RHS * sign
+		t.sign[i] = sign
 		switch rel {
 		case LE:
 			t.set(i, slackCol, 1)
@@ -182,6 +199,7 @@ func newFloatTableau(p *FloatProblem) *floatTableau {
 			t.basis[i] = artCol
 			artCol++
 		}
+		t.unit[i] = t.basis[i]
 	}
 	return t
 }
@@ -318,6 +336,20 @@ func (t *floatTableau) driveOutArtificials(pivots *int) {
 			}
 		}
 	}
+}
+
+// duals reads the simplex multipliers off the phase-2 objective row.
+// Row i's unit column has cost 0 and started as e_i, so its reduced
+// cost is -y~_i, the multiplier of the sign-normalized row; the
+// original row's multiplier is sign[i]·y~_i. Pivots keep updating the
+// artificial columns in phase 2 (they are only barred from entering),
+// so the reading holds for EQ and GE rows too.
+func (t *floatTableau) duals() []float64 {
+	y := make([]float64, t.rows)
+	for i, col := range t.unit {
+		y[i] = -t.sign[i] * t.obj[col]
+	}
+	return y
 }
 
 func (t *floatTableau) extract(n int) []float64 {

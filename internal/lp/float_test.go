@@ -241,3 +241,86 @@ func TestSolveFloatLargeScatterLP(t *testing.T) {
 		t.Errorf("shares sum to %g", total)
 	}
 }
+
+// TestSolveFloatDuals holds the multipliers read off the final tableau
+// to the dual of each random LP: strong duality against the exact
+// solver's optimum, the reduced costs non-negative, and each
+// multiplier's sign fixed by its row's relation. Rows mix LE, GE and
+// EQ, and some right-hand sides are negative, so the rows the solver
+// negates are covered.
+func TestSolveFloatDuals(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	const tol = 1e-7
+	optimal := 0
+	for trial := 0; trial < 300; trial++ {
+		nv := 1 + rng.Intn(6)
+		fp := &FloatProblem{NumVars: nv, Objective: make([]float64, nv)}
+		rp := &Problem{NumVars: nv, Objective: make([]*big.Rat, nv)}
+		for j := 0; j < nv; j++ {
+			c := int64(rng.Intn(11) - 5)
+			fp.Objective[j] = float64(c)
+			rp.Objective[j] = big.NewRat(c, 1)
+		}
+		add := func(coeffs []int64, rel Relation, rhs int64) {
+			fc := FloatConstraint{Rel: rel, RHS: float64(rhs), Coeffs: make([]float64, nv)}
+			rc := Constraint{Rel: rel, RHS: big.NewRat(rhs, 1), Coeffs: make([]*big.Rat, nv)}
+			for j, v := range coeffs {
+				fc.Coeffs[j] = float64(v)
+				rc.Coeffs[j] = big.NewRat(v, 1)
+			}
+			fp.Constraints = append(fp.Constraints, fc)
+			rp.Constraints = append(rp.Constraints, rc)
+		}
+		for i := 1 + rng.Intn(5); i > 0; i-- {
+			coeffs := make([]int64, nv)
+			for j := range coeffs {
+				coeffs[j] = int64(rng.Intn(7) - 2)
+			}
+			add(coeffs, []Relation{LE, GE, EQ}[rng.Intn(3)], int64(rng.Intn(25)-5))
+		}
+		for j := 0; j < nv; j++ {
+			coeffs := make([]int64, nv)
+			coeffs[j] = 1
+			add(coeffs, LE, 10)
+		}
+		exact, err := Solve(rp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := SolveFloat(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.Status != Optimal || sol.Status != Optimal {
+			continue
+		}
+		optimal++
+		if len(sol.Duals) != len(fp.Constraints) {
+			t.Fatalf("trial %d: %d duals for %d constraints", trial, len(sol.Duals), len(fp.Constraints))
+		}
+		want, _ := exact.Objective.Float64()
+		dualObj := 0.0
+		reduced := append([]float64(nil), fp.Objective...)
+		for i, c := range fp.Constraints {
+			y := sol.Duals[i]
+			dualObj += y * c.RHS
+			for j, a := range c.Coeffs {
+				reduced[j] -= y * a
+			}
+			if (c.Rel == LE && y > tol) || (c.Rel == GE && y < -tol) {
+				t.Errorf("trial %d: row %d (%v) has dual %g of the wrong sign", trial, i, c.Rel, y)
+			}
+		}
+		if math.Abs(dualObj-want) > tol*(1+math.Abs(want)) {
+			t.Errorf("trial %d: dual objective %g, primal optimum %g", trial, dualObj, want)
+		}
+		for j, d := range reduced {
+			if d < -tol {
+				t.Errorf("trial %d: reduced cost of x%d is %g < 0", trial, j, d)
+			}
+		}
+	}
+	if optimal < 100 {
+		t.Fatalf("only %d of 300 random LPs were optimal; the test covers too little", optimal)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -426,10 +427,28 @@ func TestServeDrain(t *testing.T) {
 	s.Drain() // idempotent, returns immediately
 }
 
+// latencyPlatform is testPlatform(1) with a quarter-second latency on
+// every link. Fixed costs that large defeat the coarse path's
+// certificate (its Eq. 3 bound drops them), so a coarse-policy daemon
+// answers it approximately.
+func latencyPlatform() platform.Platform {
+	pf := testPlatform(1)
+	pf.Machines = append([]platform.Machine(nil), pf.Machines...)
+	for i := range pf.Machines {
+		if pf.Machines[i].Name != pf.Root {
+			pf.Machines[i].CommLatency = 0.25
+		}
+	}
+	return pf
+}
+
 // TestServeCoarsePolicyNotPersisted pins the persistence gate: a
 // daemon running a coarse policy reports the band on the wire but
 // never writes approximate plans to the WAL, while solves below the
-// coarse threshold stay exact and are persisted as before.
+// coarse threshold stay exact and are persisted as before. Linear
+// platforms are answered exactly by the certificate on the coarse
+// path (TestServeCertifiedPersisted), so the approximate answer comes
+// from a platform with link latency.
 func TestServeCoarsePolicyNotPersisted(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "plans.wal")
 	st, _, err := store.Open(walPath)
@@ -449,7 +468,7 @@ func TestServeCoarsePolicyNotPersisted(t *testing.T) {
 
 	// Above the coarse threshold: answered approximately, with the
 	// policy and band on the wire, and NOT appended to the store.
-	resp, body := postPlan(t, ts.URL, PlanRequest{Platform: testPlatform(1), Items: 5000})
+	resp, body := postPlan(t, ts.URL, PlanRequest{Platform: latencyPlatform(), Items: 5000})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -469,7 +488,7 @@ func TestServeCoarsePolicyNotPersisted(t *testing.T) {
 
 	// Below the threshold the same daemon solves exactly: no band
 	// fields, and the plan is durable.
-	resp2, body2 := postPlan(t, ts.URL, PlanRequest{Platform: testPlatform(1), Items: 500})
+	resp2, body2 := postPlan(t, ts.URL, PlanRequest{Platform: latencyPlatform(), Items: 500})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("exact status = %d, body %s", resp2.StatusCode, body2)
 	}
@@ -483,6 +502,70 @@ func TestServeCoarsePolicyNotPersisted(t *testing.T) {
 	if stats := s.Stats(); stats.Engine.CoarseSolves != 1 || stats.Engine.ColdSolves != 1 {
 		t.Fatalf("engine stats = %+v, want one coarse and one cold solve", stats.Engine)
 	}
+}
+
+// TestServeCertifiedPersisted: a coarse-refine daemon answers a large
+// affine request with a certified exact plan. The response looks like
+// any exact answer (no policy or band fields), the plan is Algorithm
+// 2's bit for bit, it is appended to the WAL, and a restarted daemon
+// serves it from the store bit-identically.
+func TestServeCertifiedPersisted(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "plans.wal")
+	pf := testPlatform(2)
+	pf.Machines = append([]platform.Machine(nil), pf.Machines...)
+	pf.Machines[1].CommLatency = 1e-6 // affine links, small enough to certify
+	req := PlanRequest{Platform: pf, Items: 50_000}
+	procs, err := pf.ProcessorsOrdered(platform.OrderDescendingBandwidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Algorithm2(procs, req.Items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveOnce := func(wantSource string) PlanResponse {
+		t.Helper()
+		st, _, err := store.Open(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		eng := core.NewEngineConfig(core.EngineConfig{Policy: core.PolicyCoarseRefine, CoarseMinItems: 1 << 14})
+		s := NewServer(Config{Engine: eng, Store: st})
+		defer s.Drain()
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		resp, body := postPlan(t, ts.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"policy", "granularity", "bound", "lowerBound"} {
+			if _, ok := fields[k]; ok {
+				t.Fatalf("exact response carries %q: %s", k, body)
+			}
+		}
+		pr := decodePlan(t, body)
+		if pr.Source != wantSource {
+			t.Fatalf("source = %q, want %q", pr.Source, wantSource)
+		}
+		if pr.Makespan != want.Makespan || !slices.Equal(pr.Distribution, want.Distribution) {
+			t.Fatalf("served %v (%v), Algorithm 2 %v (%v)", pr.Distribution, pr.Makespan, want.Distribution, want.Makespan)
+		}
+		stats := s.Stats()
+		if stats.StoreEntries != 1 {
+			t.Fatalf("store entries = %d, want 1", stats.StoreEntries)
+		}
+		if wantSource == "coarse" && (stats.Engine.Certified != 1 || stats.Engine.CertifyFallbacks != 0) {
+			t.Fatalf("engine stats = %+v, want one certified solve", stats.Engine)
+		}
+		return pr
+	}
+	serveOnce("coarse")
+	serveOnce("store")
 }
 
 // waitFor polls cond (test-side timing only; the daemon itself reads
