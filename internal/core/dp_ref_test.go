@@ -52,15 +52,21 @@ type refOptions struct {
 	// noEarlyBreak removes the monotonicity cutoff (the paper's lines
 	// 32-34) from the descending scan.
 	noEarlyBreak bool
-	// work, when set, counts the cells filled and the shares their
-	// descending scans visit.
+	// blockBound is rowRange's block-bounded scan: past the first four
+	// shares, the descending scan walks blocks [a, e] of firstScanBlock
+	// shares, doubling after each skip, and skips a block whose lower
+	// bound comm[a] + costNext[d-e] is already >= min.
+	blockBound bool
+	// work, when set, counts the cells filled, the shares their
+	// descending scans evaluate and the block bounds they check.
 	work *kernelWork
 }
 
 // kernelWork is a counting run's tally: rowRange's cost per cell is
 // dominated by the descending tie-break scan, so scanShares/cells is
-// the length of the scan a cell pays for on average.
-type kernelWork struct{ cells, scanShares int64 }
+// the length of the scan a cell pays for on average, and
+// boundChecks/cells the block bounds it checks besides.
+type kernelWork struct{ cells, scanShares, boundChecks int64 }
 
 // referenceAlgorithm2 is the paper's Algorithm 2 as written: one
 // sequential loop over the rows, a fresh binary search for the
@@ -113,20 +119,46 @@ func referenceAlgorithm2(procs []Processor, n int, opts refOptions) (Result, err
 				sol = lo
 				min = comm[lo] + maxf(comp[lo], costNext[d-lo])
 			}
-			scanned := int64(0)
-			for e := sol - 1; e >= 0; e-- {
-				scanned++
-				rest := costNext[d-e]
-				m := comm[e] + maxf(comp[e], rest)
-				if m < min {
-					sol, min = e, m
-				} else if !opts.noEarlyBreak && rest >= min {
-					break
+			// scan evaluates the shares e down to lo and reports
+			// whether the early break let it finish.
+			var scanned, checks int64
+			scan := func(e, lo int) bool {
+				for ; e >= lo; e-- {
+					scanned++
+					rest := costNext[d-e]
+					m := comm[e] + maxf(comp[e], rest)
+					if m < min {
+						sol, min = e, m
+					} else if !opts.noEarlyBreak && rest >= min {
+						return false
+					}
+				}
+				return true
+			}
+			if top := sol - 1; !opts.blockBound {
+				scan(top, 0)
+			} else if scan(top, max(top-3, 0)) {
+				for e, size := top-4, firstScanBlock; e >= 0; {
+					a := max(e-size+1, 0)
+					rest := costNext[d-e]
+					checks++
+					if comm[a]+rest >= min {
+						if !opts.noEarlyBreak && rest >= min {
+							break
+						}
+						e, size = a-1, 2*size
+						continue
+					}
+					if !scan(e, a) {
+						break
+					}
+					e = a - 1
 				}
 			}
 			if opts.work != nil {
 				opts.work.cells++
 				opts.work.scanShares += scanned
+				opts.work.boundChecks += checks
 			}
 			choice[i][d] = int32(sol)
 			costCur[d] = min
@@ -385,6 +417,8 @@ func TestAlgorithm2AblationsAgree(t *testing.T) {
 		{noBinarySearch: true},
 		{noEarlyBreak: true},
 		{noBinarySearch: true, noEarlyBreak: true},
+		{blockBound: true},
+		{blockBound: true, noBinarySearch: true},
 	}
 	for trial := 0; trial < 25; trial++ {
 		p := 1 + rng.Intn(5)
@@ -404,6 +438,36 @@ func TestAlgorithm2AblationsAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAlgorithm2BlockBoundWork asserts the block bound's saving rather
+// than only recording it: on Table 1 at the repository benchmark's
+// 50,381 items, the block-bounded scan answers bit for bit as the
+// early-break scan does and evaluates at most a fifth of its shares.
+func TestAlgorithm2BlockBoundWork(t *testing.T) {
+	procs := table1Procs()
+	const n = 50381
+	var plain, bounded kernelWork
+	want, err := referenceAlgorithm2(procs, n, refOptions{work: &plain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := referenceAlgorithm2(procs, n, refOptions{blockBound: true, work: &bounded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "table1 blockBound", got, want)
+	if plain.cells != bounded.cells {
+		t.Fatalf("cells filled: %d with the block bound, %d without", bounded.cells, plain.cells)
+	}
+	if 5*bounded.scanShares > plain.scanShares {
+		t.Fatalf("block-bounded scan evaluated %d shares, more than a fifth of the early-break scan's %d",
+			bounded.scanShares, plain.scanShares)
+	}
+	t.Logf("shares per cell: %.1f early break, %.1f block-bounded plus %.1f bound checks",
+		float64(plain.scanShares)/float64(plain.cells),
+		float64(bounded.scanShares)/float64(bounded.cells),
+		float64(bounded.boundChecks)/float64(bounded.cells))
 }
 
 // TestAlgorithm2MatchesReferenceKernel holds the one exact driver to
@@ -583,11 +647,12 @@ func TestSolveCoarseTable1MatchesUnprunedReference(t *testing.T) {
 
 // BenchmarkAlg2Ablation isolates the two optimizations that turn
 // Algorithm 1 into Algorithm 2: the binary-searched crossover and the
-// early break (DESIGN.md ablation A1), on the reference kernel. The
-// table1-50381 case is a counting run at the repository benchmark's
-// Table 1 job size: it reports how many shares the descending
-// tie-break scan visits per cell, the work a (min,+) deque would
-// replace (DESIGN.md §15).
+// early break (DESIGN.md ablation A1), on the reference kernel, and
+// the block bound rowRange adds to the early break. The table1-50381
+// case is a counting run at the repository benchmark's Table 1 job
+// size: it reports how many shares the descending tie-break scan
+// evaluates per cell with the early break alone and with the block
+// bound, and how many block bounds the latter checks (DESIGN.md §15).
 func BenchmarkAlg2Ablation(b *testing.B) {
 	procs := table1Procs()
 	const n = 10000
@@ -599,6 +664,7 @@ func BenchmarkAlg2Ablation(b *testing.B) {
 		{"noBinarySearch", refOptions{noBinarySearch: true}},
 		{"noEarlyBreak", refOptions{noEarlyBreak: true}},
 		{"neither", refOptions{noBinarySearch: true, noEarlyBreak: true}},
+		{"blockBound", refOptions{blockBound: true}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -610,13 +676,18 @@ func BenchmarkAlg2Ablation(b *testing.B) {
 		})
 	}
 	b.Run("table1-50381", func(b *testing.B) {
-		var work kernelWork
+		var plain, bounded kernelWork
 		for i := 0; i < b.N; i++ {
-			work = kernelWork{}
-			if _, err := referenceAlgorithm2(procs, 50381, refOptions{work: &work}); err != nil {
+			plain, bounded = kernelWork{}, kernelWork{}
+			if _, err := referenceAlgorithm2(procs, 50381, refOptions{work: &plain}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := referenceAlgorithm2(procs, 50381, refOptions{blockBound: true, work: &bounded}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(work.scanShares)/float64(work.cells), "scan-shares/cell")
+		b.ReportMetric(float64(plain.scanShares)/float64(plain.cells), "scan-shares/cell")
+		b.ReportMetric(float64(bounded.scanShares)/float64(bounded.cells), "bounded-shares/cell")
+		b.ReportMetric(float64(bounded.boundChecks)/float64(bounded.cells), "bound-checks/cell")
 	})
 }

@@ -237,8 +237,9 @@ const DefaultPlanCacheCapacity = 8
 
 // DefaultGranularity is the coarse grid step used when EngineConfig
 // leaves Granularity unset. At the paper's 817k-item scale it puts the
-// coarsen-then-refine solve around 100x under the exact cold solve
-// while keeping the realized band under ~1% of the makespan.
+// coarsen-then-refine solve about an order of magnitude under the
+// exact cold solve while keeping the realized band under ~1% of the
+// makespan.
 const DefaultGranularity = 1024
 
 // DefaultCoarseMinItems is the item count below which coarse policies

@@ -121,6 +121,10 @@ func (rp *rowPool) close() {
 	}
 }
 
+// firstScanBlock is the width of rowRange's first bounded block below
+// the crossover; each skipped block doubles the next one.
+const firstScanBlock = 8
+
 // rowRange fills cost[d] and choice[d] for d in [lo, hi] using the
 // Algorithm 2 recurrence (crossover search + early break). It only
 // reads comm, comp and costNext, so disjoint ranges may run
@@ -142,13 +146,28 @@ func (rp *rowPool) close() {
 //
 // Below the crossover comp[e] < costNext[d-e] (both rows are
 // nondecreasing), so the recurrence's max is exactly costNext[d-e] and
-// the descending scan never loads comp. It walks 4-share blocks,
-// updating on < in the same order as a per-share scan, and checks the
-// early break once per block, on the block's last rest: every later
+// the descending scan never loads comp. It evaluates one 4-share
+// block, updating on < in the same order as a per-share scan, and
+// checks the early break once, on the block's last rest: every later
 // share has m >= rest' >= rest >= min (comm >= 0, rounding monotone),
-// so it can never be strictly below min, and shares a per-share scan
-// would have skipped never update. The last < 4 shares keep the
-// per-share break.
+// so it can never be strictly below min.
+//
+// Past that block the scan walks descending blocks [a, e], the first
+// firstScanBlock shares wide, and skips a block whose lower bound
+// comm[a] + costNext[d-e] is already >= min: every e' in [a, e] has
+// comm[e'] >= comm[a] and costNext[d-e'] >= costNext[d-e], and
+// rounding to nearest is monotone, so fl(comm[e'] + costNext[d-e'])
+// >= min and no share in the block is strictly below min — nor can it
+// become so, since min only falls. Each skip doubles the next block,
+// so a cell whose minimum sits near the crossover skips the rest of a
+// long scan in a few bound checks; a skip whose costNext[d-e] alone
+// reaches min is the early break. A block that is not skipped is
+// scanned share by share with the per-share break. The bound only
+// decides which shares are evaluated and never enters a cost, and
+// updates stay strictly < in descending order, so the answer and its
+// tie rule are exactly the per-share scan's. The first block stays
+// unbounded because short scans pay more for the bound's branches
+// than they save.
 func rowRange(comm, comp, costNext, costCur []float64, choiceRow []int32, lo, hi int) {
 	if lo > hi {
 		return
@@ -182,9 +201,9 @@ func rowRange(comm, comp, costNext, costCur []float64, choiceRow []int32, lo, hi
 		sol := emax
 		min := comm[sol] + maxf(comp[sol], costNext[d-sol])
 		// Descending scan over e < emax, where the max is realized by
-		// costNext[d-e], in 4-share blocks.
+		// costNext[d-e]: one 4-share block, then bounded blocks.
 		e := emax - 1
-		for ; e >= 3; e -= 4 {
+		if e >= 3 {
 			r0 := costNext[d-e]
 			if m := comm[e] + r0; m < min {
 				sol, min = e, m
@@ -201,17 +220,31 @@ func rowRange(comm, comp, costNext, costCur []float64, choiceRow []int32, lo, hi
 			if m := comm[e-3] + r3; m < min {
 				sol, min = e-3, m
 			}
+			e -= 4
 			if r3 >= min {
-				e = -1 // no later share can win: skip the tail too
-				break
+				e = -1 // no later share can win
 			}
 		}
-		for ; e >= 0; e-- {
+		for size := firstScanBlock; e >= 0; {
+			a := max(e-size+1, 0)
 			rest := costNext[d-e]
-			if m := comm[e] + rest; m < min {
-				sol, min = e, m
-			} else if rest >= min {
-				break
+			if comm[a]+rest >= min {
+				// No share in [a, e] is strictly below min.
+				if rest >= min {
+					break // nor any later one
+				}
+				e = a - 1
+				size *= 2
+				continue
+			}
+			for ; e >= a; e-- {
+				rest := costNext[d-e]
+				if m := comm[e] + rest; m < min {
+					sol, min = e, m
+				} else if rest >= min {
+					e = -1
+					break
+				}
 			}
 		}
 		choiceRow[d] = int32(sol)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,8 +38,8 @@ func checkRowAgainstReference(t *testing.T, comm, comp, costNext []float64, n in
 // TestRowRangeMatchesReference drives the optimized kernel against the
 // plain specification on random dyadic tables, including flat stretches
 // that force ties. The long trials scale the link costs down 64-fold,
-// as on Table 1, so cells scan hundreds of 4-share blocks below the
-// crossover before they break.
+// as on Table 1, so cells below the crossover skip bounded blocks,
+// scan others and break in every order, and clip blocks at share 0.
 func TestRowRangeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 44; trial++ {
@@ -87,23 +88,77 @@ func FuzzRowRange(f *testing.F) {
 		if shape&0x40 != 0 {
 			clear(comm)
 		}
-		cost := make([]float64, n+1)
-		choice := make([]int32, n+1)
 		chunk := n + 1
 		if shape&0x80 != 0 {
 			chunk = 1 + int(steps[0]%16)
 		}
-		for a := lo; a <= n; a += chunk {
-			rowRange(comm, comp, costNext, cost, choice, a, min(a+chunk-1, n))
-		}
-		for d := lo; d <= n; d++ {
-			wantSol, wantMin := referenceCell(comm, comp, costNext, d)
-			if choice[d] != wantSol || !sameBits(cost[d], wantMin) {
-				t.Fatalf("n=%d lo=%d shape=%#x d=%d: kernel (e=%d, %g) != reference (e=%d, %g)",
-					n, lo, shape, d, choice[d], cost[d], wantSol, wantMin)
-			}
-		}
+		checkChunkedRow(t, comm, comp, costNext, lo, chunk, fmt.Sprintf("n=%d lo=%d shape=%#x", n, lo, shape))
 	})
+}
+
+// FuzzRowRangeRounded is FuzzRowRange on rows whose sums round, the
+// case the block bound's soundness argument is about: the link row is
+// comm[e] = fl(c·e) for the fuzzed slope c (0 makes the bound the
+// plain early break), and the computation and suffix rows are prefix
+// sums of byte multiples of non-dyadic scales (shape bits 0-1 and 2-3
+// pick 1/3, 0.1, 1e-3/7 or 1e5/3 per row), with zero bytes making
+// flat stretches. A link slope far below the suffix row's ulp makes
+// block bounds that equal min exactly. Shape bit 7 splits [lo, n] into
+// chunks of 1-16 cells. The committed seeds pin a bound equal to min,
+// blocks clipped at share 0, cells that skip a block, scan the next,
+// update and then break, and zero-slope links.
+func FuzzRowRangeRounded(f *testing.F) {
+	f.Add(uint16(2000), uint16(0), 0.1/3, uint8(0x05), []byte{9, 200, 3, 77})
+	f.Add(uint16(900), uint16(5), 0.0, uint8(0x84), []byte{1, 0, 250})
+	f.Fuzz(func(t *testing.T, nRaw, loRaw uint16, c float64, shape uint8, steps []byte) {
+		n := int(nRaw % 4096)
+		lo := int(loRaw) % (n + 1)
+		if len(steps) == 0 {
+			steps = []byte{0}
+		}
+		if c = math.Abs(c); !(c <= 1e6) {
+			c = 1.0 / 3 // NaN or huge: any non-dyadic slope will do
+		}
+		scales := [4]float64{1.0 / 3, 0.1, 1e-3 / 7, 1e5 / 3}
+		row := func(r int) []float64 {
+			scale := scales[shape>>(2*r)&3]
+			tab := make([]float64, n+1)
+			for x := 1; x <= n; x++ {
+				tab[x] = tab[x-1] + float64(steps[(3*x+r)%len(steps)])*scale
+			}
+			return tab
+		}
+		comm := make([]float64, n+1)
+		for e := range comm {
+			comm[e] = c * float64(e)
+		}
+		comp, costNext := row(0), row(1)
+		chunk := n + 1
+		if shape&0x80 != 0 {
+			chunk = 1 + int(steps[0]%16)
+		}
+		checkChunkedRow(t, comm, comp, costNext, lo, chunk, fmt.Sprintf("n=%d lo=%d c=%v shape=%#x", n, lo, c, shape))
+	})
+}
+
+// checkChunkedRow fills the cells [lo, n] of a row with rowRange, in
+// chunks of the given width, and holds every cell to referenceCell
+// bit for bit.
+func checkChunkedRow(t *testing.T, comm, comp, costNext []float64, lo, chunk int, label string) {
+	t.Helper()
+	n := len(comm) - 1
+	cost := make([]float64, n+1)
+	choice := make([]int32, n+1)
+	for a := lo; a <= n; a += chunk {
+		rowRange(comm, comp, costNext, cost, choice, a, min(a+chunk-1, n))
+	}
+	for d := lo; d <= n; d++ {
+		wantSol, wantMin := referenceCell(comm, comp, costNext, d)
+		if choice[d] != wantSol || !sameBits(cost[d], wantMin) {
+			t.Fatalf("%s d=%d: kernel (e=%d, %g) != reference (e=%d, %g)",
+				label, d, choice[d], cost[d], wantSol, wantMin)
+		}
+	}
 }
 
 // TestRowRangeCrossoverExtremes pins the emax boundary cases: a
