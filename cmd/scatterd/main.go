@@ -11,6 +11,9 @@
 //	GET  /healthz   liveness (503 while draining)
 //	GET  /statsz    engine + admission counters
 //
+// The engine solves exactly: every answer is Algorithm 2's bit for
+// bit, so every plan the daemon solves is made durable in the WAL.
+//
 // On startup the daemon replays the WAL, logging how many plans it
 // recovered and whether a torn tail was truncated; on SIGINT/SIGTERM
 // it drains in-flight solves, compacts the WAL, and exits 0.
@@ -43,20 +46,11 @@ func main() {
 		maxT     = flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested deadlines")
 		maxItems = flag.Int("max-items", 10_000_000, "largest admissible item count")
 		solveW   = flag.Int("solve-workers", 0, "DP row-pool workers per cold solve (0 = GOMAXPROCS)")
-		policyS  = flag.String("solve-policy", "exact", "cold-solve policy: exact, coarse-refine, or coarse-only")
-		gran     = flag.Int("granularity", 0, "coarse grid step for coarse policies (0 = default)")
 	)
 	flag.Parse()
-	policy, err := core.ParsePolicy(*policyS)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scatterd:", err)
-		os.Exit(2)
-	}
 	eng := core.NewEngineConfig(core.EngineConfig{
-		Capacity:    *cache,
-		Workers:     *solveW,
-		Policy:      policy,
-		Granularity: *gran,
+		Capacity: *cache,
+		Workers:  *solveW,
 	})
 	if err := run(*addr, *walPath, *queue, *workers, eng, *timeout, *maxT, *maxItems); err != nil {
 		fmt.Fprintln(os.Stderr, "scatterd:", err)

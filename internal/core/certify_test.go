@@ -130,12 +130,12 @@ func certifyFuzzProcs(kind, pRaw uint8, seed int64) []Processor {
 // checkCertified runs one coarse-refine engine solve and holds it to
 // its oracle: a certified answer must be Algorithm 2's bit for bit,
 // labelled exact with a zero band and the makespan as lower bound; an
-// uncertified one must be exactly what the grid solver (SolveCoarse)
-// returns, with its band. It reports whether the answer was certified.
+// uncertified one must be exactly what the grid solver (SolveCoarse at
+// the engine's DefaultGranularity) returns, with its band. It reports
+// whether the answer was certified.
 func checkCertified(t *testing.T, label string, procs []Processor, n int) bool {
 	t.Helper()
-	const g = 64
-	eng := NewEngineConfig(EngineConfig{Policy: PolicyCoarseRefine, Granularity: g, CoarseMinItems: 1})
+	eng := NewEngineConfig(EngineConfig{Policy: PolicyCoarseRefine, CoarseMinItems: 1})
 	got, info, err := eng.SolveDetailed(procs, n)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func checkCertified(t *testing.T, label string, procs []Processor, n int) bool {
 		}
 		return true
 	}
-	want, err := SolveCoarse(procs, n, g)
+	want, err := SolveCoarse(procs, n, DefaultGranularity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,27 +38,10 @@ type CoarseResult struct {
 	// Granularity is the grid step the solve ran at (1 for an Exact
 	// answer).
 	Granularity int
-	// Refined reports whether the banded refinement pass ran.
-	Refined bool
-	// Exact reports that the distribution is Algorithm 2's, so Band is
-	// zero and LowerBound is the makespan: the solver fell back to the
-	// exact DP, or (Certified) the engine proved it with a certificate.
+	// Exact reports that the solver fell back to the exact DP: the
+	// distribution is Algorithm 2's, Band is zero and LowerBound is the
+	// makespan.
 	Exact bool
-	// Certified reports an exact answer from the certified window
-	// refine (SolveCertified) instead of the DP.
-	Certified bool
-}
-
-// CoarseOptions tunes SolveCoarseOpt. The zero value refines with a
-// window of one grid step.
-type CoarseOptions struct {
-	// Window is the refinement half-width in items around each coarse
-	// cut; <= 0 selects the granularity g.
-	Window int
-	// SkipRefine returns the grid-optimal distribution without the
-	// banded refinement pass (the engine's coarse-only policy). The
-	// band still holds; it just tends to be wider.
-	SkipRefine bool
 }
 
 // SolveCoarse computes a near-optimal distribution of n items at
@@ -68,19 +51,14 @@ type CoarseOptions struct {
 // It requires increasing cost functions, like Algorithm2. Instances
 // with n <= 4g fall back to the exact DP.
 func SolveCoarse(procs []Processor, n, g int) (CoarseResult, error) {
-	return solveCoarse(nil, procs, n, g, 0, CoarseOptions{})
-}
-
-// SolveCoarseOpt is SolveCoarse with explicit refinement options.
-func SolveCoarseOpt(procs []Processor, n, g int, opts CoarseOptions) (CoarseResult, error) {
-	return solveCoarse(nil, procs, n, g, 0, opts)
+	return solveCoarse(nil, procs, n, g, 0)
 }
 
 // solveCoarse runs a coarse solve. Only the exact fallback reads tc:
 // the grid and refine passes evaluate each processor's costs at just
 // the shares they read (gridCosts, the refine windows), O(K + w)
 // values per processor instead of a [0, n] table.
-func solveCoarse(tc *tabCache, procs []Processor, n, g, workers int, opts CoarseOptions) (CoarseResult, error) {
+func solveCoarse(tc *tabCache, procs []Processor, n, g, workers int) (CoarseResult, error) {
 	if g < 1 {
 		return CoarseResult{}, fmt.Errorf("core: granularity %d < 1", g)
 	}
@@ -150,21 +128,12 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g, workers int, opts Coarse
 		k -= j
 	}
 
-	if opts.SkipRefine {
-		res := Result{Distribution: dist, Makespan: Makespan(procs, dist)}
-		return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g}, nil
-	}
-
-	w := opts.Window
-	if w <= 0 {
-		w = g
-	}
-	b, err := refineBand(procs, n, dist, w, workers)
+	b, err := refineBand(procs, n, dist, g, workers)
 	if err != nil {
 		return CoarseResult{}, err
 	}
 	res := Result{Distribution: b.dist, Makespan: Makespan(procs, b.dist)}
-	return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g, Refined: true}, nil
+	return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g}, nil
 }
 
 // band is a banded refinement's outcome.

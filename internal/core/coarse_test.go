@@ -65,7 +65,7 @@ func TestSolveCoarseRefinementHelps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gridOnly, err := SolveCoarseOpt(procs, n, g, CoarseOptions{SkipRefine: true})
+		gridOnly, err := referenceSolveCoarse(procs, n, g, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,8 +73,8 @@ func TestSolveCoarseRefinementHelps(t *testing.T) {
 			t.Fatalf("trial %d (p=%d n=%d g=%d): refined %g worse than grid-only %g",
 				trial, p, n, g, refined.Makespan, gridOnly.Makespan)
 		}
-		if gridOnly.Refined || (!refined.Refined && !refined.Exact) {
-			t.Fatalf("trial %d: Refined flags wrong: %v / %v", trial, gridOnly.Refined, refined.Refined)
+		if refined.Exact != (n <= 4*g) {
+			t.Fatalf("trial %d (p=%d n=%d g=%d): Exact = %v", trial, p, n, g, refined.Exact)
 		}
 	}
 }
@@ -94,7 +94,7 @@ func TestCoarsenBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gridOnly, err := SolveCoarseOpt(procs, n, g, CoarseOptions{SkipRefine: true})
+		gridOnly, err := referenceSolveCoarse(procs, n, g, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -171,8 +171,10 @@ func referenceAlgorithm2(procs []Processor, n int, opts refOptions) (Result, err
 // referenceSolveCoarse is the coarse solver as first written: a full
 // [0, n] comm/comp table per processor and row, the unpruned grid and
 // refine scans, and the reference Algorithm 2 as the small-instance
-// fallback. solveCoarse must match it bit for bit.
-func referenceSolveCoarse(procs []Processor, n, g int, opts CoarseOptions) (CoarseResult, error) {
+// fallback. solveCoarse must match it bit for bit. gridOnly returns
+// the grid-optimal distribution without the refinement pass, for tests
+// that price the refinement against it.
+func referenceSolveCoarse(procs []Processor, n, g int, gridOnly bool) (CoarseResult, error) {
 	if g < 1 {
 		return CoarseResult{}, fmt.Errorf("core: granularity %d < 1", g)
 	}
@@ -223,15 +225,12 @@ func referenceSolveCoarse(procs []Processor, n, g int, opts CoarseOptions) (Coar
 		dist[i] = gr.sv(k) - gr.sv(k-j)
 		k -= j
 	}
-	if opts.SkipRefine {
+	if gridOnly {
 		res := Result{Distribution: dist, Makespan: Makespan(procs, dist)}
 		return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g}, nil
 	}
 
-	w := opts.Window
-	if w <= 0 {
-		w = g
-	}
+	w := g
 	lo := make([]int, p)
 	hi := make([]int, p)
 	rem := n
@@ -265,7 +264,7 @@ func referenceSolveCoarse(procs []Processor, n, g int, opts CoarseOptions) (Coar
 		return CoarseResult{}, err
 	}
 	res := Result{Distribution: refined, Makespan: Makespan(procs, refined)}
-	return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g, Refined: true}, nil
+	return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g}, nil
 }
 
 // dLo is the smallest remainder in the interval I_k = (s_{k-1}, s_k]
@@ -569,7 +568,7 @@ func requireSameCoarse(t *testing.T, label string, got, want CoarseResult) {
 	t.Helper()
 	if !equalDist(got.Distribution, want.Distribution) || !sameBits(got.Makespan, want.Makespan) ||
 		!sameBits(got.LowerBound, want.LowerBound) || !sameBits(got.Band, want.Band) ||
-		got.Granularity != want.Granularity || got.Refined != want.Refined || got.Exact != want.Exact {
+		got.Granularity != want.Granularity || got.Exact != want.Exact {
 		t.Fatalf("%s: solveCoarse %+v != reference %+v", label, got, want)
 	}
 }
@@ -579,8 +578,7 @@ func requireSameCoarse(t *testing.T, label string, got, want CoarseResult) {
 // and refine scans, never change a coarse answer — not the
 // distribution, its makespan, the lower bound or the band. It covers
 // every cost type fillCosts distinguishes (affine with fixed costs,
-// measured tables), g dividing n or not, both refinement options,
-// windows narrower and wider than g, the exact fallback and p = 1.
+// measured tables), g dividing n or not, the exact fallback and p = 1.
 func TestSolveCoarseMatchesUnprunedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, g := range []int{2, 3, 16, 128, 1024} {
@@ -606,22 +604,15 @@ func TestSolveCoarseMatchesUnprunedReference(t *testing.T) {
 			default:
 				procs = randomTableProcs(rng, p, n)
 			}
-			for _, opts := range []CoarseOptions{
-				{},
-				{SkipRefine: true},
-				{Window: []int{1, g/2 + 1, 2 * g}[trial%3]},
-			} {
-				label := fmt.Sprintf("g=%d trial=%d p=%d n=%d opts=%+v", g, trial, p, n, opts)
-				got, err := SolveCoarseOpt(procs, n, g, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := referenceSolveCoarse(procs, n, g, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameCoarse(t, label, got, want)
+			got, err := SolveCoarse(procs, n, g)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, err := referenceSolveCoarse(procs, n, g, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameCoarse(t, fmt.Sprintf("g=%d trial=%d p=%d n=%d", g, trial, p, n), got, want)
 		}
 	}
 }
@@ -631,18 +622,15 @@ func TestSolveCoarseMatchesUnprunedReference(t *testing.T) {
 func TestSolveCoarseTable1MatchesUnprunedReference(t *testing.T) {
 	procs := table1Procs()
 	const n, g = 817101, 1024
-	for _, skip := range []bool{false, true} {
-		opts := CoarseOptions{SkipRefine: skip}
-		got, err := SolveCoarseOpt(procs, n, g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := referenceSolveCoarse(procs, n, g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameCoarse(t, fmt.Sprintf("table1 skip=%v", skip), got, want)
+	got, err := SolveCoarse(procs, n, g)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want, err := referenceSolveCoarse(procs, n, g, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameCoarse(t, "table1", got, want)
 }
 
 // BenchmarkAlg2Ablation isolates the two optimizations that turn

@@ -2,7 +2,7 @@ package core
 
 import (
 	"container/list"
-	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,7 +34,7 @@ type EngineStats struct {
 	// partially or fully reused for a different platform or item count.
 	Resolves int
 	// CacheHits is the number of solves answered entirely from a cached
-	// plan (O(p) reconstruction, no DP work) or a cached coarse result.
+	// plan (O(p) reconstruction, no DP work).
 	CacheHits int
 	// Fallbacks is the number of solves routed to the non-incremental
 	// solvers: general-class platforms (Algorithm 1) or opaque cost
@@ -59,7 +59,8 @@ type EngineStats struct {
 }
 
 // SolvePolicy selects how an Engine answers solves that miss every
-// cache: exactly, or with the coarsen-then-refine solver and a
+// cache: exactly, or with the certified solve and, where its
+// certificate refuses, the coarsen-then-refine solver and a
 // machine-checked optimality band.
 type SolvePolicy int
 
@@ -67,39 +68,22 @@ const (
 	// PolicyExact always runs the exact DP. The zero value, and the
 	// only policy whose plans are retained for warm starts.
 	PolicyExact SolvePolicy = iota
-	// PolicyCoarseRefine answers large cold solves with the coarse DP
-	// plus banded exact refinement (SolveCoarse).
+	// PolicyCoarseRefine answers large cold solves with the certified
+	// solve (SolveCertified), falling back to the coarse DP plus banded
+	// exact refinement (SolveCoarse).
 	PolicyCoarseRefine
-	// PolicyCoarseOnly answers large cold solves with the grid-optimal
-	// distribution alone — fastest, widest band.
-	PolicyCoarseOnly
 )
 
-// String names the policy for flags, reports and the daemon's JSON.
+// String names the policy for reports and the daemon's JSON.
 func (p SolvePolicy) String() string {
 	switch p {
 	case PolicyExact:
 		return "exact"
 	case PolicyCoarseRefine:
 		return "coarse-refine"
-	case PolicyCoarseOnly:
-		return "coarse-only"
 	default:
 		return "policy(" + strconv.Itoa(int(p)) + ")"
 	}
-}
-
-// ParsePolicy parses the String form of a SolvePolicy.
-func ParsePolicy(s string) (SolvePolicy, error) {
-	switch s {
-	case "exact":
-		return PolicyExact, nil
-	case "coarse-refine":
-		return PolicyCoarseRefine, nil
-	case "coarse-only":
-		return PolicyCoarseOnly, nil
-	}
-	return 0, fmt.Errorf("core: unknown solve policy %q (want exact, coarse-refine or coarse-only)", s)
 }
 
 // SolveSource classifies the path a Solve took through the engine.
@@ -159,7 +143,8 @@ type SolveInfo struct {
 	// refine on a coarse policy's path: Algorithm 2's answer, proven
 	// without running it (SolveCertified).
 	Certified bool
-	// Granularity is the grid step of a coarse solve; 0 for exact.
+	// Granularity is the grid step of a banded coarse solve
+	// (DefaultGranularity); 0 for exact.
 	Granularity int
 	// Bound is the realized optimality band: the makespan exceeds the
 	// optimum by at most Bound. Exact solves report 0.
@@ -178,16 +163,23 @@ type SolveInfo struct {
 // and the daemon's durable plan store. General-class platforms and
 // platforms containing an opaque cost function have no signature.
 func PlatformSignature(procs []Processor) (string, bool) {
+	_, sig, ok := signature(procs)
+	return sig, ok
+}
+
+// signature returns the per-processor cost fingerprints of procs and
+// their join, the platform signature. ok is false when no signature
+// exists: then fps is nil for a general-class platform, and otherwise
+// holds "" for each processor with an opaque cost function.
+func signature(procs []Processor) (fps []string, sig string, ok bool) {
 	if PlatformClass(procs) == cost.General {
-		return "", false
+		return nil, "", false
 	}
-	fps := fingerprints(procs)
-	for _, fp := range fps {
-		if fp == "" {
-			return "", false
-		}
+	fps = fingerprints(procs)
+	if slices.Contains(fps, "") {
+		return fps, "", false
 	}
-	return strings.Join(fps, ";"), true
+	return fps, strings.Join(fps, ";"), true
 }
 
 // Engine is the incremental solver: it answers distribution requests
@@ -208,16 +200,7 @@ type Engine struct {
 
 	workers   int         //scatterlint:guardedby immutable
 	policy    SolvePolicy //scatterlint:guardedby immutable
-	gran      int         //scatterlint:guardedby immutable
 	coarseMin int         //scatterlint:guardedby immutable
-
-	// coarseCache memoizes coarse results by solve key. Coarse answers
-	// never enter the plan cache (their rows are not exact DP rows), so
-	// they get their own small FIFO-evicted table; entries are tiny — a
-	// distribution plus the band.
-	coarseCache map[string]CoarseResult //scatterlint:guardedby mu
-	coarseOrder []string                //scatterlint:guardedby mu
-	coarseCap   int                     //scatterlint:guardedby immutable
 }
 
 // flight is one in-progress solve that identical requests wait on. Its
@@ -235,8 +218,8 @@ type flight struct {
 // plans covers a whole crash cascade.
 const DefaultPlanCacheCapacity = 8
 
-// DefaultGranularity is the coarse grid step used when EngineConfig
-// leaves Granularity unset. At the paper's 817k-item scale it puts the
+// DefaultGranularity is the coarse grid step of an engine's banded
+// solves. At the paper's 817k-item scale it puts the
 // coarsen-then-refine solve about an order of magnitude under the
 // exact cold solve while keeping the realized band under ~1% of the
 // makespan.
@@ -257,9 +240,6 @@ type EngineConfig struct {
 	Workers int
 	// Policy selects exact or coarse solving for cache-missing solves.
 	Policy SolvePolicy
-	// Granularity is the coarse grid step (DefaultGranularity when
-	// <= 0). Ignored under PolicyExact.
-	Granularity int
 	// CoarseMinItems is the item count under which coarse policies
 	// fall back to the exact DP (DefaultCoarseMinItems when <= 0).
 	CoarseMinItems int
@@ -277,22 +257,16 @@ func NewEngineConfig(cfg EngineConfig) *Engine {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultPlanCacheCapacity
 	}
-	if cfg.Granularity <= 0 {
-		cfg.Granularity = DefaultGranularity
-	}
 	if cfg.CoarseMinItems <= 0 {
 		cfg.CoarseMinItems = DefaultCoarseMinItems
 	}
 	return &Engine{
-		cache:       NewPlanCache(cfg.Capacity),
-		tabs:        newTabCache(),
-		flights:     make(map[string]*flight),
-		workers:     cfg.Workers,
-		policy:      cfg.Policy,
-		gran:        cfg.Granularity,
-		coarseMin:   cfg.CoarseMinItems,
-		coarseCache: make(map[string]CoarseResult),
-		coarseCap:   4 * cfg.Capacity,
+		cache:     NewPlanCache(cfg.Capacity),
+		tabs:      newTabCache(),
+		flights:   make(map[string]*flight),
+		workers:   cfg.Workers,
+		policy:    cfg.Policy,
+		coarseMin: cfg.CoarseMinItems,
 	}
 }
 
@@ -322,24 +296,22 @@ func (e *Engine) Solve(procs []Processor, n int) (Result, error) {
 // (signature, item count) pair wait on the in-flight leader and share
 // its result bit-for-bit.
 func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, error) {
-	if PlatformClass(procs) == cost.General {
+	fps, sig, ok := signature(procs)
+	if !ok {
 		e.count(func(s *EngineStats) { s.Fallbacks++ })
-		res, err := Algorithm1(procs, n)
+		var res Result
+		var err error
+		if fps == nil {
+			res, err = Algorithm1(procs, n)
+		} else {
+			res, err = algorithm2(e.tabs, procs, n, e.workers)
+		}
 		return res, SolveInfo{Source: SourceFallback}, err
 	}
-	fps := fingerprints(procs)
-	for _, fp := range fps {
-		if fp == "" {
-			e.count(func(s *EngineStats) { s.Fallbacks++ })
-			res, err := algorithm2(e.tabs, procs, n, e.workers)
-			return res, SolveInfo{Source: SourceFallback}, err
-		}
-	}
-	sig := strings.Join(fps, ";")
-	if e.policy != PolicyExact && n >= e.coarseMin {
-		return e.solveCoarseDetailed(procs, n, sig)
-	}
 	key := sig + "#" + strconv.Itoa(n)
+	if e.policy != PolicyExact && n >= e.coarseMin {
+		return e.solveCoarseDetailed(procs, n, sig, key)
+	}
 
 	e.mu.Lock()
 	if pl := e.cache.Get(sig); pl != nil && pl.n >= n {
@@ -406,17 +378,12 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 
 // solveCoarseDetailed answers a large solve under a coarse policy.
 // Coarse results never enter the plan cache — its rows must stay exact
-// for warm starts and suffix lookups — so they are memoized in a side
-// table keyed by signature, item count, granularity and policy, and
-// identical in-flight coarse solves coalesce like exact ones.
-func (e *Engine) solveCoarseDetailed(procs []Processor, n int, sig string) (Result, SolveInfo, error) {
-	key := sig + "#" + strconv.Itoa(n) + "#g" + strconv.Itoa(e.gran) + "#" + e.policy.String()
+// for warm starts and suffix lookups — so each one is solved afresh,
+// while identical in-flight coarse solves coalesce like exact ones. The
+// policy and grid step are fixed per engine, so the exact path's flight
+// key identifies a coarse solve too.
+func (e *Engine) solveCoarseDetailed(procs []Processor, n int, sig, key string) (Result, SolveInfo, error) {
 	e.mu.Lock()
-	if cr, ok := e.coarseCache[key]; ok {
-		e.stats.CacheHits++
-		e.mu.Unlock()
-		return cr.Result, e.coarseInfo(cr, sig, SourceCacheHit), nil
-	}
 	if f, ok := e.flights[key]; ok {
 		e.stats.Coalesced++
 		e.mu.Unlock()
@@ -430,18 +397,24 @@ func (e *Engine) solveCoarseDetailed(procs []Processor, n int, sig string) (Resu
 	e.mu.Unlock()
 
 	// An exact answer proven at coarse cost beats a banded one; the
-	// grid solver only answers where the certificate cannot.
-	var cr CoarseResult
-	var err error
+	// grid solver only answers where the certificate cannot. Exact
+	// answers — certified ones and the grid solver's small-instance
+	// fallback — report PolicyExact with the makespan as lower bound,
+	// so consumers gating on exactness (like the daemon's durable
+	// store) see the truth rather than the knob.
 	res, cert := solveCertified(procs, n, e.workers)
-	if cert.Certified {
-		cr = CoarseResult{Result: res, LowerBound: res.Makespan, Granularity: 1, Exact: true, Certified: true}
-	} else {
-		cr, err = solveCoarse(e.tabs, procs, n, e.gran, e.workers, CoarseOptions{SkipRefine: e.policy == PolicyCoarseOnly})
+	info := SolveInfo{Source: SourceCoarse, Signature: sig, Certified: cert.Certified, LowerBound: res.Makespan}
+	var err error
+	if !cert.Certified {
+		var cr CoarseResult
+		cr, err = solveCoarse(e.tabs, procs, n, DefaultGranularity, e.workers)
+		res, info.LowerBound = cr.Result, cr.LowerBound
+		if !cr.Exact {
+			info.Policy, info.Granularity, info.Bound = e.policy, cr.Granularity, cr.Band
+		}
 	}
 
 	e.mu.Lock()
-	var info SolveInfo
 	if err == nil {
 		e.stats.CoarseSolves++
 		switch {
@@ -450,48 +423,12 @@ func (e *Engine) solveCoarseDetailed(procs []Processor, n int, sig string) (Resu
 		case cert.Reason != errNotAffine:
 			e.stats.CertifyFallbacks++
 		}
-		e.coarsePutLocked(key, cr)
-		info = e.coarseInfo(cr, sig, SourceCoarse)
 	}
-	f.res, f.info, f.err = cr.Result, info, err
+	f.res, f.info, f.err = res, info, err
 	delete(e.flights, key)
 	e.mu.Unlock()
 	close(f.done)
 	return f.res, f.info, f.err
-}
-
-// coarseInfo translates a CoarseResult into the SolveInfo reported to
-// callers. A certified answer, or a coarse solve that fell back to the
-// exact DP, reports PolicyExact with a zero band and the makespan as
-// its lower bound, so consumers gating on exactness (like the daemon's
-// durable store) see the truth rather than the knob.
-func (e *Engine) coarseInfo(cr CoarseResult, sig string, src SolveSource) SolveInfo {
-	info := SolveInfo{Source: src, Signature: sig}
-	if cr.Exact {
-		info.Policy = PolicyExact
-		info.Certified = cr.Certified
-		info.LowerBound = cr.LowerBound
-		return info
-	}
-	info.Policy = e.policy
-	info.Granularity = cr.Granularity
-	info.Bound = cr.Band
-	info.LowerBound = cr.LowerBound
-	return info
-}
-
-// coarsePutLocked memoizes a coarse result, evicting in FIFO order
-// once over capacity. Callers must hold e.mu.
-func (e *Engine) coarsePutLocked(key string, cr CoarseResult) {
-	if _, ok := e.coarseCache[key]; !ok {
-		e.coarseOrder = append(e.coarseOrder, key)
-		for len(e.coarseOrder) > e.coarseCap {
-			evict := e.coarseOrder[0]
-			e.coarseOrder = e.coarseOrder[1:]
-			delete(e.coarseCache, evict)
-		}
-	}
-	e.coarseCache[key] = cr
 }
 
 // unpinLocked drops one pin from a plan used as a warm-start base,

@@ -5,74 +5,85 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/cost"
 )
 
-// coarseTestEngine builds an engine whose coarse path triggers at test
-// scale instead of the production 2^17-item floor.
-func coarseTestEngine(policy SolvePolicy) *Engine {
-	return NewEngineConfig(EngineConfig{
-		Policy:         policy,
-		Granularity:    16,
-		CoarseMinItems: 100,
-	})
+// coarseTestEngine builds a coarse-refine engine whose coarse path
+// triggers at test scale instead of the production 2^17-item floor.
+// Its grid step is DefaultGranularity, so a banded answer needs more
+// than 4·DefaultGranularity items (coarseItems).
+func coarseTestEngine() *Engine {
+	return NewEngineConfig(EngineConfig{Policy: PolicyCoarseRefine, CoarseMinItems: 100})
 }
 
-func TestEngineCoarsePolicy(t *testing.T) {
+// coarseItems is the test scale of a banded coarse-path solve: above
+// 4·DefaultGranularity, where the grid solver stops falling back to
+// the exact DP.
+const coarseItems = 6000
+
+// latencyProcs is figure1Procs with a large fixed latency on every
+// link. The certificate's Eq. (3) bound drops fixed costs, so it
+// refuses this platform and the grid solver answers with a band.
+func latencyProcs() []Processor {
 	procs := figure1Procs()
-	n := 1500
-	exact, err := Algorithm2(procs, n)
+	for i := range procs[:len(procs)-1] {
+		procs[i].Comm = cost.Affine{Fixed: 500, PerItem: procs[i].Comm.(cost.Linear).PerItem}
+	}
+	return procs
+}
+
+// TestEngineCoarsePolicy: where the certificate refuses, the coarse
+// path answers with the grid solver at DefaultGranularity, labelled
+// with the policy and a band that brackets the optimum. Coarse answers
+// are not memoized, so a repeat solves again, bit-identically.
+func TestEngineCoarsePolicy(t *testing.T) {
+	procs := latencyProcs()
+	exact, err := Algorithm2(procs, coarseItems)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []SolvePolicy{PolicyCoarseRefine, PolicyCoarseOnly} {
-		eng := coarseTestEngine(policy)
-		res, info, err := eng.SolveDetailed(procs, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Source != SourceCoarse || info.Policy != policy {
-			t.Fatalf("%v: info = %+v, want coarse source with the configured policy", policy, info)
-		}
-		if info.Granularity != 16 {
-			t.Fatalf("%v: granularity = %d, want 16", policy, info.Granularity)
-		}
-		if res.Makespan < exact.Makespan {
-			t.Fatalf("%v: coarse %g beats the optimum %g", policy, res.Makespan, exact.Makespan)
-		}
-		if res.Makespan-exact.Makespan > info.Bound {
-			t.Fatalf("%v: gap %g outside the reported bound %g", policy, res.Makespan-exact.Makespan, info.Bound)
-		}
-		if info.LowerBound > exact.Makespan {
-			t.Fatalf("%v: lower bound %g exceeds the optimum %g", policy, info.LowerBound, exact.Makespan)
-		}
-		if s := eng.Stats(); s.CoarseSolves != 1 || s.ColdSolves != 0 {
-			t.Fatalf("%v: stats = %+v, want one coarse solve and no cold ones", policy, s)
-		}
+	eng := coarseTestEngine()
+	res, info, err := eng.SolveDetailed(procs, coarseItems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Source != SourceCoarse || info.Policy != PolicyCoarseRefine || info.Certified {
+		t.Fatalf("info = %+v, want a banded coarse answer under the configured policy", info)
+	}
+	if info.Granularity != DefaultGranularity {
+		t.Fatalf("granularity = %d, want %d", info.Granularity, DefaultGranularity)
+	}
+	if res.Makespan < exact.Makespan {
+		t.Fatalf("coarse %g beats the optimum %g", res.Makespan, exact.Makespan)
+	}
+	if res.Makespan-exact.Makespan > info.Bound {
+		t.Fatalf("gap %g outside the reported bound %g", res.Makespan-exact.Makespan, info.Bound)
+	}
+	if info.LowerBound > exact.Makespan {
+		t.Fatalf("lower bound %g exceeds the optimum %g", info.LowerBound, exact.Makespan)
+	}
+	if s := eng.Stats(); s.CoarseSolves != 1 || s.CertifyFallbacks != 1 || s.ColdSolves != 0 {
+		t.Fatalf("stats = %+v, want one coarse solve after a refused certificate and no cold ones", s)
+	}
 
-		// Second identical solve: answered from the coarse memo, same
-		// distribution, no new DP work.
-		res2, info2, err := eng.SolveDetailed(procs, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info2.Source != SourceCacheHit || info2.Bound != info.Bound {
-			t.Fatalf("%v: second solve info = %+v, want a cache hit with the same band", policy, info2)
-		}
-		for i := range res.Distribution {
-			if res2.Distribution[i] != res.Distribution[i] {
-				t.Fatalf("%v: cached distribution %v != first %v", policy, res2.Distribution, res.Distribution)
-			}
-		}
-		if s := eng.Stats(); s.CoarseSolves != 1 || s.CacheHits != 1 {
-			t.Fatalf("%v: stats after hit = %+v", policy, s)
-		}
+	res2, info2, err := eng.SolveDetailed(procs, coarseItems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "second solve", res2, res)
+	if info2 != info {
+		t.Fatalf("second solve info = %+v, want %+v", info2, info)
+	}
+	if s := eng.Stats(); s.CoarseSolves != 2 || s.CacheHits != 0 {
+		t.Fatalf("stats after the repeat = %+v, want a second coarse solve", s)
 	}
 }
 
-// TestEngineCoarseCertified: on a linear platform both coarse
-// policies answer with the certified exact solve — Algorithm 2's
-// answer, labelled exact, zero band, the makespan as lower bound — and
-// the memo replays it with the same labels.
+// TestEngineCoarseCertified: on a linear platform the coarse path
+// answers with the certified exact solve — Algorithm 2's answer,
+// labelled exact, zero band, the makespan as lower bound — and a
+// repeat certifies again with the same labels.
 func TestEngineCoarseCertified(t *testing.T) {
 	procs := table1Procs()
 	const n = 20000
@@ -80,38 +91,38 @@ func TestEngineCoarseCertified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []SolvePolicy{PolicyCoarseRefine, PolicyCoarseOnly} {
-		eng := coarseTestEngine(policy)
-		for _, src := range []SolveSource{SourceCoarse, SourceCacheHit} {
-			res, info, err := eng.SolveDetailed(procs, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, fmt.Sprintf("%v %v", policy, src), res, exact)
-			if info.Source != src || info.Policy != PolicyExact || !info.Certified ||
-				info.Bound != 0 || !sameBits(info.LowerBound, res.Makespan) || info.Granularity != 0 {
-				t.Fatalf("%v: info = %+v, want a certified exact answer from %v", policy, info, src)
-			}
+	eng := coarseTestEngine()
+	for solve := 1; solve <= 2; solve++ {
+		res, info, err := eng.SolveDetailed(procs, n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s := eng.Stats(); s.CoarseSolves != 1 || s.Certified != 1 || s.CertifyFallbacks != 0 || s.CacheHits != 1 {
-			t.Fatalf("%v: stats = %+v", policy, s)
+		requireSameResult(t, fmt.Sprintf("solve %d", solve), res, exact)
+		if info.Source != SourceCoarse || info.Policy != PolicyExact || !info.Certified ||
+			info.Bound != 0 || !sameBits(info.LowerBound, res.Makespan) || info.Granularity != 0 {
+			t.Fatalf("solve %d: info = %+v, want a certified exact answer", solve, info)
 		}
+	}
+	if s := eng.Stats(); s.CoarseSolves != 2 || s.Certified != 2 || s.CertifyFallbacks != 0 || s.CacheHits != 0 {
+		t.Fatalf("stats = %+v", s)
 	}
 }
 
 // TestEngineCoarseExactFallbackLowerBound: the grid solver's exact
-// fallback (n <= 4g) reports the makespan as its lower bound too, so
-// Bound/LowerBound is 0 on every exact coarse-path answer. Measured
-// cost tables are not affine, so the certificate is never tried.
+// fallback (n <= 4·DefaultGranularity) reports the makespan as its
+// lower bound too, so Bound/LowerBound is 0 on every exact coarse-path
+// answer. Measured cost tables are not affine, so the certificate is
+// never tried.
 func TestEngineCoarseExactFallbackLowerBound(t *testing.T) {
+	const n = 4 * DefaultGranularity
 	rng := rand.New(rand.NewSource(20))
-	procs := randomTableProcs(rng, 4, 200)
-	eng := NewEngineConfig(EngineConfig{Policy: PolicyCoarseRefine, Granularity: 64, CoarseMinItems: 10})
-	res, info, err := eng.SolveDetailed(procs, 200)
+	procs := randomTableProcs(rng, 4, n)
+	eng := coarseTestEngine()
+	res, info, err := eng.SolveDetailed(procs, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Algorithm2(procs, 200)
+	exact, err := Algorithm2(procs, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +141,7 @@ func TestEngineCoarseExactFallbackLowerBound(t *testing.T) {
 // machinery, bit-identically, and retains the plan for warm starts.
 func TestEngineCoarseSmallSolvesStayExact(t *testing.T) {
 	procs := figure1Procs()
-	eng := coarseTestEngine(PolicyCoarseRefine)
+	eng := coarseTestEngine()
 	exact, err := Algorithm2(procs, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -153,10 +164,12 @@ func TestEngineCoarseSmallSolvesStayExact(t *testing.T) {
 }
 
 // TestEngineCoarseCoalesce checks that identical in-flight coarse
-// solves share one DP.
+// solves share one solve: every caller either ran a coarse solve or
+// waited on one, and all get the same distribution.
 func TestEngineCoarseCoalesce(t *testing.T) {
-	procs := figure1Procs()
-	eng := coarseTestEngine(PolicyCoarseRefine)
+	rng := rand.New(rand.NewSource(21))
+	procs := randomTableProcs(rng, 4, coarseItems)
+	eng := coarseTestEngine()
 	const callers = 8
 	var wg sync.WaitGroup
 	results := make([]Result, callers)
@@ -165,7 +178,7 @@ func TestEngineCoarseCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			results[c], _, errs[c] = eng.SolveDetailed(procs, 2000)
+			results[c], _, errs[c] = eng.SolveDetailed(procs, coarseItems)
 		}(c)
 	}
 	wg.Wait()
@@ -173,32 +186,16 @@ func TestEngineCoarseCoalesce(t *testing.T) {
 		if errs[c] != nil {
 			t.Fatal(errs[c])
 		}
-		for i := range results[0].Distribution {
-			if results[c].Distribution[i] != results[0].Distribution[i] {
-				t.Fatalf("caller %d distribution %v != %v", c, results[c].Distribution, results[0].Distribution)
-			}
-		}
+		requireSameResult(t, fmt.Sprintf("caller %d", c), results[c], results[0])
 	}
-	if s := eng.Stats(); s.CoarseSolves+s.CacheHits+s.Coalesced != callers {
-		t.Fatalf("stats = %+v, want every caller accounted for", s)
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []SolvePolicy{PolicyExact, PolicyCoarseRefine, PolicyCoarseOnly} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("approximate"); err == nil {
-		t.Error("unknown policy accepted")
+	if s := eng.Stats(); s.CoarseSolves+s.Coalesced != callers || s.CacheHits != 0 {
+		t.Fatalf("stats = %+v, want every caller accounted for by a coarse solve or a coalesced wait", s)
 	}
 }
 
 func TestEngineConfigDefaults(t *testing.T) {
 	eng := NewEngineConfig(EngineConfig{})
-	if eng.gran != DefaultGranularity || eng.coarseMin != DefaultCoarseMinItems || eng.policy != PolicyExact {
-		t.Errorf("defaults not applied: gran=%d min=%d policy=%v", eng.gran, eng.coarseMin, eng.policy)
+	if eng.coarseMin != DefaultCoarseMinItems || eng.policy != PolicyExact {
+		t.Errorf("defaults not applied: min=%d policy=%v", eng.coarseMin, eng.policy)
 	}
 }

@@ -131,7 +131,7 @@ func FuzzCoarsen(f *testing.F) {
 				}
 			}
 		}
-		gridOnly, err := SolveCoarseOpt(procs, n, g, CoarseOptions{SkipRefine: true})
+		gridOnly, err := referenceSolveCoarse(procs, n, g, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -441,7 +441,7 @@ func TestSolverScaledDown(t *testing.T) {
 	}
 	for _, want := range []string{
 		"algorithm2_cold", "algorithm2_parallel_w1", "plan_build_cold",
-		"coarse_refine_cold", "coarse_only_cold", "certified_cold",
+		"coarse_refine_cold", "certified_cold",
 		"fresh_resolve_first_served_crash", "warm_resolve_first_served_crash",
 		"fresh_resolve_mid_crash", "warm_resolve_mid_crash",
 		"engine_cold_solve", "engine_cache_hit", "engine_warm_resolve",

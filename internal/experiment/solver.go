@@ -35,9 +35,10 @@ type solverRow struct {
 	Makespan float64 `json:"makespan_virtual_s"`
 	// Workers is the row-pool size for scaling-curve rows; 0 elsewhere.
 	Workers int `json:"workers,omitempty"`
-	// Bound/LowerBound/Granularity are set on coarse rows only: the
-	// realized optimality band max(0, makespan - lower bound), the
-	// optimistic lower bound itself, and the grid step that produced it.
+	// Bound/LowerBound/Granularity are set on the coarse_refine_cold
+	// row only: the realized optimality band max(0, makespan - lower
+	// bound), the optimistic lower bound itself, and the grid step that
+	// produced it.
 	Bound       float64 `json:"bound_virtual_s,omitempty"`
 	LowerBound  float64 `json:"lower_bound_virtual_s,omitempty"`
 	Granularity int     `json:"granularity,omitempty"`
@@ -46,7 +47,7 @@ type solverRow struct {
 	ExitMargin float64 `json:"exit_margin_virtual_s,omitempty"`
 	// IdenticalToFresh reports bit-identity with the fresh solve the
 	// row is compared against; rows that ARE the fresh baseline, and
-	// coarse rows (bounded, not identical), omit it.
+	// the coarse row (bounded, not identical), omit it.
 	IdenticalToFresh *bool  `json:"identical_to_fresh,omitempty"`
 	Note             string `json:"note"`
 }
@@ -230,45 +231,26 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 	// from the optimum. The checks below do not trust the solver: the
 	// exact optimum is already in hand, so the band is verified against
 	// it directly.
-	var crRes, coRes core.CoarseResult
-	crSecs, err := timeSolve(func() (e error) {
-		crRes, e = core.SolveCoarseOpt(procs, items, gran, core.CoarseOptions{})
-		return
-	})
+	var cr core.CoarseResult
+	crSecs, err := timeSolve(func() (e error) { cr, e = core.SolveCoarse(procs, items, gran); return })
 	if err != nil {
 		return doc, err
 	}
-	add(solverRow{Name: "coarse_refine_cold", Seconds: crSecs, Makespan: crRes.Makespan,
-		Bound: crRes.Band, LowerBound: crRes.LowerBound, Granularity: crRes.Granularity,
+	add(solverRow{Name: "coarse_refine_cold", Seconds: crSecs, Makespan: cr.Makespan,
+		Bound: cr.Band, LowerBound: cr.LowerBound, Granularity: cr.Granularity,
 		Note: "coarse grid DP + banded exact refinement; makespan within bound of optimal"})
-	coSecs, err := timeSolve(func() (e error) {
-		coRes, e = core.SolveCoarseOpt(procs, items, gran, core.CoarseOptions{SkipRefine: true})
-		return
-	})
-	if err != nil {
-		return doc, err
-	}
-	add(solverRow{Name: "coarse_only_cold", Seconds: coSecs, Makespan: coRes.Makespan,
-		Bound: coRes.Band, LowerBound: coRes.LowerBound, Granularity: coRes.Granularity,
-		Note: "coarse grid DP without refinement: cheaper, wider band"})
 	doc.SpeedupCoarseRefineVsCold = coldSecs / crSecs
-	if crRes.LowerBound > 0 {
-		doc.CoarseRelativeBand = crRes.Band / crRes.LowerBound
+	if cr.LowerBound > 0 {
+		doc.CoarseRelativeBand = cr.Band / cr.LowerBound
 	}
-	for _, c := range []struct {
-		name string
-		cr   core.CoarseResult
-	}{{"coarse_refine", crRes}, {"coarse_only", coRes}} {
-		name, cr := c.name, c.cr
-		if cr.Makespan < cold.Makespan {
-			return doc, fmt.Errorf("%s: makespan %g beats the optimum %g", name, cr.Makespan, cold.Makespan)
-		}
-		if cr.Makespan-cold.Makespan > cr.Band {
-			return doc, fmt.Errorf("%s: gap %g outside the reported band %g", name, cr.Makespan-cold.Makespan, cr.Band)
-		}
-		if cr.LowerBound > cold.Makespan {
-			return doc, fmt.Errorf("%s: lower bound %g exceeds the optimum %g", name, cr.LowerBound, cold.Makespan)
-		}
+	if cr.Makespan < cold.Makespan {
+		return doc, fmt.Errorf("coarse_refine: makespan %g beats the optimum %g", cr.Makespan, cold.Makespan)
+	}
+	if cr.Makespan-cold.Makespan > cr.Band {
+		return doc, fmt.Errorf("coarse_refine: gap %g outside the reported band %g", cr.Makespan-cold.Makespan, cr.Band)
+	}
+	if cr.LowerBound > cold.Makespan {
+		return doc, fmt.Errorf("coarse_refine: lower bound %g exceeds the optimum %g", cr.LowerBound, cold.Makespan)
 	}
 
 	// Certified exact solve: the Eq. (3) seed, a banded refine around

@@ -62,7 +62,6 @@ var itemCountArgs = map[string]int{
 	"BruteForce":          1,
 	"SolvePlan":           1,
 	"SolveCoarse":         1,
-	"SolveCoarseOpt":      1,
 	"Uniform":             1,
 	"Plan.Lookup":         0,
 	"Plan.Resolve":        0,

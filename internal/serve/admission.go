@@ -136,8 +136,8 @@ func (s *Server) run(j *job) {
 //
 // Only exact solves are persisted: the store answers repeats verbatim
 // with no way to carry an optimality band, and a daemon restarted with
-// a different policy or granularity must never replay an approximate
-// plan as if it were exact.
+// a different policy must never replay an approximate plan as if it
+// were exact.
 func (s *Server) persist(j *job, res core.Result, info core.SolveInfo) {
 	if s.st == nil || j.sig == "" || info.Policy != core.PolicyExact {
 		return

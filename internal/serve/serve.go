@@ -155,8 +155,8 @@ type PlanResponse struct {
 	// Signature is the canonical platform signature ("" when the
 	// platform is not fingerprintable).
 	Signature string `json:"signature,omitempty"`
-	// Policy is set on approximate answers ("coarse-refine" or
-	// "coarse-only"); exact plans omit it.
+	// Policy is set on approximate answers ("coarse-refine"); exact
+	// plans omit it.
 	Policy string `json:"policy,omitempty"`
 	// Granularity is the coarse grid step of an approximate answer.
 	Granularity int `json:"granularity,omitempty"`

@@ -456,24 +456,21 @@ func TestServeCoarsePolicyNotPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	eng := core.NewEngineConfig(core.EngineConfig{
-		Policy:         core.PolicyCoarseRefine,
-		Granularity:    16,
-		CoarseMinItems: 1000,
-	})
+	eng := core.NewEngineConfig(core.EngineConfig{Policy: core.PolicyCoarseRefine, CoarseMinItems: 1000})
 	s := NewServer(Config{Engine: eng, Store: st})
 	defer s.Drain()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// Above the coarse threshold: answered approximately, with the
-	// policy and band on the wire, and NOT appended to the store.
+	// Above the coarse threshold and 4·DefaultGranularity: answered
+	// approximately, with the policy and band on the wire, and NOT
+	// appended to the store.
 	resp, body := postPlan(t, ts.URL, PlanRequest{Platform: latencyPlatform(), Items: 5000})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
 	pr := decodePlan(t, body)
-	if pr.Source != "coarse" || pr.Policy != "coarse-refine" || pr.Granularity != 16 {
+	if pr.Source != "coarse" || pr.Policy != "coarse-refine" || pr.Granularity != core.DefaultGranularity {
 		t.Fatalf("coarse response = %+v, want coarse source with policy and granularity", pr)
 	}
 	if pr.Bound < 0 || pr.LowerBound <= 0 || pr.LowerBound > pr.Makespan {
