@@ -51,7 +51,7 @@ type CoarseResult struct {
 // It requires increasing cost functions, like Algorithm2. Instances
 // with n <= 4g fall back to the exact DP.
 func SolveCoarse(procs []Processor, n, g int) (CoarseResult, error) {
-	return solveCoarse(nil, procs, n, g, 0)
+	return solveCoarse(newTabCache(), procs, n, g, 0)
 }
 
 // solveCoarse runs a coarse solve. Only the exact fallback reads tc:

@@ -158,7 +158,6 @@ func algorithm2(tc *tabCache, procs []Processor, n, workers int) (Result, error)
 	if err != nil {
 		return Result{}, err
 	}
-	defer pl.freeRows()
 	return pl.Lookup(n, 0)
 }
 

@@ -332,15 +332,11 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 		return f.res, info, f.err
 	}
 	// Leader: register the flight and pick the warm-start base under
-	// the lock, pinning it so a concurrent eviction cannot recycle its
-	// row buffers while the resolve reads them.
+	// the lock. Plans are immutable, so the resolve reads the base
+	// unlocked even if the cache evicts it meanwhile.
 	f := &flight{done: make(chan struct{})}
 	e.flights[key] = f
 	base := e.cache.bestSuffix(fps, n)
-	if base != nil {
-		base.refs++
-		base.pinRows()
-	}
 	e.mu.Unlock()
 
 	var pl *Plan
@@ -356,9 +352,6 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 	}
 
 	e.mu.Lock()
-	if base != nil {
-		e.unpinLocked(base)
-	}
 	var res Result
 	if err == nil {
 		if source == SourceResolve {
@@ -431,16 +424,6 @@ func (e *Engine) solveCoarseDetailed(procs []Processor, n int, sig, key string) 
 	return f.res, f.info, f.err
 }
 
-// unpinLocked drops one pin from a plan used as a warm-start base,
-// freeing its rows if the cache evicted it while the resolve ran.
-// Callers must hold e.mu.
-func (e *Engine) unpinLocked(pl *Plan) {
-	pl.refs--
-	if pl.refs == 0 && pl.zombie {
-		pl.freeRows()
-	}
-}
-
 func (e *Engine) count(f func(*EngineStats)) {
 	e.mu.Lock()
 	f(&e.stats)
@@ -486,16 +469,10 @@ func (c *PlanCache) Get(sig string) *Plan {
 }
 
 // Put caches pl under sig as the most recent entry, evicting the least
-// recently used plan if the cache is full. Evicted (or replaced) plans
-// have their row buffers recycled; rows borrowed by a still-cached
-// derived plan are left alone (see planRow.lent).
+// recently used plan if the cache is full.
 func (c *PlanCache) Put(sig string, pl *Plan) {
 	if el, ok := c.byKey[sig]; ok {
-		ent := el.Value.(*cacheEntry)
-		if ent.plan != pl {
-			ent.plan.release()
-			ent.plan = pl
-		}
+		el.Value.(*cacheEntry).plan = pl
 		c.ll.MoveToFront(el)
 		return
 	}
@@ -505,7 +482,6 @@ func (c *PlanCache) Put(sig string, pl *Plan) {
 		ent := oldest.Value.(*cacheEntry)
 		c.ll.Remove(oldest)
 		delete(c.byKey, ent.key)
-		ent.plan.release()
 	}
 }
 

@@ -147,43 +147,49 @@ func TestEngineConcurrentIdenticalFingerprint(t *testing.T) {
 // TestEngineConcurrentWarmResolves mixes item counts and platform
 // suffixes: goroutines resolve shrinking survivor suffixes of one
 // platform while others hammer the full platform, all checked against
-// fresh solves.
+// fresh solves. At plan-cache capacity 1 every derived plan evicts its
+// base while other goroutines may still be resolving from it, so the
+// shared rows must outlive their plan's eviction.
 func TestEngineConcurrentWarmResolves(t *testing.T) {
 	const n = 2500
 	procs := linearPlatform(3, 8)
-	e := NewEngine(0)
-	if _, err := e.Solve(procs, n); err != nil {
-		t.Fatalf("prime solve: %v", err)
-	}
+	for _, capacity := range []int{0, 1} {
+		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
+			e := NewEngine(capacity)
+			if _, err := e.Solve(procs, n); err != nil {
+				t.Fatalf("prime solve: %v", err)
+			}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, 12)
-	for g := 0; g < 12; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			cut := g % 4 // drop the first-served `cut` processors
-			sub := procs[cut:]
-			m := n - 100*g
-			res, _, err := e.SolveDetailed(sub, m)
-			if err != nil {
-				errs <- err
-				return
+			var wg sync.WaitGroup
+			errs := make(chan error, 12)
+			for g := 0; g < 12; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					cut := g % 4 // drop the first-served `cut` processors
+					sub := procs[cut:]
+					m := n - 100*g
+					res, _, err := e.SolveDetailed(sub, m)
+					if err != nil {
+						errs <- err
+						return
+					}
+					want, err := Algorithm2(sub, m)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !equalDist(res.Distribution, want.Distribution) || res.Makespan != want.Makespan {
+						errs <- fmt.Errorf("suffix cut=%d m=%d: engine %v != fresh %v", cut, m, res.Distribution, want.Distribution)
+					}
+				}(g)
 			}
-			want, err := Algorithm2(sub, m)
-			if err != nil {
-				errs <- err
-				return
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
 			}
-			if !equalDist(res.Distribution, want.Distribution) || res.Makespan != want.Makespan {
-				errs <- fmt.Errorf("suffix cut=%d m=%d: engine %v != fresh %v", cut, m, res.Distribution, want.Distribution)
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+		})
 	}
 }
 
@@ -214,51 +220,6 @@ func TestEngineStatsDuringSolve(t *testing.T) {
 	if st := e.Stats(); st.ColdSolves != 1 {
 		t.Fatalf("ColdSolves = %d, want 1", st.ColdSolves)
 	}
-}
-
-// TestEngineZombieEviction pins a cached plan the way an in-flight
-// resolve does, evicts it, and checks its buffers survive until the
-// last unpin.
-func TestEngineZombieEviction(t *testing.T) {
-	const n = 500
-	e := NewEngine(1) // capacity 1: the second solve evicts the first
-	a := linearPlatform(7, 4)
-	b := linearPlatform(8, 4)
-	if _, err := e.Solve(a, n); err != nil {
-		t.Fatalf("solve a: %v", err)
-	}
-	sig, ok := PlatformSignature(a)
-	if !ok {
-		t.Fatal("platform a has no signature")
-	}
-
-	e.mu.Lock()
-	pl := e.cache.Get(sig)
-	if pl == nil {
-		t.Fatal("plan for a not cached")
-	}
-	pl.refs++
-	pl.pinRows()
-	e.mu.Unlock()
-
-	if _, err := e.Solve(b, n); err != nil {
-		t.Fatalf("solve b: %v", err)
-	}
-	e.mu.Lock()
-	if !pl.zombie {
-		e.mu.Unlock()
-		t.Fatal("evicted pinned plan not marked zombie")
-	}
-	if pl.rows[0].cost == nil {
-		e.mu.Unlock()
-		t.Fatal("pinned plan's rows were freed while pinned")
-	}
-	e.unpinLocked(pl)
-	if pl.rows[0].cost != nil {
-		e.mu.Unlock()
-		t.Fatal("zombie plan's rows not freed on last unpin")
-	}
-	e.mu.Unlock()
 }
 
 func equalDist(a, b Distribution) bool {

@@ -25,45 +25,24 @@ import (
 
 // planRow is one retained DP row: cost[d] is the optimal makespan of d
 // items on the row's processor suffix, choice[d] the share the suffix's
-// first processor takes. The ownership bits keep sync.Pool recycling
-// sound when derived plans share rows: a row is returned to the pool
-// only by the plan that allocated it (owned) and only if no derived
-// plan ever borrowed it (lent — sticky, never cleared).
+// first processor takes. A row is immutable once filled, so derived
+// plans share suffix rows with their source as they are, and the
+// garbage collector frees a row when no plan references it.
 type planRow struct {
 	cost   []float64
 	choice []int32
-	owned  bool
-	lent   bool //scatterlint:guardedby (Engine).mu — sticky borrow bit; engine-less plans never set it
-}
-
-// pin marks the row lent so the owner's release() skips its buffers.
-// The write is guarded: a row already pinned under the engine mutex
-// (Plan.pinRows) is only read here, which keeps the engine's unlocked
-// resolve phase free of writes to shared plan state.
-func (r *planRow) pin() {
-	//scatterlint:ignore lockguard pinRows sets lent under the engine mutex before the unlocked resolve phase; this path only re-reads the sticky bit and skips a redundant store
-	if !r.lent {
-		r.lent = true
-	}
 }
 
 // Plan is a retained solution of the Algorithm 2 dynamic program for a
 // platform and item count, answering suffix subproblems and warm-started
 // re-solves without repeating work. Build one with SolvePlan or through
-// an Engine. A Plan is not safe for concurrent use; the Engine
-// serializes access to its cached plans.
+// an Engine. A Plan never changes once built: Lookup and Resolve only
+// read it, so they are safe for concurrent use.
 type Plan struct {
 	procs []Processor
 	fps   []string // per-processor cost fingerprint; "" if opaque
 	n     int      // rows answer any d in [0, n]
 	rows  []planRow
-
-	// refs counts in-flight engine resolves reading this plan's rows;
-	// zombie marks a plan evicted from the cache while pinned, whose
-	// buffers are freed on the last unpin instead. Both are guarded by
-	// the engine mutex; they stay zero for engine-less plans.
-	refs   int  //scatterlint:guardedby (Engine).mu
-	zombie bool //scatterlint:guardedby (Engine).mu
 }
 
 // Items returns the item count the plan was solved for; Lookup and
@@ -77,7 +56,7 @@ func (pl *Plan) Size() int { return len(pl.procs) }
 // functions and retains every DP row. The distribution reachable via
 // Lookup(n, 0) is bit-identical to Algorithm2's: both run solveRows.
 func SolvePlan(procs []Processor, n int) (*Plan, error) {
-	return solveRows(nil, procs, n, 0, true)
+	return solveRows(newTabCache(), procs, n, 0, true)
 }
 
 // planParallelThreshold is the item count from which solveRows fills
@@ -86,12 +65,12 @@ func SolvePlan(procs []Processor, n int) (*Plan, error) {
 const planParallelThreshold = 1 << 15
 
 // solveRows is the one exact Algorithm 2 driver. It tabulates each
-// processor's costs through tc (nil: pooled scratch per row), fills
-// the base row, then every other row with rowRange, on a pool of
-// workers (<= 0: GOMAXPROCS) once n reaches planParallelThreshold.
-// With retain the plan keeps every cost row for Lookup and Resolve;
-// without, each cost row is recycled as soon as the row before it is
-// filled and only the choice rows survive — enough for Lookup(n, 0).
+// processor's costs through tc, fills the base row, then every other
+// row with rowRange, on a pool of workers (<= 0: GOMAXPROCS) once n
+// reaches planParallelThreshold. With retain the plan keeps every cost
+// row for Lookup and Resolve; without, each cost row is dropped as soon
+// as the row before it is filled and only the choice rows survive —
+// enough for Lookup(n, 0).
 func solveRows(tc *tabCache, procs []Processor, n, workers int, retain bool) (*Plan, error) {
 	if err := validateDPInput(procs, n); err != nil {
 		return nil, err
@@ -104,21 +83,20 @@ func solveRows(tc *tabCache, procs []Processor, n, workers int, retain bool) (*P
 		rows:  make([]planRow, p),
 	}
 	// Base row: the last processor takes everything that remains.
-	comm, comp, done := tc.tables(procs[p-1], pl.fps[p-1], n)
+	comm, comp := tc.tables(procs[p-1], pl.fps[p-1], n)
 	base := newPlanRow(n)
 	for d := 0; d <= n; d++ {
 		base.cost[d] = comm[d] + comp[d]
 		base.choice[d] = int32(d)
 	}
 	pl.rows[p-1] = base
-	done()
 	pl.fillRows(tc, p-1, workers, retain)
 	return pl, nil
 }
 
 // fillRows computes rows top-1 down to 0 at width pl.n from the
-// filled row top. Without retain, each consumed cost row goes back to
-// the buffer pool.
+// filled row top. Without retain, each consumed cost row becomes the
+// buffer of the row after next, so only two cost rows are ever live.
 func (pl *Plan) fillRows(tc *tabCache, top, workers int, retain bool) {
 	if top == 0 {
 		return
@@ -128,15 +106,18 @@ func (pl *Plan) fillRows(tc *tabCache, top, workers int, retain bool) {
 		rp = newRowPool(workers)
 		defer rp.close()
 	}
+	var spare []float64 // without retain: the last consumed cost row
 	for i := top - 1; i >= 0; i-- {
-		comm, comp, done := tc.tables(pl.procs[i], pl.fps[i], pl.n)
-		row, next := newPlanRow(pl.n), pl.rows[i+1].cost
+		comm, comp := tc.tables(pl.procs[i], pl.fps[i], pl.n)
+		row := planRow{cost: spare, choice: make([]int32, pl.n+1)}
+		if row.cost == nil {
+			row.cost = make([]float64, pl.n+1)
+		}
+		next := pl.rows[i+1].cost
 		rp.run(pl.n, &exactRow{comm: comm, comp: comp, next: next, cost: row.cost, choice: row.choice})
-		done()
 		pl.rows[i] = row
 		if !retain {
-			putF64(next)
-			pl.rows[i+1].cost = nil
+			spare, pl.rows[i+1].cost = next, nil
 		}
 	}
 }
@@ -172,29 +153,17 @@ func (pl *Plan) Lookup(d, i int) (Result, error) {
 // back to a fresh solve. Either way the distribution is bit-identical
 // to Algorithm2(survivors, remaining).
 func (pl *Plan) Resolve(remaining int, survivors []Processor) (Result, error) {
-	d, err := pl.resolve(nil, remaining, survivors, 0)
+	d, err := pl.resolve(newTabCache(), remaining, survivors, 0)
 	if err != nil {
 		return Result{}, err
 	}
 	return d.Lookup(remaining, 0)
 }
 
-// pinRows marks every row of the plan as lent, so release() will never
-// recycle its buffers. The Engine calls this under its mutex before
-// handing the plan to an unlocked resolve: from then on the resolve may
-// alias the rows without writing the (now redundant) lent bits itself,
-// keeping the unlocked phase free of writes to shared plan state.
-func (pl *Plan) pinRows() {
-	for i := range pl.rows {
-		pl.rows[i].pin()
-	}
-}
-
 // resolve is Resolve returning the derived plan, so the Engine can
-// retain it for future warm starts. tc optionally caches cost tables
-// across solves. The plan's rows must not be mutated here beyond the
-// pin protocol: when the caller pre-pinned the plan (Engine path), the
-// whole body is read-only with respect to pl.
+// retain it for future warm starts. tc caches cost tables across
+// solves. The body only reads pl: the Engine runs it without its
+// mutex, concurrently with other resolves from the same plan.
 func (pl *Plan) resolve(tc *tabCache, remaining int, survivors []Processor, workers int) (*Plan, error) {
 	if err := validateDPInput(survivors, remaining); err != nil {
 		return nil, err
@@ -218,13 +187,8 @@ func (pl *Plan) resolve(tc *tabCache, remaining int, survivors []Processor, work
 		fps:   sfps,
 		rows:  make([]planRow, m),
 	}
-	// Borrow the valid suffix rows verbatim; pin them so the owner
-	// never recycles them under us.
-	for j := 0; j < t; j++ {
-		src := &pl.rows[p-t+j]
-		src.pin()
-		d.rows[m-t+j] = planRow{cost: src.cost, choice: src.choice}
-	}
+	// Share the valid suffix rows verbatim.
+	copy(d.rows[m-t:], pl.rows[p-t:])
 	if t == m {
 		// Pure suffix: every row survives at full width. The derived
 		// plan inherits the whole warm-start range.
@@ -236,35 +200,6 @@ func (pl *Plan) resolve(tc *tabCache, remaining int, survivors []Processor, work
 	d.n = remaining
 	d.fillRows(tc, m-t, workers, true)
 	return d, nil
-}
-
-// release returns the plan's owned, never-lent row buffers to the pool.
-// Called by the PlanCache on eviction; the plan must not be used after.
-// A plan pinned by an in-flight engine resolve is only marked: its
-// buffers are freed by the last unpin instead, so the resolve never
-// reads recycled memory.
-func (pl *Plan) release() {
-	//scatterlint:ignore lockguard the engine evicts under its mutex; engine-less caches never pin, so refs and zombie stay zero on the unlocked path
-	if pl.refs > 0 {
-		pl.zombie = true
-		return
-	}
-	pl.freeRows()
-}
-
-// freeRows recycles the owned, never-lent row buffers and nils every
-// row. Callers must guarantee no reader is left (release, or the last
-// engine unpin of a zombie).
-func (pl *Plan) freeRows() {
-	for i := range pl.rows {
-		r := &pl.rows[i]
-		//scatterlint:ignore lockguard callers guarantee no reader is left: eviction under the engine mutex, or the last unpin of a zombie
-		if r.owned && !r.lent {
-			putF64(r.cost)
-			putI32(r.choice)
-		}
-		r.cost, r.choice = nil, nil
-	}
 }
 
 // fingerprints computes the per-processor cost fingerprint used for
@@ -282,56 +217,16 @@ func fingerprints(procs []Processor) []string {
 	return fps
 }
 
-// newPlanRow takes a row's buffers from the pools.
+// newPlanRow allocates a row covering shares [0, n].
 func newPlanRow(n int) planRow {
-	return planRow{cost: getF64(n + 1), choice: getI32(n + 1), owned: true}
-}
-
-// Buffer pools for the O(p·n) row and table scratch, so steady-state
-// re-solves allocate ~nothing.
-var (
-	f64Pool = sync.Pool{}
-	i32Pool = sync.Pool{}
-)
-
-// getF64 returns a slice of length n whose entries are NOT zeroed;
-// every caller overwrites the full range it reads.
-func getF64(n int) []float64 {
-	if v := f64Pool.Get(); v != nil {
-		if s := v.([]float64); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func putF64(s []float64) {
-	if cap(s) > 0 {
-		f64Pool.Put(s[:0])
-	}
-}
-
-func getI32(n int) []int32 {
-	if v := i32Pool.Get(); v != nil {
-		if s := v.([]int32); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]int32, n)
-}
-
-func putI32(s []int32) {
-	if cap(s) > 0 {
-		i32Pool.Put(s[:0])
-	}
+	return planRow{cost: make([]float64, n+1), choice: make([]int32, n+1)}
 }
 
 // tabCache memoizes the comm/comp cost tables per fingerprint, so
-// repeated solves on the same platform skip re-tabulation entirely. A
-// nil *tabCache (the zero engine-less path) degrades to pooled scratch
-// tables filled per call. Safe for concurrent use: published tables
-// are immutable, and the mutex guards only map access — concurrent
-// solves of distinct platforms tabulate in parallel.
+// repeated solves on the same platform skip re-tabulation entirely.
+// Safe for concurrent use: published tables are immutable, and the
+// mutex guards only map access — concurrent solves of distinct
+// platforms tabulate in parallel.
 type tabCache struct {
 	mu   sync.Mutex
 	tabs map[string][]float64 //scatterlint:guardedby mu — values are immutable once published
@@ -341,19 +236,18 @@ func newTabCache() *tabCache {
 	return &tabCache{tabs: make(map[string][]float64)}
 }
 
-// tables returns comm and comp tables covering [0, n] for pr. The done
-// function must be called when the caller is finished with the slices;
-// it recycles pooled scratch (cached tables are retained and done is a
-// no-op for them).
-func (tc *tabCache) tables(pr Processor, fp string, n int) (comm, comp []float64, done func()) {
-	if tc == nil || fp == "" {
-		comm, comp = getF64(n+1), getF64(n+1)
+// tables returns comm and comp tables covering [0, n] for pr. Opaque
+// functions (fp == "") cannot be keyed, so they are tabulated afresh
+// on every call.
+func (tc *tabCache) tables(pr Processor, fp string, n int) (comm, comp []float64) {
+	if fp == "" {
+		comm, comp = make([]float64, n+1), make([]float64, n+1)
 		tabulate(pr, n, comm, comp)
-		return comm, comp, func() { putF64(comm); putF64(comp) }
+		return comm, comp
 	}
 	comm = tc.table(pr.Comm, "m|"+fp, n)
 	comp = tc.table(pr.Comp, "p|"+fp, n)
-	return comm, comp, func() {}
+	return comm, comp
 }
 
 func (tc *tabCache) table(f cost.Function, key string, n int) []float64 {

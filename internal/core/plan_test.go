@@ -98,21 +98,18 @@ func TestPlanResolvePureSuffix(t *testing.T) {
 				remaining, got.Distribution, got.Makespan, want.Distribution, want.Makespan)
 		}
 	}
-	d, err := pl.resolve(nil, n, survivors, 0)
+	d, err := pl.resolve(newTabCache(), n, survivors, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.n != n {
 		t.Fatalf("pure-suffix derived plan width = %d, want %d", d.n, n)
 	}
+	// Zero rows recomputed: every derived row is the source row itself.
 	for j := range d.rows {
-		if d.rows[j].owned {
-			t.Fatalf("pure-suffix derived row %d owned, want borrowed", j)
-		}
-	}
-	for j := 1; j < len(pl.rows); j++ {
-		if !pl.rows[j].lent {
-			t.Fatalf("source row %d not marked lent", j)
+		src := pl.rows[j+1]
+		if &d.rows[j].cost[0] != &src.cost[0] || &d.rows[j].choice[0] != &src.choice[0] {
+			t.Fatalf("pure-suffix derived row %d does not share source row %d", j, j+1)
 		}
 	}
 }
@@ -278,7 +275,7 @@ func TestEngineSolveMatrix(t *testing.T) {
 }
 
 // TestPlanCacheLRU checks capacity bounding, recency order and that
-// lent rows survive their owner's eviction.
+// rows shared with a derived plan survive their owner's eviction.
 func TestPlanCacheLRU(t *testing.T) {
 	c := NewPlanCache(2)
 	procs := planTestProcs()
@@ -305,12 +302,12 @@ func TestPlanCacheLRU(t *testing.T) {
 	if c.Get("a") != a || c.Get("c") == nil {
 		t.Fatal("wrong survivors after eviction")
 	}
-	// Evicting the owner of lent rows must not recycle them.
-	d, err := a.resolve(nil, 10, procs[1:], 0)
+	// Evicting the owner of shared rows must leave them intact.
+	d, err := a.resolve(newTabCache(), 10, procs[1:], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put("d", d) // evicts "a"; its release must skip the lent rows
+	c.Put("d", d) // evicts "a"
 	c.Put("e", mk(8))
 	if c.Get("a") != nil {
 		t.Fatal("a still cached")

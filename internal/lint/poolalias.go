@@ -6,17 +6,19 @@ import (
 	"strings"
 )
 
-// PoolAlias enforces PR 4's lent-row rule on sync.Pool-backed buffers:
-// a pooled row buffer (core.Engine's plan rows, or anything drawn from
-// a sync.Pool) must not escape the function that holds it — by
-// return, channel send, or closure capture — unless the escape is one
-// of the sanctioned ownership transfers: a direct accessor wrapping
-// Pool.Get, a return paired with a recycle closure (the lend-return
-// idiom of tabCache.tables), a closure that only recycles, or a
-// composite literal taking ownership (owned: true). Aliasing a row's
-// buffers into a non-owning row additionally requires pinning the
-// source (src.lent = true) first, so the owner's release() skips the
-// shared memory instead of recycling it out from under the alias.
+// PoolAlias enforces the lent-row rule on sync.Pool-backed buffers:
+// a pooled row buffer (anything drawn from a sync.Pool) must not
+// escape the function that holds it — by return, channel send, or
+// closure capture — unless the escape is one of the sanctioned
+// ownership transfers: a direct accessor wrapping Pool.Get, a return
+// paired with a recycle closure (the lend-return idiom), a closure
+// that only recycles, or a composite literal taking ownership
+// (owned: true). Aliasing a row's buffers into a non-owning row
+// additionally requires pinning the source (src.lent = true) first, so
+// the owner's release() skips the shared memory instead of recycling
+// it out from under the alias. No production package pools rows (the
+// core DP rows are GC-owned), so testdata/poolalias is its only
+// subject in this module.
 var PoolAlias = &Analyzer{
 	Name: "poolalias",
 	Doc: "sync.Pool-backed row buffers must not escape via return, channel send " +

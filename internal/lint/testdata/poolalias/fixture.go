@@ -1,18 +1,19 @@
 // Package fixture exercises the poolalias analyzer: sync.Pool-backed
 // row buffers must not escape via return, channel send or closure
 // capture without a sanction — a pin (lent = true), a recycle closure,
-// or an ownership transfer (owned: true). The clean shapes mirror
-// internal/core: getF64 is the direct accessor, newRow the ownership
-// transfer, lendRow the tables lend-return idiom, aliasWithPin the
-// pin-before-alias move of plan resolution.
+// or an ownership transfer (owned: true). The clean shapes are the
+// pooled-row idioms the rule sanctions (no production package pools
+// rows; internal/core's DP rows are GC-owned): getF64 is the direct
+// accessor, newRow the ownership transfer, lendRow the lend-return
+// idiom, aliasWithPin the pin-before-alias move of a suffix share.
 package fixture
 
 import "sync"
 
 var f64Pool = sync.Pool{New: func() any { return make([]float64, 0, 64) }}
 
-// row is shaped like core.planRow: the lent/owned ownership bools plus
-// pooled slice fields.
+// row is a pooled DP row: the lent/owned ownership bools plus pooled
+// slice fields.
 type row struct {
 	cost   []float64
 	choice []int32
