@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -111,7 +112,6 @@ func (s *Server) run(j *job) {
 		j.finish(http.StatusUnprocessableEntity, PlanResponse{}, fmt.Sprintf("solve failed: %v", err))
 		return
 	}
-	s.persist(j, res, info)
 	resp := PlanResponse{
 		Distribution: res.Distribution,
 		Makespan:     res.Makespan,
@@ -126,6 +126,16 @@ func (s *Server) run(j *job) {
 		resp.Bound = info.Bound
 		resp.LowerBound = info.LowerBound
 	}
+	for _, x := range []float64{resp.Makespan, resp.Bound, resp.LowerBound} {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			// Cost constants whose products overflow float64: JSON
+			// cannot carry the plan, and the store refuses it.
+			s.count(func(st *Stats) { st.SolveErrors++ })
+			j.finish(http.StatusUnprocessableEntity, PlanResponse{}, fmt.Sprintf("solve failed: plan costs overflow float64 (makespan %v)", resp.Makespan))
+			return
+		}
+	}
+	s.persist(j, res, info)
 	j.finish(http.StatusOK, resp, "")
 }
 

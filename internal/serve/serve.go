@@ -20,7 +20,9 @@
 //   - Durability: every fingerprintable solve is appended to the
 //     durable plan store (internal/store), and exact (signature,
 //     items) repeats — including after a restart — are answered from
-//     it in O(1) without touching the engine.
+//     it in O(1) without touching the engine. A body whose exact bytes
+//     were already answered from the store is answered from a bounded
+//     memo of encoded responses before it is even parsed (memo.go).
 //   - Graceful drain: Drain stops admission, lets in-flight solves
 //     finish, rejects queued requests cleanly, and only then returns,
 //     so SIGTERM never tears a WAL append or strands a caller.
@@ -32,10 +34,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -187,6 +191,8 @@ type Server struct {
 	drained  chan struct{}
 	wg       sync.WaitGroup
 
+	memo respMemo
+
 	mu           sync.Mutex
 	drainStarted bool  //scatterlint:guardedby mu
 	stats        Stats //scatterlint:guardedby mu
@@ -298,30 +304,50 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	s.count(func(st *Stats) { st.Requests++ })
 
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.badRequest(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
+		s.badRequest(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+		return
+	}
+	if resp, ok := s.memo.get(body); ok {
+		s.storeHit(w, resp)
+		return
+	}
+
 	var req PlanRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.badRequest(w, fmt.Sprintf("bad request body: %v", err))
+		s.badRequest(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return
+	}
+	if dec.Decode(&struct{}{}) != io.EOF {
+		s.badRequest(w, http.StatusBadRequest, "bad request body: data after the request object")
 		return
 	}
 	procs, errmsg := s.admitRequest(req)
 	if errmsg != "" {
-		s.badRequest(w, errmsg)
+		s.badRequest(w, http.StatusBadRequest, errmsg)
 		return
 	}
 
 	sig, _ := core.PlatformSignature(procs)
 	if sig != "" && s.st != nil {
 		if e, ok := s.st.Get(sig, req.Items); ok {
-			s.count(func(st *Stats) { st.StoreHits++; st.Planned++ })
-			writeJSON(w, http.StatusOK, PlanResponse{
+			resp := encodeJSON(PlanResponse{
 				Distribution: e.Dist,
 				Makespan:     e.Makespan,
 				Processors:   procNames(procs),
 				Source:       "store",
 				Signature:    sig,
 			})
+			s.memo.put(body, resp)
+			s.storeHit(w, resp)
 			return
 		}
 	}
@@ -388,19 +414,34 @@ func (s *Server) admitRequest(req PlanRequest) ([]core.Processor, string) {
 	default:
 		return nil, fmt.Sprintf("unknown ordering %q", req.Ordering)
 	}
+	// Cap the processor count before expanding the machines, so that
+	// one huge "cpus" value cannot allocate the processors it names.
+	cpus := 0
+	for _, m := range req.Platform.Machines {
+		if m.CPUs > s.cfg.MaxProcessors-cpus {
+			return nil, fmt.Sprintf("platform exceeds the admission cap of %d processors", s.cfg.MaxProcessors)
+		}
+		cpus += max(m.CPUs, 0)
+	}
 	procs, err := req.Platform.ProcessorsOrdered(policy)
 	if err != nil {
 		return nil, err.Error()
 	}
-	if len(procs) > s.cfg.MaxProcessors {
-		return nil, fmt.Sprintf("%d processors exceed the admission cap %d", len(procs), s.cfg.MaxProcessors)
-	}
 	return procs, ""
 }
 
-func (s *Server) badRequest(w http.ResponseWriter, msg string) {
+// badRequest answers a request the daemon refuses to admit (400, or
+// 413 for an oversized body).
+func (s *Server) badRequest(w http.ResponseWriter, status int, msg string) {
 	s.count(func(st *Stats) { st.BadRequests++ })
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg})
+	writeJSON(w, status, errorResponse{Error: msg})
+}
+
+// storeHit answers a store hit with its encoded response, whether the
+// memo or the store supplied it.
+func (s *Server) storeHit(w http.ResponseWriter, resp []byte) {
+	s.count(func(st *Stats) { st.StoreHits++; st.Planned++ })
+	writeBody(w, http.StatusOK, resp)
 }
 
 func procNames(procs []core.Processor) []string {
@@ -412,10 +453,25 @@ func procNames(procs []core.Processor) []string {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, encodeJSON(v))
+}
+
+// encodeJSON renders v as a response body. Every response, memoised
+// or not, is encoded here.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		// Only a non-finite float fails to encode, and no response
+		// carries one: the store rejects them and run answers 422.
+		panic(fmt.Sprintf("serve: encode response: %v", err))
+	}
+	return buf.Bytes()
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
+	if _, err := w.Write(body); err != nil {
 		// The client is gone or stalled; nothing useful left to do.
 		_ = err
 	}

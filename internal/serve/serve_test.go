@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -184,12 +185,20 @@ func TestServeHealthAndStats(t *testing.T) {
 }
 
 func TestServePlanValidation(t *testing.T) {
-	s := NewServer(Config{MaxItems: 1000})
+	const maxBody = 4096
+	s := NewServer(Config{MaxItems: 1000, MaxBodyBytes: maxBody})
 	defer s.Drain()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
 	good := testPlatform(0)
+	valid := mustBody(t, PlanRequest{Platform: good, Items: 5})
+	// A valid first value under the cap, padded past it with
+	// whitespace: only the body cap can reject it.
+	padded := valid + strings.Repeat(" ", 2*maxBody)
+	// Link costs whose products overflow float64: the plan's makespan
+	// is +Inf, which JSON cannot carry.
+	overflow := `{"platform": {"machines": [{"name": "a", "cpus": 1, "beta": 1e308}, {"name": "b", "cpus": 1, "beta": 1e308, "alpha": 1e308}], "root": "a"}, "items": 10}`
 	cases := []struct {
 		name string
 		body string
@@ -203,6 +212,11 @@ func TestServePlanValidation(t *testing.T) {
 		{"unknown ordering", mustBody(t, PlanRequest{Platform: good, Items: 5, Ordering: "random"}), http.StatusBadRequest},
 		{"no machines", `{"platform": {"name": "x"}, "items": 5}`, http.StatusBadRequest},
 		{"rootless", `{"platform": {"machines": [{"name": "a", "cpus": 1, "beta": 0.01}]}, "items": 5}`, http.StatusBadRequest},
+		{"trailing object", valid + `{"items":7}`, http.StatusBadRequest},
+		{"trailing garbage", valid + ` garbage`, http.StatusBadRequest},
+		{"body over cap", padded, http.StatusRequestEntityTooLarge},
+		{"cpus over cap", `{"platform": {"machines": [{"name": "a", "cpus": 1099511627776, "beta": 0.01}], "root": "a"}, "items": 5}`, http.StatusBadRequest},
+		{"makespan overflows", overflow, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader([]byte(tc.body)))
@@ -224,8 +238,11 @@ func TestServePlanValidation(t *testing.T) {
 		t.Fatalf("GET /v1/plan = %d, want 405", resp.StatusCode)
 	}
 
-	if got := s.Stats().BadRequests; got != int64(len(cases)) {
-		t.Fatalf("BadRequests = %d, want %d", got, len(cases))
+	// Every refused request counts as bad, except the overflow, which
+	// is admitted and fails in the solver.
+	st := s.Stats()
+	if st.BadRequests != int64(len(cases)-1) || st.SolveErrors != 1 {
+		t.Fatalf("BadRequests = %d, SolveErrors = %d, want %d and 1", st.BadRequests, st.SolveErrors, len(cases)-1)
 	}
 }
 
