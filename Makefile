@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race perfbench-test bench bench-fault bench-recovery bench-solver bench-solver-smoke bench-degraded bench-lint bench-serve figures fmt lint lint-vet lint-audit ci-lint check ci
+.PHONY: all build vet test race perfbench-test bench bench-fault bench-recovery bench-solver bench-solver-smoke bench-degraded bench-lint bench-serve figures fmt lint lint-audit ci-lint check ci
 
 all: build
 
@@ -66,10 +66,9 @@ bench-serve:
 	$(GO) run ./cmd/scatterbench -serve BENCH_serve.json
 
 # Regenerate BENCH_lint.json (scatterlint runtime over this module:
-# loader, the four syntactic analyzers, the three dataflow analyzers,
-# the three SSA analyzers, the four lock-set analyzers, the generated
-# synthetic fixture, and the incremental cache cold vs. warm after a
-# one-package edit).
+# the loader, each analyzer on its own, the full suite, and the full
+# suite over the generated synthetic fixture, with the host's
+# GOMAXPROCS and Go version).
 bench-lint:
 	$(GO) test -run '^$$' -bench BenchmarkLint -benchtime 1x .
 
@@ -91,10 +90,7 @@ bin/scatterlint: $(wildcard cmd/scatterlint/*.go internal/lint/*.go)
 	$(GO) build -o $@ ./cmd/scatterlint
 
 # Run the domain-invariant analyzers (internal/lint) over the whole
-# module, test files included, through the incremental content-hashed
-# cache under bin/lintcache: a warm run after touching one package
-# re-analyzes only that package and its reverse dependencies.
-# Suppress a finding with
+# module, test files included. Suppress a finding with
 #   //scatterlint:ignore <analyzer> <reason>
 lint: bin/scatterlint
 	./bin/scatterlint ./...
@@ -103,24 +99,18 @@ lint: bin/scatterlint
 		echo "fixture generators need gofmt:"; echo "$$out"; exit 1; \
 	fi
 
-# The same suite through the standard vet driver (the unitchecker
-# protocol go vet speaks); slower, kept for parity debugging.
-lint-vet: bin/scatterlint
-	$(GO) vet -vettool=$(CURDIR)/bin/scatterlint ./...
-
 # Stale-suppression gate: fail if any //scatterlint:ignore directive
 # suppresses nothing or names an unknown analyzer — e.g. a rule moved
 # to another analyzer while a directive still names the old one.
 lint-audit: bin/scatterlint
 	./bin/scatterlint -ignoreaudit ./...
 
-# Cache-coherence gate: run scatterlint twice from an empty cache —
-# cold, then fully warm — and fail if the findings differ by a byte.
+# Determinism gate: run scatterlint twice from scratch and fail if the
+# two findings streams differ by a byte.
 ci-lint: bin/scatterlint
-	rm -rf bin/lintcache
-	./bin/scatterlint -json ./... > bin/lint-cold.json
-	./bin/scatterlint -json ./... > bin/lint-warm.json
-	cmp bin/lint-cold.json bin/lint-warm.json
+	./bin/scatterlint -json ./... > bin/lint-run1.json
+	./bin/scatterlint -json ./... > bin/lint-run2.json
+	cmp bin/lint-run1.json bin/lint-run2.json
 
 # Umbrella gate: everything CI enforces, in one target.
 check: build vet lint lint-audit race

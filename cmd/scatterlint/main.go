@@ -1,24 +1,21 @@
 // Scatterlint runs this repository's domain-invariant analyzers
-// (internal/lint) over Go packages. It works in two modes:
+// (internal/lint) over Go packages:
 //
-//   - as a vet tool, speaking the unitchecker protocol:
-//     go vet -vettool=$(pwd)/bin/scatterlint ./...
-//   - standalone, loading packages itself via `go list -export`:
-//     scatterlint ./...
+//	scatterlint [flags] [packages]  # defaults to ./...
 //
-// Standalone mode covers test files (like go vet) and adds machine
-// output: -json (findings array), -sarif (SARIF 2.1.0 for
-// code-scanning upload), -baseline/-writebaseline (accepted-findings
-// file), and -ignoreaudit (report stale //scatterlint:ignore
-// directives that no longer suppress anything).
+// It loads the packages with their test files (like go vet), runs the
+// whole suite once and prints the surviving findings as text on
+// stderr, or on stdout as -json (a findings array) or -sarif (SARIF
+// 2.1.0 for code-scanning upload). -ignoreaudit reports stale
+// //scatterlint:ignore directives, ones that no longer suppress
+// anything or that name an unknown analyzer, instead of findings.
 //
-// Both modes honor //scatterlint:ignore <analyzer> <reason> directives
-// and exit nonzero when findings remain.
+// Findings covered by a //scatterlint:ignore <analyzer> <reason>
+// directive are dropped. The exit code is 0 when clean, 1 when
+// findings (or stale directives) remain.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -33,34 +30,23 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("scatterlint: ")
 
-	jsonOut := flag.Bool("json", false, "emit JSON output")
-	sarifOut := flag.Bool("sarif", false, "emit SARIF 2.1.0 to stdout (standalone mode)")
-	baseline := flag.String("baseline", "", "drop findings accepted by this baseline file (standalone mode)")
-	writeBaseline := flag.String("writebaseline", "", "write current findings to this baseline file and exit (standalone mode)")
-	ignoreAudit := flag.Bool("ignoreaudit", false, "report stale scatterlint:ignore directives instead of findings (standalone mode)")
-	tests := flag.Bool("tests", true, "include _test.go files in standalone mode (matches go vet coverage)")
-	cacheDir := flag.String("cachedir", "bin/lintcache", "directory for the incremental analysis cache (standalone mode)")
-	noCache := flag.Bool("nocache", false, "disable the incremental analysis cache (standalone mode)")
-	printflags := flag.Bool("flags", false, "print analyzer flags in JSON (for go vet)")
-	flag.Int("c", -1, "display offending line with this many lines of context (ignored)")
-	flag.Var(versionFlag{}, "V", "print version and exit (for go vet)")
+	var opt options
+	flag.BoolVar(&opt.jsonOut, "json", false, "emit the findings as a JSON array on stdout")
+	flag.BoolVar(&opt.sarifOut, "sarif", false, "emit SARIF 2.1.0 on stdout")
+	flag.BoolVar(&opt.ignoreAudit, "ignoreaudit", false, "report stale scatterlint:ignore directives instead of findings")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `scatterlint enforces the simulator's MPI and cost-model invariants.
 
 Usage:
-  scatterlint [flags] [packages]  # standalone, defaults to ./...
-  go vet -vettool=scatterlint ... # as a vet tool
+  scatterlint [flags] [packages]  # defaults to ./...
   scatterlint help                # list analyzers
 
+Flags:
 `)
+		flag.PrintDefaults()
 		os.Exit(2)
 	}
 	flag.Parse()
-
-	if *printflags {
-		printFlagDefs()
-		return
-	}
 
 	args := flag.Args()
 	if len(args) == 1 && args[0] == "help" {
@@ -70,159 +56,68 @@ Usage:
 		return
 	}
 
-	// go vet invokes the tool with a single JSON config file argument.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		code, err := lint.RunUnit(args[0], lint.All(), *jsonOut, os.Stdout, os.Stderr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Exit(code)
-	}
-
-	os.Exit(standalone(args, options{
-		jsonOut:       *jsonOut,
-		sarifOut:      *sarifOut,
-		baseline:      *baseline,
-		writeBaseline: *writeBaseline,
-		ignoreAudit:   *ignoreAudit,
-		tests:         *tests,
-		cacheDir:      *cacheDir,
-		noCache:       *noCache,
-	}))
-}
-
-type options struct {
-	jsonOut       bool
-	sarifOut      bool
-	baseline      string
-	writeBaseline string
-	ignoreAudit   bool
-	tests         bool
-	cacheDir      string
-	noCache       bool
-}
-
-// standalone loads the requested packages (./... by default) and runs
-// the suite. Exit code 0 means clean, 1 means findings (or stale
-// directives under -ignoreaudit).
-func standalone(patterns []string, opt options) int {
-	loader := lint.NewLoader(".")
-	loader.IncludeTests = opt.tests
-	var cache *lint.Cache
-	if !opt.noCache && opt.cacheDir != "" {
-		cache = &lint.Cache{Dir: opt.cacheDir}
-	}
-	findings, audits, _, err := lint.RunCachedAnalysis(loader, cache, lint.All(), patterns...)
+	code, err := standalone(os.Stdout, os.Stderr, args, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
+	os.Exit(code)
+}
 
-	var staleLines []string
-	for _, a := range audits {
-		switch {
-		case len(a.Unknown) > 0:
-			staleLines = append(staleLines, fmt.Sprintf(
-				"%s:%d:%d: directive names unknown analyzer(s) %s: fix the name or delete the directive",
-				a.File, a.Line, a.Col, strings.Join(a.Unknown, ", ")))
-		case !a.Used:
-			staleLines = append(staleLines, fmt.Sprintf(
-				"%s:%d:%d: stale scatterlint:ignore [%s] (%q): it suppresses nothing; delete it",
-				a.File, a.Line, a.Col, strings.Join(a.Analyzers, ","), a.Reason))
-		}
+type options struct {
+	jsonOut     bool
+	sarifOut    bool
+	ignoreAudit bool
+}
+
+// standalone loads the requested packages (./... by default), test
+// files included, and runs the suite. It returns the exit code: 0
+// means clean, 1 means findings (or stale directives under
+// -ignoreaudit).
+func standalone(stdout, stderr io.Writer, patterns []string, opt options) (int, error) {
+	loader := lint.NewLoader(".")
+	loader.IncludeTests = true
+	findings, audits, err := lint.Run(loader, lint.All(), patterns...)
+	if err != nil {
+		return 0, err
 	}
 
 	if opt.ignoreAudit {
-		for _, line := range staleLines {
-			fmt.Fprintln(os.Stderr, line)
+		stale := 0
+		for _, a := range audits {
+			switch {
+			case len(a.Unknown) > 0:
+				fmt.Fprintf(stderr, "%s:%d:%d: directive names unknown analyzer(s) %s: fix the name or delete the directive\n",
+					a.File, a.Line, a.Col, strings.Join(a.Unknown, ", "))
+			case !a.Used:
+				fmt.Fprintf(stderr, "%s:%d:%d: stale scatterlint:ignore [%s] (%q): it suppresses nothing; delete it\n",
+					a.File, a.Line, a.Col, strings.Join(a.Analyzers, ","), a.Reason)
+			default:
+				continue
+			}
+			stale++
 		}
-		if len(staleLines) > 0 {
-			return 1
+		if stale > 0 {
+			return 1, nil
 		}
-		fmt.Fprintln(os.Stderr, "scatterlint: all ignore directives suppress at least one finding")
-		return 0
-	}
-
-	if opt.writeBaseline != "" {
-		if err := lint.WriteBaselineFile(opt.writeBaseline, findings); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "scatterlint: wrote %d finding(s) to %s\n", len(findings), opt.writeBaseline)
-		return 0
-	}
-	if opt.baseline != "" {
-		b, err := lint.LoadBaseline(opt.baseline)
-		if err != nil {
-			log.Fatal(err)
-		}
-		findings = b.Filter(findings)
+		fmt.Fprintln(stderr, "scatterlint: all ignore directives suppress at least one finding")
+		return 0, nil
 	}
 
 	switch {
 	case opt.sarifOut:
-		if err := lint.WriteSARIF(os.Stdout, lint.All(), findings); err != nil {
-			log.Fatal(err)
-		}
+		err = lint.WriteSARIF(stdout, lint.All(), findings)
 	case opt.jsonOut:
-		if err := lint.WriteJSON(os.Stdout, findings); err != nil {
-			log.Fatal(err)
-		}
+		err = lint.WriteJSON(stdout, findings)
 	default:
 		for _, f := range findings {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
+			fmt.Fprintf(stderr, "%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
 		}
 	}
+	if err != nil {
+		return 0, err
+	}
 	if len(findings) > 0 {
-		return 1
+		return 1, nil
 	}
-	return 0
-}
-
-// printFlagDefs describes the supported flags to go vet, which queries
-// them with `scatterlint -flags` before deciding what it may pass.
-func printFlagDefs() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var defs []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		defs = append(defs, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(defs, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(data)
-}
-
-// versionFlag implements the -V=full protocol go vet uses to fold the
-// tool's identity into its build cache key: the output must be
-// "<name> version devel ... buildID=<hash>".
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) Get() any         { return nil }
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		log.Fatalf("unsupported flag value: -V=%s (use -V=full)", s)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", exe, string(h.Sum(nil)))
-	os.Exit(0)
-	return nil
+	return 0, nil
 }

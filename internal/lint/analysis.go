@@ -9,8 +9,7 @@
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built on the standard library
 // alone, so the repository stays dependency-free. cmd/scatterlint
-// drives it either standalone (loading packages via `go list -export`)
-// or as a `go vet -vettool=` plugin speaking the vet.cfg protocol.
+// drives it through Run, which loads packages via `go list -export`.
 package lint
 
 import (

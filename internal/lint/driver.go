@@ -191,6 +191,53 @@ type DirectiveAudit struct {
 	Unknown []string
 }
 
+// An AuditRecord is a DirectiveAudit with its position resolved to
+// file/line/column, so it outlives the FileSet that produced it.
+type AuditRecord struct {
+	File      string
+	Line      int
+	Col       int
+	Analyzers []string
+	Reason    string
+	Used      bool
+	Unknown   []string
+}
+
+// Run loads the packages matching the patterns (./... by default) and
+// applies the analyzers to each unit in import-path order. It returns
+// the surviving findings and an audit record for every
+// scatterlint:ignore directive, both with resolved positions.
+func Run(l *Loader, analyzers []*Analyzer, patterns ...string) ([]Finding, []AuditRecord, error) {
+	pkgs, err := l.Load(patterns...)
+	if err != nil {
+		return nil, nil, err
+	}
+	var findings []Finding
+	var audits []AuditRecord
+	for _, pkg := range pkgs {
+		diags, dirAudits, err := RunAnalyzersAudit(pkg, analyzers)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, d := range diags {
+			findings = append(findings, NewFinding(pkg.Fset, d))
+		}
+		for _, a := range dirAudits {
+			pos := pkg.Fset.Position(a.Pos)
+			audits = append(audits, AuditRecord{
+				File:      relToWd(pos.Filename),
+				Line:      pos.Line,
+				Col:       pos.Column,
+				Analyzers: a.Analyzers,
+				Reason:    a.Reason,
+				Used:      a.Used,
+				Unknown:   a.Unknown,
+			})
+		}
+	}
+	return findings, audits, nil
+}
+
 // RunAnalyzers applies the analyzers to one loaded package and returns
 // the surviving diagnostics, sorted by position. Findings covered by a
 // scatterlint:ignore directive are dropped.

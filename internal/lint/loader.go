@@ -40,9 +40,6 @@ type listedPackage struct {
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Imports      []string
-	TestImports  []string
-	XTestImports []string
 	Module       *struct{ Path string }
 	Standard     bool
 	DepOnly      bool
@@ -60,8 +57,9 @@ type Loader struct {
 	// IncludeTests makes Load type-check _test.go files too: in-package
 	// test files join their package's unit, external test packages
 	// (package foo_test) load as separate units suffixed " [xtest]".
-	// This matches `go vet` coverage, which standalone runs and the
-	// suppression audit need — most ignore directives live in tests.
+	// This matches `go vet` coverage, which cmd/scatterlint always
+	// asks for: most ignore directives live in tests, so the
+	// suppression audit needs them loaded.
 	IncludeTests bool
 
 	// exports maps package path -> export data file, for every
@@ -92,27 +90,9 @@ func NewLoader(dir string) *Loader {
 // returns the decoded package records, recording export data for every
 // package seen (dependencies included).
 func (l *Loader) goList(patterns ...string) ([]*listedPackage, error) {
-	return l.listPackages(true, true, patterns...)
-}
-
-// listPackages is goList with export data and dependency traversal
-// optional: the cache keys units from a listing without -export (which
-// never compiles anything, so a fully-warm run pays no build cost) and
-// usually without -deps (standard-library records contribute nothing
-// to content keys).
-func (l *Loader) listPackages(export, deps bool, patterns ...string) ([]*listedPackage, error) {
-	fields := "ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles," +
-		"Imports,TestImports,XTestImports,Module,Standard,DepOnly"
-	args := []string{"list"}
-	if export {
-		args = append(args, "-export")
-		fields = "Export," + fields
-	}
-	if deps {
-		args = append(args, "-deps")
-	}
-	args = append(args, "-json="+fields)
-	args = append(args, patterns...)
+	args := append([]string{"list", "-export", "-deps",
+		"-json=Export,ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Module,Standard,DepOnly"},
+		patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.Dir
 	var stderr bytes.Buffer

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"encoding/json"
-	"fmt"
 	"go/token"
 	"io"
 	"os"
@@ -11,11 +10,7 @@ import (
 )
 
 // This file renders findings for machines: a flat JSON findings array
-// (-json), SARIF 2.1.0 (-sarif) for code-scanning UIs, and a baseline
-// file (-baseline / -writebaseline) that lets a tree adopt a new
-// analyzer before paying down its existing findings. Baseline entries
-// match on (file, analyzer, message) — deliberately not on line
-// numbers, so unrelated edits above a finding do not churn the file.
+// (-json) and SARIF 2.1.0 (-sarif) for code-scanning UIs.
 
 // A Finding is one diagnostic with its position resolved.
 type Finding struct {
@@ -27,8 +22,8 @@ type Finding struct {
 }
 
 // NewFinding resolves a diagnostic against its file set, with the file
-// path made repository-relative when possible (SARIF viewers and
-// baselines want stable paths).
+// path made repository-relative when possible (SARIF viewers want
+// stable paths).
 func NewFinding(fset *token.FileSet, d Diagnostic) Finding {
 	pos := fset.Position(d.Pos)
 	return Finding{
@@ -156,62 +151,4 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "\t")
 	return enc.Encode(log)
-}
-
-// A Baseline is a set of accepted findings. Filtering consumes entries
-// as a multiset: two identical accepted findings excuse exactly two
-// occurrences, so fixing one surfaces nothing but adding a third fails.
-type Baseline struct {
-	Findings []BaselineEntry `json:"findings"`
-}
-
-// A BaselineEntry identifies one accepted finding, line-agnostically.
-type BaselineEntry struct {
-	File     string `json:"file"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// LoadBaseline reads a baseline file written by WriteBaselineFile.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("lint: reading baseline: %v", err)
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("lint: parsing baseline %s: %v", path, err)
-	}
-	return &b, nil
-}
-
-// Filter returns the findings not excused by the baseline.
-func (b *Baseline) Filter(findings []Finding) []Finding {
-	budget := make(map[BaselineEntry]int)
-	for _, e := range b.Findings {
-		budget[e]++
-	}
-	var out []Finding
-	for _, f := range findings {
-		key := BaselineEntry{File: f.File, Analyzer: f.Analyzer, Message: f.Message}
-		if budget[key] > 0 {
-			budget[key]--
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// WriteBaselineFile records the findings as the new accepted baseline.
-func WriteBaselineFile(path string, findings []Finding) error {
-	b := Baseline{Findings: []BaselineEntry{}}
-	for _, f := range findings {
-		b.Findings = append(b.Findings, BaselineEntry{File: f.File, Analyzer: f.Analyzer, Message: f.Message})
-	}
-	data, err := json.MarshalIndent(&b, "", "\t")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

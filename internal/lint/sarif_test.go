@@ -3,7 +3,6 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"testing"
 )
 
@@ -60,7 +59,7 @@ func TestWriteSARIF(t *testing.T) {
 		t.Errorf("got %d rules, want %d", len(run.Tool.Driver.Rules), want)
 	}
 	// The lock-set analyzers must be first-class rules so their
-	// findings and suppressions survive the SARIF/baseline pipelines.
+	// findings and suppressions survive the SARIF pipeline.
 	ids := make(map[string]bool)
 	for _, r := range run.Tool.Driver.Rules {
 		ids[r.ID] = true
@@ -94,74 +93,5 @@ func TestWriteJSONEmpty(t *testing.T) {
 	}
 	if out == nil {
 		t.Error("expected [] not null for an empty findings set")
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	accepted := []Finding{
-		{File: "x.go", Line: 1, Analyzer: "detorder", Message: "m1"},
-		{File: "x.go", Line: 9, Analyzer: "detorder", Message: "m1"},
-	}
-	if err := WriteBaselineFile(path, accepted); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Matching is line-agnostic: the same findings on shifted lines
-	// stay excused.
-	shifted := []Finding{
-		{File: "x.go", Line: 4, Analyzer: "detorder", Message: "m1"},
-		{File: "x.go", Line: 40, Analyzer: "detorder", Message: "m1"},
-	}
-	if got := b.Filter(shifted); len(got) != 0 {
-		t.Errorf("baselined findings survived the filter: %v", got)
-	}
-
-	// The baseline is a multiset: a third identical occurrence exceeds
-	// the budget of two.
-	extra := append(shifted, Finding{File: "x.go", Line: 80, Analyzer: "detorder", Message: "m1"})
-	if got := b.Filter(extra); len(got) != 1 {
-		t.Errorf("the third identical finding must surface, got %v", got)
-	}
-
-	// Unrelated findings pass through untouched.
-	other := []Finding{{File: "y.go", Line: 2, Analyzer: "poolalias", Message: "m2"}}
-	if got := b.Filter(other); len(got) != 1 {
-		t.Errorf("unbaselined finding was dropped: %v", got)
-	}
-}
-
-func TestBaselineRoundTripLockSet(t *testing.T) {
-	// The lock-set analyzer names round-trip through the baseline file
-	// and matching stays analyzer-keyed: an accepted lockguard finding
-	// never excuses the same message from lockorder or unlockpath.
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	accepted := []Finding{
-		{File: "engine.go", Line: 10, Analyzer: "lockguard", Message: "read of stats without (core.Engine).mu held"},
-		{File: "plan.go", Line: 20, Analyzer: "unlockpath", Message: "return with tc.mu held"},
-	}
-	if err := WriteBaselineFile(path, accepted); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shifted := []Finding{
-		{File: "engine.go", Line: 31, Analyzer: "lockguard", Message: "read of stats without (core.Engine).mu held"},
-		{File: "plan.go", Line: 7, Analyzer: "unlockpath", Message: "return with tc.mu held"},
-	}
-	if got := b.Filter(shifted); len(got) != 0 {
-		t.Errorf("baselined lock-set findings survived the filter: %v", got)
-	}
-	crossed := []Finding{
-		{File: "engine.go", Line: 10, Analyzer: "lockorder", Message: "read of stats without (core.Engine).mu held"},
-	}
-	if got := b.Filter(crossed); len(got) != 1 {
-		t.Errorf("a lockorder finding must not match a lockguard baseline entry: %v", got)
 	}
 }
