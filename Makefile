@@ -37,17 +37,15 @@ bench-recovery:
 
 # Regenerate BENCH_solver.json (incremental solver engine vs the
 # from-scratch DP at the paper's full 817,101-item scale: cold solves,
-# the worker-pool scaling curve, coarsen-then-refine with its error
-# band, the certified exact solve, warm crash re-solves, plan-cache
-# hits). Takes a few minutes.
+# the worker-pool scaling curve, the certified exact solve, warm crash
+# re-solves, plan-cache hits). Takes a few minutes.
 bench-solver:
 	$(GO) run ./cmd/scatterbench -solver BENCH_solver.json
 
-# Smoke variant for CI: the same measurement matrix (scaling curve,
-# coarse band checks, bit-identity checks — the certified solve's
-# included, which must certify and match Algorithm 2) at a reduced
-# item count, so
-# a regression in any verified invariant — not the wall-clock numbers —
+# Smoke variant for CI: the same measurement matrix (scaling curve and
+# bit-identity checks — the certified solve's included, which must
+# certify and match Algorithm 2) at a reduced item count, so a
+# regression in any verified invariant — not the wall-clock numbers —
 # fails fast on shared runners. Output is discarded on purpose: only
 # the committed BENCH_solver.json carries published numbers.
 bench-solver-smoke:

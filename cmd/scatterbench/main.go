@@ -12,9 +12,9 @@
 //	scatterbench -solver BENCH_solver.json
 //	                                 # solver benchmark only: write the
 //	                                 # incremental-engine JSON (scaling
-//	                                 # curve + coarse-refine band) and
-//	                                 # exit; -workers, -granularity and
-//	                                 # -items narrow the run
+//	                                 # curve + certified solve) and
+//	                                 # exit; -workers and -items narrow
+//	                                 # the run
 //	scatterbench -degraded BENCH_degraded.json
 //	                                 # degraded-network benchmark only:
 //	                                 # write the exact-vs-diffusion JSON
@@ -49,7 +49,6 @@ func main() {
 		recovery   = flag.String("recovery", "", "run only the recovery benchmark and write its JSON to this file")
 		solver     = flag.String("solver", "", "run only the solver benchmark and write its JSON to this file")
 		workers    = flag.Int("workers", 0, "with -solver: fix the scaling curve to this pool size (0 = sweep 1,2,4,8,GOMAXPROCS)")
-		gran       = flag.Int("granularity", 0, "with -solver: coarse grid step (0 = default)")
 		items      = flag.Int("items", 0, "with -solver: scatter size (0 = the paper's 817,101)")
 		serveBench = flag.String("serve", "", "run only the daemon load benchmark and write its JSON to this file")
 		degraded   = flag.String("degraded", "", "run only the degraded-network benchmark and write its JSON to this file")
@@ -140,11 +139,7 @@ func main() {
 	}
 
 	if *solver != "" {
-		buf, err := experiment.SolverJSON(experiment.SolverOptions{
-			Items:       *items,
-			Workers:     *workers,
-			Granularity: *gran,
-		})
+		buf, err := experiment.SolverJSON(experiment.SolverOptions{Items: *items, Workers: *workers})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scatterbench: solver: %v\n", err)
 			os.Exit(1)

@@ -11,8 +11,9 @@
 //	GET  /healthz   liveness (503 while draining)
 //	GET  /statsz    engine + admission counters
 //
-// The engine solves exactly: every answer is Algorithm 2's bit for
-// bit, so every plan the daemon solves is made durable in the WAL.
+// The engine runs the exact policy, and every engine answer is
+// Algorithm 2's bit for bit, so every fingerprintable plan the daemon
+// solves is made durable in the WAL.
 //
 // On startup the daemon replays the WAL, logging how many plans it
 // recovered and whether a torn tail was truncated; on SIGINT/SIGTERM

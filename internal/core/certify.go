@@ -8,8 +8,8 @@ import (
 	"repro/internal/lp"
 )
 
-// This file implements the certified solve: an exact answer at coarse
-// cost on affine platforms, proven equal to Algorithm 2's bit for bit
+// This file implements the certified solve: an exact answer at the
+// cost of a banded refine on affine platforms, proven equal to Algorithm 2's bit for bit
 // (DESIGN.md §17).
 //
 //  1. Seed. Round the optimum of the paper's Eq. (3) relaxation (§3.3)

@@ -96,34 +96,34 @@ func Algorithm1(procs []Processor, n int) (Result, error) {
 // tabulate fills comm[e] = Tcomm(i,e) and comp[e] = Tcomp(i,e) for
 // e in [0, n].
 func tabulate(pr Processor, n int, comm, comp []float64) {
-	fillCosts(pr.Comm, 0, 1, comm[:n+1])
-	fillCosts(pr.Comp, 0, 1, comp[:n+1])
+	fillCosts(pr.Comm, 0, comm[:n+1])
+	fillCosts(pr.Comp, 0, comp[:n+1])
 }
 
-// fillCosts sets out[k] to f at the share start + k·step, using closed
+// fillCosts sets out[k] to f at the share start + k, using closed
 // forms for the linear and affine cost types and falling back to
 // per-entry evaluation otherwise. Each share's value comes from the
-// same expression whatever the progression, so a window or a grid
-// progression holds exactly the bits of the full [0, n] table.
-func fillCosts(f cost.Function, start, step int, out []float64) {
+// same expression wherever the window starts, so a window holds
+// exactly the bits of the full [0, n] table.
+func fillCosts(f cost.Function, start int, out []float64) {
 	switch cf := f.(type) {
 	case cost.Linear:
 		for k := range out {
 			out[k] = 0
-			if e := start + k*step; e != 0 {
+			if e := start + k; e != 0 {
 				out[k] = cf.PerItem * float64(e)
 			}
 		}
 	case cost.Affine:
 		for k := range out {
 			out[k] = 0
-			if e := start + k*step; e != 0 {
+			if e := start + k; e != 0 {
 				out[k] = cf.Fixed + cf.PerItem*float64(e)
 			}
 		}
 	default:
 		for k := range out {
-			out[k] = f.Eval(start + k*step)
+			out[k] = f.Eval(start + k)
 		}
 	}
 }

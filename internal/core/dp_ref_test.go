@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 // solvers are held to bit for bit: the paper's Algorithm 2 with a
 // binary search in every cell (and its two optimizations switchable,
 // for the ablation), the plain linear-scan specification of one
-// rowRange cell, and the coarse solver as first written — full [0, n]
-// cost tables and unpruned grid and refine scans.
+// rowRange cell, and the certificate's banded refine as first written
+// — full [0, n] cost tables and an unpruned scan.
 
 // referenceCell is the specification of one rowRange cell, written as
 // plainly as possible: find the crossover emax by linear scan, then
@@ -166,148 +167,6 @@ func referenceAlgorithm2(procs []Processor, n int, opts refOptions) (Result, err
 		costCur, costNext = costNext, costCur
 	}
 	return reconstruct(procs, n, choice), nil
-}
-
-// referenceSolveCoarse is the coarse solver as first written: a full
-// [0, n] comm/comp table per processor and row, the unpruned grid and
-// refine scans, and the reference Algorithm 2 as the small-instance
-// fallback. solveCoarse must match it bit for bit. gridOnly returns
-// the grid-optimal distribution without the refinement pass, for tests
-// that price the refinement against it.
-func referenceSolveCoarse(procs []Processor, n, g int, gridOnly bool) (CoarseResult, error) {
-	if g < 1 {
-		return CoarseResult{}, fmt.Errorf("core: granularity %d < 1", g)
-	}
-	if err := validateDPInput(procs, n); err != nil {
-		return CoarseResult{}, err
-	}
-	if g == 1 || n <= 4*g {
-		res, err := referenceAlgorithm2(procs, n, refOptions{})
-		if err != nil {
-			return CoarseResult{}, err
-		}
-		return CoarseResult{Result: res, LowerBound: res.Makespan, Granularity: 1, Exact: true}, nil
-	}
-	p := len(procs)
-	comm := make([]float64, n+1)
-	comp := make([]float64, n+1)
-
-	K := (n + g - 1) / g
-	gr := coarseGrid{g: g, r: n - (K-1)*g, K: K}
-	up := make([]float64, K+1)
-	upNext := make([]float64, K+1)
-	lb := make([]float64, K+1)
-	lbNext := make([]float64, K+1)
-	choice := make([][]int32, p)
-	for i := range choice {
-		choice[i] = make([]int32, K+1)
-	}
-	tabulate(procs[p-1], n, comm, comp)
-	for k := 0; k <= K; k++ {
-		d := gr.sv(k)
-		upNext[k] = comm[d] + comp[d]
-		choice[p-1][k] = int32(k)
-		d = gr.dLo(k)
-		lbNext[k] = comm[d] + comp[d]
-	}
-	for i := p - 2; i >= 0; i-- {
-		tabulate(procs[i], n, comm, comp)
-		referenceGridRow(gr, comm, comp, upNext, lbNext, up, lb, choice[i])
-		up, upNext = upNext, up
-		lb, lbNext = lbNext, lb
-	}
-	lower := lbNext[K]
-
-	dist := make(Distribution, p)
-	k := K
-	for i := 0; i < p; i++ {
-		j := int(choice[i][k])
-		dist[i] = gr.sv(k) - gr.sv(k-j)
-		k -= j
-	}
-	if gridOnly {
-		res := Result{Distribution: dist, Makespan: Makespan(procs, dist)}
-		return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g}, nil
-	}
-
-	w := g
-	lo := make([]int, p)
-	hi := make([]int, p)
-	rem := n
-	for i := 0; i < p; i++ {
-		lo[i], hi[i] = max(0, rem-w), min(n, rem+w)
-		rem -= dist[i]
-	}
-	lo[0], hi[0] = n, n
-	costW := make([][]float64, p)
-	choiceW := make([][]int32, p)
-	for i := range costW {
-		costW[i] = make([]float64, hi[i]-lo[i]+1)
-		choiceW[i] = make([]int32, hi[i]-lo[i]+1)
-	}
-	tabulate(procs[p-1], n, comm, comp)
-	for d := lo[p-1]; d <= hi[p-1]; d++ {
-		costW[p-1][d-lo[p-1]] = comm[d] + comp[d]
-		choiceW[p-1][d-lo[p-1]] = int32(d)
-	}
-	for i := p - 2; i >= 0; i-- {
-		tabulate(procs[i], n, comm, comp)
-		referenceRefineRow(comm, comp, costW[i+1], lo[i+1], costW[i], choiceW[i], lo[i], hi[i])
-	}
-	refined := make(Distribution, p)
-	d := n
-	for i := 0; i < p; i++ {
-		refined[i] = int(choiceW[i][d-lo[i]])
-		d -= refined[i]
-	}
-	if err := refined.Validate(p, n); err != nil {
-		return CoarseResult{}, err
-	}
-	res := Result{Distribution: refined, Makespan: Makespan(procs, refined)}
-	return CoarseResult{Result: res, LowerBound: lower, Band: certifiedBand(res.Makespan, lower), Granularity: g}, nil
-}
-
-// dLo is the smallest remainder in the interval I_k = (s_{k-1}, s_k]
-// that grid state k abstracts in the lower-bound DP.
-func (gr coarseGrid) dLo(k int) int {
-	if k == 0 {
-		return 0
-	}
-	return gr.sv(k-1) + 1
-}
-
-// eLo is the smallest share that consuming j segments out of state k
-// can stand for: (j-1)·g + 1 interior, dLo(k) when it empties the
-// remainder. It never decreases in j.
-func (gr coarseGrid) eLo(k, j int) int {
-	if j == k {
-		return gr.dLo(k)
-	}
-	return (j-1)*gr.g + 1
-}
-
-// referenceGridRow is one grid row without the lower-bound break,
-// reading full tables: every segment count j in [1, k] is evaluated in
-// both grid DPs.
-func referenceGridRow(gr coarseGrid, comm, comp, upNext, lbNext, up, lb []float64, choice []int32) {
-	for k := 0; k <= gr.K; k++ {
-		base := gr.sv(k)
-		bj := 0
-		bm := comm[0] + maxf(comp[0], upNext[k])
-		lm := comm[0] + maxf(comp[0], lbNext[k])
-		for j := 1; j <= k; j++ {
-			e, elo := base-gr.sv(k-j), gr.eLo(k, j)
-			if m := comm[e] + maxf(comp[e], upNext[k-j]); m < bm {
-				bj, bm = j, m
-			}
-			if m := comm[elo] + maxf(comp[elo], lbNext[k-j]); m < lm {
-				lm = m
-			}
-		}
-		up[k] = bm
-		choice[k] = int32(bj)
-		lb[k] = lm
-	}
 }
 
 // referenceRefineRow is one banded row without the lower-bound break,
@@ -564,73 +423,125 @@ func randomTableProcs(rng *rand.Rand, p, n int) []Processor {
 	return procs
 }
 
-func requireSameCoarse(t *testing.T, label string, got, want CoarseResult) {
-	t.Helper()
-	if !equalDist(got.Distribution, want.Distribution) || !sameBits(got.Makespan, want.Makespan) ||
-		!sameBits(got.LowerBound, want.LowerBound) || !sameBits(got.Band, want.Band) ||
-		got.Granularity != want.Granularity || got.Exact != want.Exact {
-		t.Fatalf("%s: solveCoarse %+v != reference %+v", label, got, want)
+// referenceRefineBand is refineBand as first written: the same ±w
+// windows around seed's prefix remainders, but full [0, n] cost tables
+// for every row and the unpruned referenceRefineRow scan.
+func referenceRefineBand(procs []Processor, n int, seed Distribution, w int) band {
+	p := len(procs)
+	b := band{lo: make([]int, p), hi: make([]int, p), strict: true}
+	rem := n
+	for i := range procs {
+		b.lo[i], b.hi[i] = max(0, rem-w), min(n, rem+w)
+		rem -= seed[i]
 	}
+	b.lo[0], b.hi[0] = n, n
+	comm := make([]float64, n+1)
+	comp := make([]float64, n+1)
+	cost := make([][]float64, p)
+	choice := make([][]int32, p)
+	for i := p - 1; i >= 0; i-- {
+		lo, hi := b.lo[i], b.hi[i]
+		cost[i] = make([]float64, hi-lo+1)
+		choice[i] = make([]int32, hi-lo+1)
+		tabulate(procs[i], n, comm, comp)
+		if i == p-1 {
+			for d := lo; d <= hi; d++ {
+				cost[i][d-lo], choice[i][d-lo] = comm[d]+comp[d], int32(d)
+			}
+			continue
+		}
+		// The shares row i reads run from lo - hi_{i+1} to hi - lo_{i+1}.
+		for e := max(0, lo-b.hi[i+1]) + 1; e <= hi-b.lo[i+1]; e++ {
+			if comm[e]+comp[e] <= comm[e-1]+comp[e-1] {
+				b.strict = false
+			}
+		}
+		referenceRefineRow(comm, comp, cost[i+1], b.lo[i+1], cost[i], choice[i], lo, hi)
+	}
+	b.dist = make(Distribution, p)
+	d := n
+	for i := range procs {
+		b.dist[i] = int(choice[i][d-b.lo[i]])
+		d -= b.dist[i]
+	}
+	b.value = cost[0][0]
+	return b
 }
 
-// TestSolveCoarseMatchesUnprunedReference: evaluating costs only at
-// the shares the scans read, and the lower-bound breaks in the grid
-// and refine scans, never change a coarse answer — not the
-// distribution, its makespan, the lower bound or the band. It covers
-// every cost type fillCosts distinguishes (affine with fixed costs,
-// measured tables), g dividing n or not, the exact fallback and p = 1.
-func TestSolveCoarseMatchesUnprunedReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, g := range []int{2, 3, 16, 128, 1024} {
-		for trial := 0; trial < 12; trial++ {
+// refineSeeds returns the seeds TestRefineBandMatchesReference
+// centres its windows on: Algorithm 2's answer, that answer with up to
+// 3w items moved between two processors, a random distribution, and
+// one whose first processor takes nothing, which clips the next
+// window at n.
+func refineSeeds(rng *rand.Rand, opt Distribution, n, w int) []Distribution {
+	p := len(opt)
+	perturbed := append(Distribution(nil), opt...)
+	from, to := rng.Intn(p), rng.Intn(p)
+	k := min(perturbed[from], rng.Intn(3*w+1))
+	perturbed[from] -= k
+	perturbed[to] += k
+	random := make(Distribution, p)
+	cuts := make([]int, p-1)
+	for i := range cuts {
+		cuts[i] = rng.Intn(n + 1)
+	}
+	slices.Sort(cuts)
+	prev := 0
+	for i, c := range cuts {
+		random[i], prev = c-prev, c
+	}
+	random[p-1] = n - prev
+	emptyFirst := make(Distribution, p)
+	emptyFirst[p-1] = n
+	return []Distribution{opt, perturbed, random, emptyFirst}
+}
+
+// TestRefineBandMatchesReference: costing only the shares each window
+// reads, the lower-bound break in refineCell and splitting rows over
+// the row pool never change a banded refine — not the distribution,
+// its DP value, the windows or the strictness bit. It covers every
+// cost type fillCosts distinguishes, tie-heavy dyadic costs, windows
+// from 1 item to wider than one row-pool chunk (2w+1 > minRowChunk),
+// windows clipped at 0 and n, and p = 1.
+func TestRefineBandMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, w := range []int{1, 2, 3, 16, 128} {
+		for trial := 0; trial < 30; trial++ {
 			p := 1 + rng.Intn(6)
-			n := rng.Intn(40*g + 1)
-			switch trial {
-			case 0:
-				n = 4 * g // the largest exact fallback
-			case 1:
-				p, n = 1, 4*g+1+rng.Intn(8*g) // one processor takes everything
-			case 2:
-				n = (5 + rng.Intn(30)) * g // g divides n: no partial segment
-			}
+			n := rng.Intn(40*w + 200)
 			var procs []Processor
-			switch trial % 4 {
+			switch trial % 5 {
 			case 0:
 				procs = randomLinearProcs(rng, p)
 			case 1:
 				procs = randomAffineProcs(rng, p)
 			case 2:
 				procs = randomFloatAffineProcs(rng, p)
+			case 3:
+				procs = randomDyadicProcs(rng, p)
 			default:
 				procs = randomTableProcs(rng, p, n)
 			}
-			got, err := SolveCoarse(procs, n, g)
+			opt, err := Algorithm2(procs, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := referenceSolveCoarse(procs, n, g, false)
-			if err != nil {
-				t.Fatal(err)
+			for s, seed := range refineSeeds(rng, opt.Distribution, n, w) {
+				want := referenceRefineBand(procs, n, seed, w)
+				for _, workers := range []int{1, 2} {
+					label := fmt.Sprintf("w=%d trial=%d p=%d n=%d seed %d workers=%d", w, trial, p, n, s, workers)
+					got, err := refineBand(procs, n, seed, w, workers)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !equalDist(got.dist, want.dist) || !sameBits(got.value, want.value) || got.strict != want.strict ||
+						!slices.Equal(got.lo, want.lo) || !slices.Equal(got.hi, want.hi) {
+						t.Fatalf("%s: refineBand %+v != reference %+v", label, got, want)
+					}
+				}
 			}
-			requireSameCoarse(t, fmt.Sprintf("g=%d trial=%d p=%d n=%d", g, trial, p, n), got, want)
 		}
 	}
-}
-
-// TestSolveCoarseTable1MatchesUnprunedReference pins the coarse solver
-// to the full-table reference at the paper's full 817,101-item scale.
-func TestSolveCoarseTable1MatchesUnprunedReference(t *testing.T) {
-	procs := table1Procs()
-	const n, g = 817101, 1024
-	got, err := SolveCoarse(procs, n, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := referenceSolveCoarse(procs, n, g, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameCoarse(t, "table1", got, want)
 }
 
 // BenchmarkAlg2Ablation isolates the two optimizations that turn

@@ -44,47 +44,30 @@ type EngineStats struct {
 	// identical in-flight solve (same signature and item count) instead
 	// of starting their own DP — the singleflight waiters.
 	Coalesced int
-	// CoarseSolves is the number of solves answered on a coarse
-	// policy's path: Certified of them exactly, the rest by the
-	// coarsen-then-refine solver with a band.
+	// CoarseSolves is the number of solves a coarse policy answered
+	// with the certified solve (SolveCertified): Algorithm 2's answer,
+	// proven without running it.
 	CoarseSolves int
-	// Certified is the number of coarse-path solves answered exactly by
-	// the certified window refine (SolveCertified).
-	Certified int
-	// CertifyFallbacks is the number of coarse-path solves on eligible
-	// (linear or affine) platforms whose certificate failed, so the
-	// grid solver answered instead. Ineligible platforms go straight to
-	// the grid and count in neither.
+	// CertifyFallbacks is the number of solves on a coarse policy's
+	// path whose platform was eligible (linear or affine) but whose
+	// certificate refused, so the exact path answered instead; they
+	// count as cold solves or resolves too. Ineligible platforms take
+	// the exact path without counting here.
 	CertifyFallbacks int
 }
 
-// SolvePolicy selects how an Engine answers solves that miss every
-// cache: exactly, or with the certified solve and, where its
-// certificate refuses, the coarsen-then-refine solver and a
-// machine-checked optimality band.
+// SolvePolicy selects how an Engine answers solves that miss its plan
+// cache. Every policy answers exactly.
 type SolvePolicy int
 
 const (
-	// PolicyExact always runs the exact DP. The zero value, and the
-	// only policy whose plans are retained for warm starts.
+	// PolicyExact always runs the exact DP. The zero value.
 	PolicyExact SolvePolicy = iota
-	// PolicyCoarseRefine answers large cold solves with the certified
-	// solve (SolveCertified), falling back to the coarse DP plus banded
-	// exact refinement (SolveCoarse).
+	// PolicyCoarseRefine first tries the certified solve
+	// (SolveCertified) on solves of at least CoarseMinItems items, and
+	// takes the exact DP where its certificate refuses.
 	PolicyCoarseRefine
 )
-
-// String names the policy for reports and the daemon's JSON.
-func (p SolvePolicy) String() string {
-	switch p {
-	case PolicyExact:
-		return "exact"
-	case PolicyCoarseRefine:
-		return "coarse-refine"
-	default:
-		return "policy(" + strconv.Itoa(int(p)) + ")"
-	}
-}
 
 // SolveSource classifies the path a Solve took through the engine.
 type SolveSource int
@@ -100,8 +83,9 @@ const (
 	// platform (Algorithm 1) or an unfingerprintable cost function
 	// (fresh Algorithm 2).
 	SourceFallback
-	// SourceCoarse is a coarsen-then-refine solve under a coarse
-	// policy, carrying an optimality band instead of exactness.
+	// SourceCoarse is a certified solve under a coarse policy:
+	// Algorithm 2's answer, proven by SolveCertified without running
+	// the DP, and not retained as a plan.
 	SourceCoarse
 )
 
@@ -134,25 +118,12 @@ type SolveInfo struct {
 	// Signature is the canonical platform signature, or "" when the
 	// platform cannot be fingerprinted (opaque or general-class costs).
 	Signature string
-	// Policy is the solve policy that produced the result. Exact
-	// answers report PolicyExact, including those on a coarse policy's
-	// path: certified solves and solves small enough to fall back to
-	// the exact DP.
-	Policy SolvePolicy
-	// Certified reports an exact answer from the certified window
-	// refine on a coarse policy's path: Algorithm 2's answer, proven
-	// without running it (SolveCertified).
-	Certified bool
-	// Granularity is the grid step of a banded coarse solve
-	// (DefaultGranularity); 0 for exact.
-	Granularity int
-	// Bound is the realized optimality band: the makespan exceeds the
-	// optimum by at most Bound. Exact solves report 0.
+	// Bound is the distance to the optimal makespan. Every answer is
+	// exact, so it is always 0.
 	Bound float64
-	// LowerBound is the proven lower bound on the optimal makespan
-	// backing Bound. Exact answers on a coarse policy's path report
-	// the makespan itself, so Bound/LowerBound is 0 there; the other
-	// exact sources report 0.
+	// LowerBound is the proven lower bound on the optimal makespan: a
+	// certified answer (SourceCoarse) reports its makespan, every other
+	// source 0.
 	LowerBound float64
 }
 
@@ -218,16 +189,8 @@ type flight struct {
 // plans covers a whole crash cascade.
 const DefaultPlanCacheCapacity = 8
 
-// DefaultGranularity is the coarse grid step of an engine's banded
-// solves. At the paper's 817k-item scale it puts the
-// coarsen-then-refine solve about an order of magnitude under the
-// exact cold solve while keeping the realized band under ~1% of the
-// makespan.
-const DefaultGranularity = 1024
-
 // DefaultCoarseMinItems is the item count below which coarse policies
-// still solve exactly: under it the exact DP costs about as little as
-// the refinement window itself, so approximating buys nothing.
+// skip the certificate and run the exact DP directly.
 const DefaultCoarseMinItems = 1 << 17
 
 // EngineConfig tunes an Engine beyond the plan-cache capacity.
@@ -238,10 +201,11 @@ type EngineConfig struct {
 	// Workers bounds the DP row pool used by large cold and warm
 	// solves; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Policy selects exact or coarse solving for cache-missing solves.
+	// Policy selects whether cache-missing solves try the certified
+	// solve first.
 	Policy SolvePolicy
 	// CoarseMinItems is the item count under which coarse policies
-	// fall back to the exact DP (DefaultCoarseMinItems when <= 0).
+	// skip the certificate (DefaultCoarseMinItems when <= 0).
 	CoarseMinItems int
 }
 
@@ -294,7 +258,9 @@ func (e *Engine) Solve(procs []Processor, n int) (Result, error) {
 // DP itself runs unlocked, so concurrent solves of distinct signatures
 // proceed in parallel, while callers requesting an identical
 // (signature, item count) pair wait on the in-flight leader and share
-// its result bit-for-bit.
+// its result bit-for-bit. Under a coarse policy a leader of at least
+// CoarseMinItems items tries the certified solve first; a certified
+// answer has no DP rows, so it is not retained.
 func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, error) {
 	fps, sig, ok := signature(procs)
 	if !ok {
@@ -309,9 +275,6 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 		return res, SolveInfo{Source: SourceFallback}, err
 	}
 	key := sig + "#" + strconv.Itoa(n)
-	if e.policy != PolicyExact && n >= e.coarseMin {
-		return e.solveCoarseDetailed(procs, n, sig, key)
-	}
 
 	e.mu.Lock()
 	if pl := e.cache.Get(sig); pl != nil && pl.n >= n {
@@ -339,82 +302,44 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 	base := e.cache.bestSuffix(fps, n)
 	e.mu.Unlock()
 
+	var res Result
+	var cert Certificate
+	if e.policy != PolicyExact && n >= e.coarseMin {
+		res, cert = solveCertified(procs, n, e.workers)
+	}
 	var pl *Plan
 	var err error
-	source := SourceCold
-	if base != nil {
-		if derived, rerr := base.resolve(e.tabs, n, procs, e.workers); rerr == nil {
-			pl, source = derived, SourceResolve
+	source := SourceCoarse
+	if !cert.Certified {
+		source = SourceCold
+		if base != nil {
+			if derived, rerr := base.resolve(e.tabs, n, procs, e.workers); rerr == nil {
+				pl, source = derived, SourceResolve
+			}
 		}
-	}
-	if pl == nil {
-		pl, err = solveRows(e.tabs, procs, n, e.workers, true)
+		if pl == nil {
+			pl, err = solveRows(e.tabs, procs, n, e.workers, true)
+		}
 	}
 
 	e.mu.Lock()
-	var res Result
+	info := SolveInfo{Source: source, Signature: sig}
 	if err == nil {
-		if source == SourceResolve {
+		switch source {
+		case SourceCoarse:
+			e.stats.CoarseSolves++
+			info.LowerBound = res.Makespan
+		case SourceResolve:
 			e.stats.Resolves++
-		} else {
+		default:
 			e.stats.ColdSolves++
 		}
-		e.cache.Put(sig, pl)
-		res, err = pl.Lookup(n, 0)
-	}
-	f.res, f.info, f.err = res, SolveInfo{Source: source, Signature: sig}, err
-	delete(e.flights, key)
-	e.mu.Unlock()
-	close(f.done)
-	return f.res, f.info, f.err
-}
-
-// solveCoarseDetailed answers a large solve under a coarse policy.
-// Coarse results never enter the plan cache — its rows must stay exact
-// for warm starts and suffix lookups — so each one is solved afresh,
-// while identical in-flight coarse solves coalesce like exact ones. The
-// policy and grid step are fixed per engine, so the exact path's flight
-// key identifies a coarse solve too.
-func (e *Engine) solveCoarseDetailed(procs []Processor, n int, sig, key string) (Result, SolveInfo, error) {
-	e.mu.Lock()
-	if f, ok := e.flights[key]; ok {
-		e.stats.Coalesced++
-		e.mu.Unlock()
-		<-f.done
-		info := f.info
-		info.Coalesced = true
-		return f.res, info, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	e.flights[key] = f
-	e.mu.Unlock()
-
-	// An exact answer proven at coarse cost beats a banded one; the
-	// grid solver only answers where the certificate cannot. Exact
-	// answers — certified ones and the grid solver's small-instance
-	// fallback — report PolicyExact with the makespan as lower bound,
-	// so consumers gating on exactness (like the daemon's durable
-	// store) see the truth rather than the knob.
-	res, cert := solveCertified(procs, n, e.workers)
-	info := SolveInfo{Source: SourceCoarse, Signature: sig, Certified: cert.Certified, LowerBound: res.Makespan}
-	var err error
-	if !cert.Certified {
-		var cr CoarseResult
-		cr, err = solveCoarse(e.tabs, procs, n, DefaultGranularity, e.workers)
-		res, info.LowerBound = cr.Result, cr.LowerBound
-		if !cr.Exact {
-			info.Policy, info.Granularity, info.Bound = e.policy, cr.Granularity, cr.Band
-		}
-	}
-
-	e.mu.Lock()
-	if err == nil {
-		e.stats.CoarseSolves++
-		switch {
-		case cert.Certified:
-			e.stats.Certified++
-		case cert.Reason != errNotAffine:
+		if cert.Reason != "" && cert.Reason != errNotAffine {
 			e.stats.CertifyFallbacks++
+		}
+		if pl != nil {
+			e.cache.Put(sig, pl)
+			res, err = pl.Lookup(n, 0)
 		}
 	}
 	f.res, f.info, f.err = res, info, err

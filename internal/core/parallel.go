@@ -32,8 +32,8 @@ type exactRow struct {
 func (r *exactRow) fill(lo, hi int) { rowRange(r.comm, r.comp, r.next, r.cost, r.choice, lo, hi) }
 
 // rowPool is a persistent pool of workers computing disjoint chunks of
-// DP rows: the exact rows of solveRows and the banded refinement rows
-// of the coarse solver. The workers are spawned once per solve and
+// DP rows: the exact rows of solveRows and the rows of a banded refine
+// (refineBand). The workers are spawned once per solve and
 // reused for every row. Within a row, chunks are independent (they
 // only read the previous row), so the result is bit-identical to the
 // sequential recurrence; the row-to-row dependency stays sequential

@@ -261,7 +261,7 @@ func (tc *tabCache) table(f cost.Function, key string, n int) []float64 {
 	// parallel; concurrent fills of one key duplicate O(n) work at
 	// worst, and the widest table wins the publish.
 	tab = make([]float64, n+1)
-	fillCosts(f, 0, 1, tab)
+	fillCosts(f, 0, tab)
 	tc.mu.Lock()
 	if cur, ok := tc.tabs[key]; ok && len(cur) >= len(tab) {
 		tab = cur

@@ -425,7 +425,7 @@ func TestHierarchicalScatter(t *testing.T) {
 }
 
 func TestSolverScaledDown(t *testing.T) {
-	doc, err := runSolver(SolverOptions{Items: 4000, Granularity: 64})
+	doc, err := runSolver(SolverOptions{Items: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestSolverScaledDown(t *testing.T) {
 	}
 	for _, want := range []string{
 		"algorithm2_cold", "algorithm2_parallel_w1", "plan_build_cold",
-		"coarse_refine_cold", "certified_cold",
+		"certified_cold",
 		"fresh_resolve_first_served_crash", "warm_resolve_first_served_crash",
 		"fresh_resolve_mid_crash", "warm_resolve_mid_crash",
 		"engine_cold_solve", "engine_cache_hit", "engine_warm_resolve",
@@ -449,11 +449,6 @@ func TestSolverScaledDown(t *testing.T) {
 		if _, ok := names[want]; !ok {
 			t.Errorf("missing row %q", want)
 		}
-	}
-	// runSolver itself verifies the coarse band against the exact
-	// optimum; here just pin that the rows carry the band fields.
-	if cr := names["coarse_refine_cold"]; cr.Granularity != 64 || cr.LowerBound <= 0 || cr.Bound < 0 {
-		t.Errorf("coarse_refine_cold band fields off: %+v", cr)
 	}
 	if c := names["certified_cold"]; c.IdenticalToFresh == nil || !(c.ExitMargin > 0) {
 		t.Errorf("certified_cold fields off: %+v", c)

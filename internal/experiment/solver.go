@@ -3,12 +3,9 @@ package experiment
 // Solver prices the incremental solver engine (core.Plan/core.Engine)
 // against the from-scratch dynamic programs on the Table 1 grid at the
 // paper's full 817,101-item scale: cold solves, a worker-pool scaling
-// curve, the coarsen-then-refine approximate solver with its machine-
-// checked error band, the certified exact solve, warm re-solves after
-// a crash (pure-suffix and partial row reuse), and plan-cache hits.
-// Every incremental or certified exact answer is checked bit-identical
-// to the fresh solver; every coarse answer is checked against its own
-// reported optimality band.
+// curve, the certified exact solve, warm re-solves after a crash
+// (pure-suffix and partial row reuse), and plan-cache hits. Every
+// answer is checked bit-identical to the fresh solver.
 // `scatterbench -solver FILE` writes the same numbers as
 // BENCH_solver.json.
 
@@ -35,19 +32,12 @@ type solverRow struct {
 	Makespan float64 `json:"makespan_virtual_s"`
 	// Workers is the row-pool size for scaling-curve rows; 0 elsewhere.
 	Workers int `json:"workers,omitempty"`
-	// Bound/LowerBound/Granularity are set on the coarse_refine_cold
-	// row only: the realized optimality band max(0, makespan - lower
-	// bound), the optimistic lower bound itself, and the grid step that
-	// produced it.
-	Bound       float64 `json:"bound_virtual_s,omitempty"`
-	LowerBound  float64 `json:"lower_bound_virtual_s,omitempty"`
-	Granularity int     `json:"granularity,omitempty"`
 	// ExitMargin is set on the certified row only: how far the weakest
 	// exit bound of its certificate cleared the makespan.
 	ExitMargin float64 `json:"exit_margin_virtual_s,omitempty"`
 	// IdenticalToFresh reports bit-identity with the fresh solve the
-	// row is compared against; rows that ARE the fresh baseline, and
-	// the coarse row (bounded, not identical), omit it.
+	// row is compared against; rows that ARE the fresh baseline omit
+	// it.
 	IdenticalToFresh *bool  `json:"identical_to_fresh,omitempty"`
 	Note             string `json:"note"`
 }
@@ -66,15 +56,6 @@ type solverDoc struct {
 	// best time on the scaling curve. On a single-CPU host this is ~1
 	// by physics; on multi-core hosts it must exceed 1.
 	SpeedupParallelBestVsW1 float64 `json:"speedup_parallel_best_vs_w1"`
-	// SpeedupCoarseRefineVsCold is the sequential cold-solve time over
-	// the coarsen-then-refine time, with the result within
-	// CoarseRelativeBand of optimal. It shrinks whenever the exact
-	// kernel gets faster.
-	SpeedupCoarseRefineVsCold float64 `json:"speedup_coarse_refine_vs_cold"`
-	// CoarseRelativeBand is the refined solve's realized band divided
-	// by its lower bound: the machine-checked worst-case relative
-	// distance from the optimum.
-	CoarseRelativeBand float64 `json:"coarse_relative_band"`
 	// SpeedupCertifiedVsCold is the sequential cold-solve time over the
 	// certified solve's time, for the same bit-identical answer.
 	SpeedupCertifiedVsCold float64 `json:"speedup_certified_vs_cold"`
@@ -96,8 +77,6 @@ type SolverOptions struct {
 	// (workers=1 is still measured as the baseline); 0 sweeps
 	// 1, 2, 4, 8, and GOMAXPROCS.
 	Workers int
-	// Granularity is the coarse grid step; 0 means the engine default.
-	Granularity int
 }
 
 // timeSolve runs f once; sub-millisecond results are re-run in a batch
@@ -170,10 +149,6 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 	if items <= 0 {
 		items = platform.Table1Rays
 	}
-	gran := opts.Granularity
-	if gran <= 0 {
-		gran = core.DefaultGranularity
-	}
 	maxprocs := runtime.GOMAXPROCS(0)
 	doc := solverDoc{
 		Benchmark:  "Solver",
@@ -225,33 +200,6 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 		}
 	}
 	doc.SpeedupParallelBestVsW1 = w1Secs / bestSecs
-
-	// Coarsen-then-refine: solve on a g-step grid, refine in a band
-	// around the coarse plan, and report the machine-checked distance
-	// from the optimum. The checks below do not trust the solver: the
-	// exact optimum is already in hand, so the band is verified against
-	// it directly.
-	var cr core.CoarseResult
-	crSecs, err := timeSolve(func() (e error) { cr, e = core.SolveCoarse(procs, items, gran); return })
-	if err != nil {
-		return doc, err
-	}
-	add(solverRow{Name: "coarse_refine_cold", Seconds: crSecs, Makespan: cr.Makespan,
-		Bound: cr.Band, LowerBound: cr.LowerBound, Granularity: cr.Granularity,
-		Note: "coarse grid DP + banded exact refinement; makespan within bound of optimal"})
-	doc.SpeedupCoarseRefineVsCold = coldSecs / crSecs
-	if cr.LowerBound > 0 {
-		doc.CoarseRelativeBand = cr.Band / cr.LowerBound
-	}
-	if cr.Makespan < cold.Makespan {
-		return doc, fmt.Errorf("coarse_refine: makespan %g beats the optimum %g", cr.Makespan, cold.Makespan)
-	}
-	if cr.Makespan-cold.Makespan > cr.Band {
-		return doc, fmt.Errorf("coarse_refine: gap %g outside the reported band %g", cr.Makespan-cold.Makespan, cr.Band)
-	}
-	if cr.LowerBound > cold.Makespan {
-		return doc, fmt.Errorf("coarse_refine: lower bound %g exceeds the optimum %g", cr.LowerBound, cold.Makespan)
-	}
 
 	// Certified exact solve: the Eq. (3) seed, a banded refine around
 	// it and the exit-bound certificate. The answer must be certified
@@ -369,8 +317,8 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 }
 
 // SolverJSON renders BENCH_solver.json (scatterbench -solver); zero
-// options select the paper's full scale with the default worker sweep
-// and granularity.
+// options select the paper's full scale with the default worker
+// sweep.
 func SolverJSON(opts SolverOptions) ([]byte, error) {
 	doc, err := runSolver(opts)
 	if err != nil {
@@ -402,26 +350,19 @@ func Solver() (Report, error) {
 	fmt.Fprintf(&sb, "%-34s %14s %10s\n", "measurement", "seconds", "identical")
 	for _, row := range doc.Rows {
 		ident := "baseline"
-		switch {
-		case row.IdenticalToFresh != nil:
+		if row.IdenticalToFresh != nil {
 			ident = fmt.Sprintf("%t", *row.IdenticalToFresh)
-		case row.Granularity > 0:
-			ident = "bounded"
 		}
 		fmt.Fprintf(&sb, "%-34s %14.9f %10s\n", row.Name, row.Seconds, ident)
 	}
-	fmt.Fprintf(&sb, "\ncoarse-refine vs cold solve: %.1fx (relative band %.4f)   certified vs cold solve: %.1fx (exact)   warm resolve vs cold re-solve: %.1fx   plan-cache hit vs cold solve: %.1fx\n",
-		doc.SpeedupCoarseRefineVsCold, doc.CoarseRelativeBand, doc.SpeedupCertifiedVsCold,
-		doc.SpeedupWarmResolveVsCold, doc.SpeedupCacheHitVsCold)
+	fmt.Fprintf(&sb, "\ncertified vs cold solve: %.1fx (exact)   warm resolve vs cold re-solve: %.1fx   plan-cache hit vs cold solve: %.1fx\n",
+		doc.SpeedupCertifiedVsCold, doc.SpeedupWarmResolveVsCold, doc.SpeedupCacheHitVsCold)
 
 	rep := Report{
 		ID:    "solver",
-		Title: "incremental solver: coarse-refine, retained plans, warm re-solves, plan cache (extension)",
+		Title: "incremental solver: certified solves, retained plans, warm re-solves, plan cache (extension)",
 		Body:  sb.String(),
 		Comparisons: []Comparison{
-			{Metric: "coarsen-then-refine speedup over cold solve", Paper: 0,
-				Measured: doc.SpeedupCoarseRefineVsCold, Unit: "x",
-				Note: "extension: band machine-checked; the ratio shrinks as the exact kernel gets faster"},
 			{Metric: "certified exact solve speedup over cold solve", Paper: 0,
 				Measured: doc.SpeedupCertifiedVsCold, Unit: "x",
 				Note: "extension: same answer bit for bit, proven by the exit-bound certificate"},

@@ -61,7 +61,6 @@ var itemCountArgs = map[string]int{
 	"HeuristicRational":   1,
 	"BruteForce":          1,
 	"SolvePlan":           1,
-	"SolveCoarse":         1,
 	"Uniform":             1,
 	"Plan.Lookup":         0,
 	"Plan.Resolve":        0,

@@ -67,15 +67,12 @@ type Loader struct {
 	exports map[string]string
 	fset    *token.FileSet
 	imp     types.Importer
-	// checked memoizes LoadDir results so fixture packages importing
-	// each other do not duplicate work.
-	checked map[string]*types.Package
 }
 
 // NewLoader returns a loader rooted at dir.
 func NewLoader(dir string) *Loader {
 	fset := token.NewFileSet()
-	l := &Loader{Dir: dir, exports: make(map[string]string), fset: fset, checked: make(map[string]*types.Package)}
+	l := &Loader{Dir: dir, exports: make(map[string]string), fset: fset}
 	l.imp = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := l.exports[path]
 		if !ok {
@@ -219,6 +216,5 @@ func (l *Loader) checkDir(dir, importPath string, fileNames []string) (*Package,
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", importPath, err)
 	}
-	l.checked[importPath] = pkg
 	return &Package{Path: importPath, Fset: l.fset, Files: files, Pkg: pkg, Info: info}, nil
 }

@@ -1542,9 +1542,9 @@ func (ls *lockSummary) reportCycle(adj map[lockClass]map[lockClass]lockEdge, sta
 // exported API may (transitively) acquire, keyed by
 // "pkgpath.ReceiverType" for methods and "pkgpath.Func" for
 // functions. Per-package summaries cannot see other packages' bodies
-// (the vet unit boundary, like isPoolMethod/isLedgerMethod in
-// summary.go), so holding a lock across one of these calls creates
-// order edges from this table. Callbacks invoked by the callee are
+// (a package's imports are type-checked from export data, which
+// carries no function bodies), so holding a lock across one of these
+// calls creates order edges from this table. Callbacks invoked by the callee are
 // the known hole: they would need reverse edges this table cannot
 // express.
 var apiLockAcquires = map[string][]lockClass{
@@ -1555,10 +1555,9 @@ var apiLockAcquires = map[string][]lockClass{
 	"repro/internal/core.Plan": {
 		"repro/internal/core.tabCache.mu",
 	},
-	"repro/internal/core.SolvePlan":   {"repro/internal/core.tabCache.mu"},
-	"repro/internal/core.SolveCoarse": {"repro/internal/core.tabCache.mu"},
-	"repro/internal/store.Store":      {"repro/internal/store.Store.mu"},
-	"repro/internal/monitor.Monitor":  {"repro/internal/monitor.Monitor.mu"},
+	"repro/internal/core.SolvePlan":  {"repro/internal/core.tabCache.mu"},
+	"repro/internal/store.Store":     {"repro/internal/store.Store.mu"},
+	"repro/internal/monitor.Monitor": {"repro/internal/monitor.Monitor.mu"},
 	"repro/internal/serve.Server": {
 		"repro/internal/serve.Server.mu",
 		"repro/internal/core.Engine.mu",

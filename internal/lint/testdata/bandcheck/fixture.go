@@ -16,7 +16,6 @@ func negItems(procs []core.Processor, pl *core.Plan, eng *core.Engine) {
 	_, _ = core.Algorithm2(procs, -3)            // want "Algorithm2 called with a constant negative item count"
 	_, _ = core.Algorithm2Parallel(procs, -1, 4) // want "Algorithm2Parallel called with a constant negative item count"
 	_, _ = core.SolvePlan(procs, -7)             // want "SolvePlan called with a constant negative item count"
-	_, _ = core.SolveCoarse(procs, -2, 64)       // want "SolveCoarse called with a constant negative item count"
 	_, _ = pl.Lookup(-1, 0)                      // want "Plan.Lookup called with a constant negative item count"
 	_, _ = pl.Resolve(-4, procs)                 // want "Plan.Resolve called with a constant negative item count"
 	_, _ = eng.Solve(procs, -2)                  // want "Engine.Solve called with a constant negative item count"
@@ -29,7 +28,6 @@ func negItems(procs []core.Processor, pl *core.Plan, eng *core.Engine) {
 func okItems(procs []core.Processor, pl *core.Plan, eng *core.Engine, n int) {
 	_, _ = core.Algorithm2(procs, 0)
 	_, _ = core.SolvePlan(procs, 817101)
-	_, _ = core.SolveCoarse(procs, 817101, 1024)
 	_, _ = eng.Solve(procs, n)
 	_, _ = pl.Resolve(n, procs)
 	_, _ = pl.Lookup(n, 0)
@@ -66,24 +64,6 @@ func guardedClean(procs []core.Processor, n int) {
 // unknownCount: an unconstrained parameter could be anything — silent.
 func unknownCount(procs []core.Processor, n int) {
 	_, _ = core.Heuristic(procs, n)
-}
-
-// coarseNegative: the coarsen-then-refine entry points live under the
-// same n >= 0 contract as the exact solvers.
-func coarseNegative(procs []core.Processor, n int) {
-	if n < 0 {
-		_, _ = core.SolveCoarse(procs, n, 1024) // want "provably negative item count"
-	}
-}
-
-// coarseClean: a non-negative count with any granularity is the
-// solver's own validation problem (g < 1 errors at run time), not the
-// analyzer's.
-func coarseClean(procs []core.Processor, n, g int) {
-	if n < 0 {
-		return
-	}
-	_, _ = core.SolveCoarse(procs, n, g)
 }
 
 // nilProcs: a zero-value slice declaration is provably nil, a

@@ -120,36 +120,24 @@ func (s *Server) run(j *job) {
 		Coalesced:    info.Coalesced,
 		Signature:    info.Signature,
 	}
-	if info.Policy != core.PolicyExact {
-		resp.Policy = info.Policy.String()
-		resp.Granularity = info.Granularity
-		resp.Bound = info.Bound
-		resp.LowerBound = info.LowerBound
+	if math.IsInf(resp.Makespan, 0) || math.IsNaN(resp.Makespan) {
+		// Cost constants whose products overflow float64: JSON cannot
+		// carry the plan, and the store refuses it.
+		s.count(func(st *Stats) { st.SolveErrors++ })
+		j.finish(http.StatusUnprocessableEntity, PlanResponse{}, fmt.Sprintf("solve failed: plan costs overflow float64 (makespan %v)", resp.Makespan))
+		return
 	}
-	for _, x := range []float64{resp.Makespan, resp.Bound, resp.LowerBound} {
-		if math.IsInf(x, 0) || math.IsNaN(x) {
-			// Cost constants whose products overflow float64: JSON
-			// cannot carry the plan, and the store refuses it.
-			s.count(func(st *Stats) { st.SolveErrors++ })
-			j.finish(http.StatusUnprocessableEntity, PlanResponse{}, fmt.Sprintf("solve failed: plan costs overflow float64 (makespan %v)", resp.Makespan))
-			return
-		}
-	}
-	s.persist(j, res, info)
+	s.persist(j, res)
 	j.finish(http.StatusOK, resp, "")
 }
 
 // persist appends a solved plan to the durable store. Coalesced and
 // cache-hit repeats dedupe to no-ops inside Append. Persistence
 // failures are counted, not fatal: the daemon keeps serving from the
-// engine and recovers whatever prefix the WAL kept.
-//
-// Only exact solves are persisted: the store answers repeats verbatim
-// with no way to carry an optimality band, and a daemon restarted with
-// a different policy must never replay an approximate plan as if it
-// were exact.
-func (s *Server) persist(j *job, res core.Result, info core.SolveInfo) {
-	if s.st == nil || j.sig == "" || info.Policy != core.PolicyExact {
+// engine and recovers whatever prefix the WAL kept. Every engine
+// answer is exact, so every fingerprintable one is persisted.
+func (s *Server) persist(j *job, res core.Result) {
+	if s.st == nil || j.sig == "" {
 		return
 	}
 	err := s.st.Append(storeEntry(j.sig, j.n, res))

@@ -186,14 +186,12 @@ func TestServeStoreHitMemo(t *testing.T) {
 		}
 
 		coarse := newTestServer(t, Config{Store: st, Engine: core.NewEngineConfig(core.EngineConfig{Policy: core.PolicyCoarseRefine, CoarseMinItems: 1000})})
-		banded := mustBody(t, PlanRequest{Platform: latencyPlatform(), Items: 5000})
-		for k := 0; k < 2; k++ {
-			if r := plan(coarse, banded); r.source(t) != "coarse" {
-				t.Fatalf("banded answer %+v, want source coarse", r)
-			}
+		refused := mustBody(t, PlanRequest{Platform: latencyPlatform(), Items: 5000})
+		if r := plan(coarse, refused); r.source(t) != "cold" {
+			t.Fatalf("answer %+v after a refused certificate, want source cold", r)
 		}
-		if held, _ := memoHolds(coarse, banded); held {
-			t.Fatal("a coarse answer entered the memo")
+		if held, _ := memoHolds(coarse, refused); held {
+			t.Fatal("a cold answer on the coarse path entered the memo")
 		}
 
 		draining := newTestServer(t, Config{Store: st})
@@ -285,11 +283,10 @@ func fuzzOrdering(name string) (platform.Ordering, bool) {
 
 // FuzzPlanRequest sends arbitrary bodies through the real handler of a
 // daemon with a store and a coarse-policy engine, so answers can be
-// exact, certified, banded, stored or memoised. The caps keep every
-// solve small. No body may panic the handler or get a 500; every 200
-// is Algorithm 2's answer on the decoded, ordered platform, or stays
-// within its labelled band; and a store hit repeats byte-identically
-// from the memo.
+// solved, certified, stored or memoised. The caps keep every solve
+// small. No body may panic the handler or get a 500; every 200 is
+// Algorithm 2's answer on the decoded, ordered platform, bit for bit;
+// and a store hit repeats byte-identically from the memo.
 func FuzzPlanRequest(f *testing.F) {
 	for _, req := range []PlanRequest{
 		{Platform: testPlatform(1), Items: 300},
@@ -365,14 +362,8 @@ func checkPlan(t *testing.T, body []byte, r reply) {
 	if r.ctype != "application/json" || !slices.Equal(pr.Processors, procNames(procs)) || sum(pr.Distribution) != req.Items {
 		t.Fatalf("answer %+v for %q, want %d items over %v", r, body, req.Items, procNames(procs))
 	}
-	if pr.Policy == "" {
-		if pr.Makespan != want.Makespan || !slices.Equal(pr.Distribution, want.Distribution) {
-			t.Fatalf("exact answer %v (%v), Algorithm 2 %v (%v)", pr.Distribution, pr.Makespan, want.Distribution, want.Makespan)
-		}
-		return
-	}
-	if pr.Makespan < want.Makespan || pr.Makespan-want.Makespan > pr.Bound || pr.LowerBound > want.Makespan {
-		t.Fatalf("banded answer makespan %v, bound %v, lower %v; optimum %v", pr.Makespan, pr.Bound, pr.LowerBound, want.Makespan)
+	if pr.Makespan != want.Makespan || !slices.Equal(pr.Distribution, want.Distribution) {
+		t.Fatalf("answer %v (%v), Algorithm 2 %v (%v)", pr.Distribution, pr.Makespan, want.Distribution, want.Makespan)
 	}
 }
 

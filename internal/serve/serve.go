@@ -151,7 +151,8 @@ type PlanResponse struct {
 	// Processors names the processors in service order (root last).
 	Processors []string `json:"processors"`
 	// Source reports how the plan was produced: "store", "cache",
-	// "warm", "cold", "coarse", or "fallback".
+	// "warm", "cold", "coarse" (certified), or "fallback". Every
+	// answer is exact.
 	Source string `json:"source"`
 	// Coalesced reports the solve was shared with an identical
 	// concurrent request.
@@ -159,17 +160,6 @@ type PlanResponse struct {
 	// Signature is the canonical platform signature ("" when the
 	// platform is not fingerprintable).
 	Signature string `json:"signature,omitempty"`
-	// Policy is set on approximate answers ("coarse-refine"); exact
-	// plans omit it.
-	Policy string `json:"policy,omitempty"`
-	// Granularity is the coarse grid step of an approximate answer.
-	Granularity int `json:"granularity,omitempty"`
-	// Bound is the machine-checked optimality band of an approximate
-	// answer: the makespan exceeds the optimum by at most Bound.
-	Bound float64 `json:"bound,omitempty"`
-	// LowerBound is the proven lower bound on the optimal makespan
-	// backing Bound.
-	LowerBound float64 `json:"lowerBound,omitempty"`
 }
 
 // errorResponse is every non-200 body.

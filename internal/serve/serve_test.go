@@ -447,7 +447,7 @@ func TestServeDrain(t *testing.T) {
 // latencyPlatform is testPlatform(1) with a quarter-second latency on
 // every link. Fixed costs that large defeat the coarse path's
 // certificate (its Eq. 3 bound drops them), so a coarse-policy daemon
-// answers it approximately.
+// answers it with the exact DP.
 func latencyPlatform() platform.Platform {
 	pf := testPlatform(1)
 	pf.Machines = append([]platform.Machine(nil), pf.Machines...)
@@ -459,77 +459,15 @@ func latencyPlatform() platform.Platform {
 	return pf
 }
 
-// TestServeCoarsePolicyNotPersisted pins the persistence gate: a
-// daemon running a coarse policy reports the band on the wire but
-// never writes approximate plans to the WAL, while solves below the
-// coarse threshold stay exact and are persisted as before. Linear
-// platforms are answered exactly by the certificate on the coarse
-// path (TestServeCertifiedPersisted), so the approximate answer comes
-// from a platform with link latency.
-func TestServeCoarsePolicyNotPersisted(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "plans.wal")
-	st, _, err := store.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	eng := core.NewEngineConfig(core.EngineConfig{Policy: core.PolicyCoarseRefine, CoarseMinItems: 1000})
-	s := NewServer(Config{Engine: eng, Store: st})
-	defer s.Drain()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	// Above the coarse threshold and 4·DefaultGranularity: answered
-	// approximately, with the policy and band on the wire, and NOT
-	// appended to the store.
-	resp, body := postPlan(t, ts.URL, PlanRequest{Platform: latencyPlatform(), Items: 5000})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
-	}
-	pr := decodePlan(t, body)
-	if pr.Source != "coarse" || pr.Policy != "coarse-refine" || pr.Granularity != core.DefaultGranularity {
-		t.Fatalf("coarse response = %+v, want coarse source with policy and granularity", pr)
-	}
-	if pr.Bound < 0 || pr.LowerBound <= 0 || pr.LowerBound > pr.Makespan {
-		t.Fatalf("band fields inconsistent: bound %g, lower %g, makespan %g", pr.Bound, pr.LowerBound, pr.Makespan)
-	}
-	if sum(pr.Distribution) != 5000 {
-		t.Fatalf("distribution %v sums to %d, want 5000", pr.Distribution, sum(pr.Distribution))
-	}
-	if got := s.Stats().StoreEntries; got != 0 {
-		t.Fatalf("store entries after coarse solve = %d, want 0", got)
-	}
-
-	// Below the threshold the same daemon solves exactly: no band
-	// fields, and the plan is durable.
-	resp2, body2 := postPlan(t, ts.URL, PlanRequest{Platform: latencyPlatform(), Items: 500})
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("exact status = %d, body %s", resp2.StatusCode, body2)
-	}
-	pr2 := decodePlan(t, body2)
-	if pr2.Policy != "" || pr2.Bound != 0 || pr2.Granularity != 0 {
-		t.Fatalf("exact response carries band fields: %+v", pr2)
-	}
-	if got := s.Stats().StoreEntries; got != 1 {
-		t.Fatalf("store entries after exact solve = %d, want 1", got)
-	}
-	if stats := s.Stats(); stats.Engine.CoarseSolves != 1 || stats.Engine.ColdSolves != 1 {
-		t.Fatalf("engine stats = %+v, want one coarse and one cold solve", stats.Engine)
-	}
-}
-
-// TestServeCertifiedPersisted: a coarse-refine daemon answers a large
-// affine request with a certified exact plan. The response looks like
-// any exact answer (no policy or band fields), the plan is Algorithm
-// 2's bit for bit, it is appended to the WAL, and a restarted daemon
-// serves it from the store bit-identically.
-func TestServeCertifiedPersisted(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "plans.wal")
-	pf := testPlatform(2)
-	pf.Machines = append([]platform.Machine(nil), pf.Machines...)
-	pf.Machines[1].CommLatency = 1e-6 // affine links, small enough to certify
-	req := PlanRequest{Platform: pf, Items: 50_000}
-	procs, err := pf.ProcessorsOrdered(platform.OrderDescendingBandwidth)
+// requirePersistedAcrossRestart serves req twice from a coarse-refine
+// daemon over the WAL at walPath, restarting the daemon in between.
+// The first answer must come from wantSource with engine counters
+// wantEngine, the second from the store; both must be Algorithm 2's
+// answer bit for bit, carry no fields beyond an exact answer's, and
+// leave exactly one plan in the WAL.
+func requirePersistedAcrossRestart(t *testing.T, walPath string, req PlanRequest, coarseMin int, wantSource string, wantEngine core.EngineStats) {
+	t.Helper()
+	procs, err := req.Platform.ProcessorsOrdered(platform.OrderDescendingBandwidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,19 +475,19 @@ func TestServeCertifiedPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveOnce := func(wantSource string) PlanResponse {
-		t.Helper()
+	for _, source := range []string{wantSource, "store"} {
 		st, _, err := store.Open(walPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
-		eng := core.NewEngineConfig(core.EngineConfig{Policy: core.PolicyCoarseRefine, CoarseMinItems: 1 << 14})
+		eng := core.NewEngineConfig(core.EngineConfig{Policy: core.PolicyCoarseRefine, CoarseMinItems: coarseMin})
 		s := NewServer(Config{Engine: eng, Store: st})
-		defer s.Drain()
 		ts := httptest.NewServer(s)
-		defer ts.Close()
 		resp, body := postPlan(t, ts.URL, req)
+		stats := s.Stats()
+		ts.Close()
+		s.Drain()
+		st.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 		}
@@ -557,29 +495,50 @@ func TestServeCertifiedPersisted(t *testing.T) {
 		if err := json.Unmarshal(body, &fields); err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []string{"policy", "granularity", "bound", "lowerBound"} {
-			if _, ok := fields[k]; ok {
+		for k := range fields {
+			if !slices.Contains([]string{"distribution", "makespan", "processors", "source", "signature"}, k) {
 				t.Fatalf("exact response carries %q: %s", k, body)
 			}
 		}
 		pr := decodePlan(t, body)
-		if pr.Source != wantSource {
-			t.Fatalf("source = %q, want %q", pr.Source, wantSource)
+		if pr.Source != source {
+			t.Fatalf("source = %q, want %q", pr.Source, source)
 		}
 		if pr.Makespan != want.Makespan || !slices.Equal(pr.Distribution, want.Distribution) {
 			t.Fatalf("served %v (%v), Algorithm 2 %v (%v)", pr.Distribution, pr.Makespan, want.Distribution, want.Makespan)
 		}
-		stats := s.Stats()
 		if stats.StoreEntries != 1 {
 			t.Fatalf("store entries = %d, want 1", stats.StoreEntries)
 		}
-		if wantSource == "coarse" && (stats.Engine.Certified != 1 || stats.Engine.CertifyFallbacks != 0) {
-			t.Fatalf("engine stats = %+v, want one certified solve", stats.Engine)
+		if source == wantSource && stats.Engine != wantEngine {
+			t.Fatalf("engine stats = %+v, want %+v", stats.Engine, wantEngine)
 		}
-		return pr
 	}
-	serveOnce("coarse")
-	serveOnce("store")
+}
+
+// TestServeCoarsePolicyPersisted: a coarse-refine daemon whose
+// certificate refuses the latency platform answers it with the exact
+// cold solve. The answer is Algorithm 2's, carries no band, is
+// appended to the WAL, and a restarted daemon serves it from the
+// store bit-identically.
+func TestServeCoarsePolicyPersisted(t *testing.T) {
+	req := PlanRequest{Platform: latencyPlatform(), Items: 5000}
+	requirePersistedAcrossRestart(t, filepath.Join(t.TempDir(), "plans.wal"), req, 1000,
+		"cold", core.EngineStats{ColdSolves: 1, CertifyFallbacks: 1})
+}
+
+// TestServeCertifiedPersisted: a coarse-refine daemon answers a large
+// affine request with a certified exact plan. The response looks like
+// any exact answer, the plan is Algorithm 2's bit for bit, it is
+// appended to the WAL, and a restarted daemon serves it from the store
+// bit-identically.
+func TestServeCertifiedPersisted(t *testing.T) {
+	pf := testPlatform(2)
+	pf.Machines = append([]platform.Machine(nil), pf.Machines...)
+	pf.Machines[1].CommLatency = 1e-6 // affine links, small enough to certify
+	req := PlanRequest{Platform: pf, Items: 50_000}
+	requirePersistedAcrossRestart(t, filepath.Join(t.TempDir(), "plans.wal"), req, 1<<14,
+		"coarse", core.EngineStats{CoarseSolves: 1})
 }
 
 // waitFor polls cond (test-side timing only; the daemon itself reads
