@@ -22,8 +22,11 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
+# Every root benchmark once, without rewriting committed files: the two
+# that record BENCH_fault.json and BENCH_lint.json run only through
+# their own targets, bench-fault and bench-lint.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -skip 'BenchmarkFaultScatter|BenchmarkLint' -benchtime 1x .
 
 # Regenerate BENCH_fault.json (fault-tolerant scatter makespans under
 # no faults / one transient drop / one permanent crash).

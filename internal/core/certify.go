@@ -59,7 +59,7 @@ func SolveCertified(procs []Processor, n int) (Result, Certificate, error) {
 	if err := validateDPInput(procs, n); err != nil {
 		return Result{}, Certificate{}, err
 	}
-	res, cert := solveCertified(procs, n, 0)
+	res, cert := solveCertified(procs, n)
 	return res, cert, nil
 }
 
@@ -73,7 +73,7 @@ const errNotAffine = "costs are not all linear or affine"
 const errNotStrict = "comm+comp is not strictly increasing on a window"
 
 // solveCertified is SolveCertified on validated input.
-func solveCertified(procs []Processor, n, workers int) (Result, Certificate) {
+func solveCertified(procs []Processor, n int) (Result, Certificate) {
 	co, ok := affineCoefs(procs)
 	if !ok {
 		return Result{}, Certificate{Reason: errNotAffine}
@@ -82,7 +82,7 @@ func solveCertified(procs []Processor, n, workers int) (Result, Certificate) {
 	if !ok {
 		return Result{}, Certificate{Reason: "Eq. (3) seed failed"}
 	}
-	return certifyAround(procs, co, n, seed, workers)
+	return certifyAround(procs, co, n, seed)
 }
 
 // affineCoef is one processor's cost coefficients:
@@ -194,8 +194,8 @@ func eq3Problem(co []affineCoef, n int, fixed bool) *lp.FloatProblem {
 
 // certifyAround refines in the window around seed and tries to prove
 // the refined answer is Algorithm 2's.
-func certifyAround(procs []Processor, co []affineCoef, n int, seed Distribution, workers int) (Result, Certificate) {
-	b, err := refineBand(procs, n, seed, certifyWindow, workers)
+func certifyAround(procs []Processor, co []affineCoef, n int, seed Distribution) (Result, Certificate) {
+	b, err := refineBand(procs, n, seed, certifyWindow)
 	if err != nil {
 		return Result{}, Certificate{Reason: err.Error()}
 	}

@@ -226,12 +226,12 @@ func TestCertifyRefusesOffOptimumWindow(t *testing.T) {
 	seed := append(Distribution(nil), want.Distribution...)
 	seed[0] -= 300
 	seed[1] += 300
-	res, cert := certifyAround(procs, co, n, seed, 1)
+	res, cert := certifyAround(procs, co, n, seed)
 	if cert.Certified || cert.Margin > 0 {
 		t.Fatalf("off-optimum window certified: %+v (answer %v, optimum %v)", cert, res.Distribution, want.Distribution)
 	}
 	// The same check around the optimum itself passes.
-	if _, cert := certifyAround(procs, co, n, want.Distribution, 1); !cert.Certified {
+	if _, cert := certifyAround(procs, co, n, want.Distribution); !cert.Certified {
 		t.Fatalf("window around the optimum refused: %s", cert.Reason)
 	}
 }
@@ -264,7 +264,7 @@ func TestCertifyRefusesCorruptDuals(t *testing.T) {
 	if !ok {
 		t.Fatal("no seed")
 	}
-	b, err := refineBand(procs, n, seed, certifyWindow, 1)
+	b, err := refineBand(procs, n, seed, certifyWindow)
 	if err != nil {
 		t.Fatal(err)
 	}

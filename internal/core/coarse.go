@@ -28,7 +28,7 @@ type band struct {
 // inside every window, so the refined cost never exceeds the seed's;
 // the windows are monotone (rem[i] >= rem[i+1]), so every banded cell
 // has a feasible share.
-func refineBand(procs []Processor, n int, seed Distribution, w, workers int) (band, error) {
+func refineBand(procs []Processor, n int, seed Distribution, w int) (band, error) {
 	p := len(procs)
 	b := band{lo: make([]int, p), hi: make([]int, p), strict: true}
 	lo, hi := b.lo, b.hi
@@ -52,14 +52,6 @@ func refineBand(procs []Processor, n int, seed Distribution, w, workers int) (ba
 		costW[p-1][t] = base.comm[t] + base.comp[t]
 		choiceW[p-1][t] = int32(lo[p-1] + t)
 	}
-	// Each banded cell scans up to 2w+1 shares, so a row is worth
-	// splitting over the row pool once its up to 2w+1 cells exceed
-	// one chunk.
-	var rp *rowPool
-	if 2*w+1 > minRowChunk {
-		rp = newRowPool(workers)
-		defer rp.close()
-	}
 	for i := p - 2; i >= 0; i-- {
 		// Row i reads the shares d - d' for d in [lo_i, hi_i] and d' in
 		// [lo_{i+1}, hi_{i+1}].
@@ -67,8 +59,7 @@ func refineBand(procs []Processor, n int, seed Distribution, w, workers int) (ba
 		win := newCostRow(hi[i] - lo[i+1] - eOff + 1)
 		win.fill(procs[i], eOff)
 		b.strict = b.strict && win.strictlyIncreasing()
-		rp.run(hi[i]-lo[i], &bandRow{win: win, eOff: eOff,
-			next: costW[i+1], loNext: lo[i+1], cost: costW[i], choice: choiceW[i], lo: lo[i]})
+		refineRow(win, eOff, costW[i+1], lo[i+1], costW[i], choiceW[i], lo[i], hi[i])
 	}
 
 	b.dist = make(Distribution, p)
@@ -108,22 +99,6 @@ func (c costRow) strictlyIncreasing() bool {
 		}
 	}
 	return true
-}
-
-// bandRow is one banded refinement row for the row pool: its cells
-// [a, b] are the remainders [lo+a, lo+b], and win holds the row
-// processor's costs at the shares [eOff, eOff+len(win.comm)).
-type bandRow struct {
-	win        costRow
-	eOff       int
-	next       []float64
-	loNext, lo int
-	cost       []float64
-	choice     []int32
-}
-
-func (r *bandRow) fill(a, b int) {
-	refineRow(r.win, r.eOff, r.next, r.loNext, r.cost[a:], r.choice[a:], r.lo+a, r.lo+b)
 }
 
 // refineRow fills one banded DP row: cost[d-lo] and choice[d-lo] for d

@@ -497,12 +497,11 @@ func refineSeeds(rng *rand.Rand, opt Distribution, n, w int) []Distribution {
 }
 
 // TestRefineBandMatchesReference: costing only the shares each window
-// reads, the lower-bound break in refineCell and splitting rows over
-// the row pool never change a banded refine — not the distribution,
-// its DP value, the windows or the strictness bit. It covers every
-// cost type fillCosts distinguishes, tie-heavy dyadic costs, windows
-// from 1 item to wider than one row-pool chunk (2w+1 > minRowChunk),
-// windows clipped at 0 and n, and p = 1.
+// reads and the lower-bound break in refineCell never change a banded
+// refine — not the distribution, its DP value, the windows or the
+// strictness bit. It covers every cost type fillCosts distinguishes,
+// tie-heavy dyadic costs, windows from 1 item to twice the certified
+// solve's (w = 128), windows clipped at 0 and n, and p = 1.
 func TestRefineBandMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, w := range []int{1, 2, 3, 16, 128} {
@@ -528,16 +527,14 @@ func TestRefineBandMatchesReference(t *testing.T) {
 			}
 			for s, seed := range refineSeeds(rng, opt.Distribution, n, w) {
 				want := referenceRefineBand(procs, n, seed, w)
-				for _, workers := range []int{1, 2} {
-					label := fmt.Sprintf("w=%d trial=%d p=%d n=%d seed %d workers=%d", w, trial, p, n, s, workers)
-					got, err := refineBand(procs, n, seed, w, workers)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if !equalDist(got.dist, want.dist) || !sameBits(got.value, want.value) || got.strict != want.strict ||
-						!slices.Equal(got.lo, want.lo) || !slices.Equal(got.hi, want.hi) {
-						t.Fatalf("%s: refineBand %+v != reference %+v", label, got, want)
-					}
+				label := fmt.Sprintf("w=%d trial=%d p=%d n=%d seed %d", w, trial, p, n, s)
+				got, err := refineBand(procs, n, seed, w)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !equalDist(got.dist, want.dist) || !sameBits(got.value, want.value) || got.strict != want.strict ||
+					!slices.Equal(got.lo, want.lo) || !slices.Equal(got.hi, want.hi) {
+					t.Fatalf("%s: refineBand %+v != reference %+v", label, got, want)
 				}
 			}
 		}

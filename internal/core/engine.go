@@ -305,7 +305,7 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 	var res Result
 	var cert Certificate
 	if e.policy != PolicyExact && n >= e.coarseMin {
-		res, cert = solveCertified(procs, n, e.workers)
+		res, cert = solveCertified(procs, n)
 	}
 	var pl *Plan
 	var err error

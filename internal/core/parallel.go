@@ -12,15 +12,9 @@ import (
 // one per chunk — and the chunk size can shrink for load balance
 // without growing coordination traffic.
 type rowWork struct {
-	k        rowKernel
+	k        *exactRow
 	n, chunk int
 	cursor   atomic.Int64
-}
-
-// rowKernel fills the cells [lo, hi] of one DP row. It reads only the
-// next row, so disjoint ranges may run concurrently.
-type rowKernel interface {
-	fill(lo, hi int)
 }
 
 // exactRow is a row of the exact recurrence, filled by rowRange.
@@ -32,9 +26,8 @@ type exactRow struct {
 func (r *exactRow) fill(lo, hi int) { rowRange(r.comm, r.comp, r.next, r.cost, r.choice, lo, hi) }
 
 // rowPool is a persistent pool of workers computing disjoint chunks of
-// DP rows: the exact rows of solveRows and the rows of a banded refine
-// (refineBand). The workers are spawned once per solve and
-// reused for every row. Within a row, chunks are independent (they
+// the exact DP rows of solveRows. The workers are spawned once per
+// solve and reused for every row. Within a row, chunks are independent (they
 // only read the previous row), so the result is bit-identical to the
 // sequential recurrence; the row-to-row dependency stays sequential
 // via the per-row barrier in run().
@@ -92,7 +85,7 @@ const (
 // worker count instead of a fixed floor, so small rows stay on one
 // worker and large rows split finely enough to balance. A nil pool
 // runs the row inline.
-func (rp *rowPool) run(n int, k rowKernel) {
+func (rp *rowPool) run(n int, k *exactRow) {
 	if rp == nil {
 		k.fill(0, n)
 		return

@@ -92,13 +92,6 @@ func runBandCheck(pass *Pass) error {
 	return nil
 }
 
-func unitRecv(unit *funcUnit) *ast.FieldList {
-	if unit.Decl != nil {
-		return unit.Decl.Recv
-	}
-	return nil
-}
-
 // checkBandCall applies the interval and nilness proofs to one call of
 // a core solver entry point.
 func checkBandCall(pass *Pass, unit *funcUnit, call *ast.CallExpr) {
@@ -127,7 +120,7 @@ func checkBandCall(pass *Pass, unit *funcUnit, call *ast.CallExpr) {
 	}
 	if idx < len(call.Args) {
 		arg := call.Args[idx]
-		if iv := unit.Eng.IntervalOfExpr(arg); iv.DefinitelyNegative() {
+		if iv := unit.engine().IntervalOfExpr(arg); iv.DefinitelyNegative() {
 			if pass.TypesInfo.Types[arg].Value != nil {
 				pass.Reportf(arg.Pos(),
 					"%s called with a constant negative item count: the paper's solvers are defined for n >= 0 only", key)
@@ -146,7 +139,7 @@ func checkBandCall(pass *Pass, unit *funcUnit, call *ast.CallExpr) {
 		if _, isSlice := tv.Type.Underlying().(*types.Slice); !isSlice {
 			continue
 		}
-		if unit.Eng.NilnessOfExpr(arg) == NilAlways {
+		if unit.engine().NilnessOfExpr(arg) == NilAlways {
 			pass.Reportf(arg.Pos(),
 				"%s called with a provably nil processor slice: the solvers require at least one processor", key)
 		}
@@ -172,10 +165,11 @@ func checkDivGuard(pass *Pass, unit *funcUnit, params map[*types.Var]bool, bin *
 	}
 	// The use must resolve to the parameter's entry value: a
 	// reassigned parameter is a local concern, not a caller contract.
-	if _, isParam := unit.SSA.ValueAt(id).(*ValParam); !isParam {
+	eng := unit.engine()
+	if _, isParam := eng.f.ValueAt(id).(*ValParam); !isParam {
 		return
 	}
-	if iv := unit.Eng.IntervalOf(id); !iv.ExcludesZero() {
+	if iv := eng.IntervalOf(id); !iv.ExcludesZero() {
 		op := "division"
 		if bin.Op == token.REM {
 			op = "modulus"

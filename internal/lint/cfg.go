@@ -44,8 +44,9 @@ type CFG struct {
 	// them as unrefined joins.
 	Branches []CondEdge
 
-	// dom[b][a] reports whether block a dominates block b.
-	dom [][]bool
+	// idom[b] is the index of block b's immediate dominator: -1 for
+	// Entry and for blocks unreachable from it.
+	idom []int
 	// reach[a][b] reports whether a nonempty path leads from a to b.
 	reach [][]bool
 }
@@ -90,7 +91,24 @@ func (g *CFG) Dominates(a, b ref) bool {
 	if a.block == b.block {
 		return a.idx < b.idx
 	}
-	return g.dom[b.block.Index][a.block.Index]
+	return g.dominates(a.block, b.block)
+}
+
+// dominates reports whether block a dominates block b, by walking b's
+// dominator-tree chain. A block unreachable from Entry is dominated by
+// every block, so dominance queries on dead code are vacuously true —
+// the conservative direction for "a required action dominates this
+// site" checks.
+func (g *CFG) dominates(a, b *Block) bool {
+	if !g.ReachableFromEntry(b) {
+		return true
+	}
+	for i := b.Index; i != -1; i = g.idom[i] {
+		if i == a.Index {
+			return true
+		}
+	}
+	return false
 }
 
 // CanPrecede reports whether some execution can pass through a before
@@ -385,7 +403,7 @@ func (b *cfgBuilder) target(label *ast.Ident, wantCont bool) *Block {
 
 // ReachableFromEntry reports whether blk can execute at all. Blocks
 // the builder created as unreachable continuations (after return,
-// break, ...) keep vacuously-true dominator rows; path-sensitive
+// break, ...) are vacuously dominated by every block; path-sensitive
 // layers must skip them.
 func (g *CFG) ReachableFromEntry(blk *Block) bool {
 	return blk == g.Entry || g.reach[g.Entry.Index][blk.Index]
@@ -409,8 +427,8 @@ func (g *CFG) soleReachablePred(blk *Block) *Block {
 	return sole
 }
 
-// finalize fills predecessor edges and computes the dominator and
-// reachability relations.
+// finalize fills predecessor edges and computes the dominator tree and
+// the reachability relation.
 func (g *CFG) finalize() {
 	for _, blk := range g.Blocks {
 		for _, s := range blk.Succs {
@@ -419,51 +437,66 @@ func (g *CFG) finalize() {
 	}
 	n := len(g.Blocks)
 
-	// Iterative dominators: dom[b] = {b} ∪ ⋂ dom[preds(b)]. Blocks
-	// unreachable from Entry keep the full set, which makes dominance
-	// queries on dead code vacuously true — the conservative direction
-	// for "a required action dominates this site" checks.
-	all := make([]bool, n)
-	for i := range all {
-		all[i] = true
+	// Immediate dominators by the Cooper–Harvey–Kennedy iteration over
+	// the blocks reachable from Entry, in reverse postorder; po holds
+	// each block's postorder number (-1: unreachable).
+	po := make([]int, n)
+	for i := range po {
+		po[i] = -1
 	}
-	dom := make([][]bool, n)
-	for i := range dom {
-		if i == g.Entry.Index {
-			dom[i] = make([]bool, n)
-			dom[i][i] = true
-		} else {
-			dom[i] = append([]bool(nil), all...)
+	var order []*Block // postorder
+	visited := make([]bool, n)
+	var dfs func(b *Block)
+	dfs = func(b *Block) {
+		visited[b.Index] = true
+		for _, s := range b.Succs {
+			if !visited[s.Index] {
+				dfs(s)
+			}
 		}
+		po[b.Index] = len(order)
+		order = append(order, b)
+	}
+	dfs(g.Entry)
+	idom := make([]int, n)
+	for i := range idom {
+		idom[i] = -1
+	}
+	idom[g.Entry.Index] = g.Entry.Index
+	intersect := func(a, b int) int {
+		for a != b {
+			for po[a] < po[b] {
+				a = idom[a]
+			}
+			for po[b] < po[a] {
+				b = idom[b]
+			}
+		}
+		return a
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, blk := range g.Blocks {
-			if blk == g.Entry {
-				continue
-			}
-			nd := append([]bool(nil), all...)
-			reachablePred := false
+		for k := len(order) - 2; k >= 0; k-- { // order[len-1] is Entry
+			blk := order[k]
+			nd := -1
 			for _, p := range blk.Preds {
-				reachablePred = true
-				for i := range nd {
-					nd[i] = nd[i] && dom[p.Index][i]
+				if idom[p.Index] == -1 {
+					continue // unreachable or not yet processed
+				}
+				if nd == -1 {
+					nd = p.Index
+				} else {
+					nd = intersect(p.Index, nd)
 				}
 			}
-			if !reachablePred {
-				copy(nd, all)
-			}
-			nd[blk.Index] = true
-			for i := range nd {
-				if nd[i] != dom[blk.Index][i] {
-					dom[blk.Index] = nd
-					changed = true
-					break
-				}
+			if idom[blk.Index] != nd {
+				idom[blk.Index] = nd
+				changed = true
 			}
 		}
 	}
-	g.dom = dom
+	idom[g.Entry.Index] = -1
+	g.idom = idom
 
 	// Forward reachability over nonempty paths, by DFS from each block.
 	reach := make([][]bool, n)

@@ -117,7 +117,7 @@ func (t *threadOps) donesBehind(pos token.Pos) map[*types.Var]bool {
 }
 
 func checkFuncDeadlocks(pass *Pass, unit *funcUnit) {
-	g := unit.SSA.G
+	g := pass.facts.cfg(unit.Body)
 	info := pass.TypesInfo
 
 	chans := collectLocalChans(pass, unit)
@@ -315,7 +315,7 @@ func collectLocalChans(pass *Pass, unit *funcUnit) map[*types.Var]*localChan {
 		}
 		unbuffered := len(d.makeCall.Args) == 1
 		if len(d.makeCall.Args) == 2 {
-			iv := unit.Eng.IntervalOfExpr(d.makeCall.Args[1])
+			iv := unit.engine().IntervalOfExpr(d.makeCall.Args[1])
 			unbuffered = !iv.Empty && !iv.LoInf && !iv.HiInf && iv.Lo == 0 && iv.Hi == 0
 		}
 		if !unbuffered {

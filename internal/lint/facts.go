@@ -7,7 +7,9 @@ import "go/ast"
 // and shared by every pass of the run. It lives exactly as long as the
 // run, so nothing is retained across packages or across runs, and
 // every fact is a pure function of the package, so which analyzer
-// asks first never changes an answer. Passes run one after another
+// asks first never changes an answer. A function's SSA form and
+// interval facts are finer-grained still: its funcUnit builds them on
+// the first query there (interval.go). Passes run one after another
 // and no fact is mutated once built, so no locking is needed.
 type runFacts struct {
 	pkg        *Package
@@ -38,8 +40,9 @@ func (f *runFacts) lockSets() *lockSummary {
 	return f.locks
 }
 
-// funcUnits returns the CFG/SSA/interval unit of every function
-// declaration and nested literal (interval.go).
+// funcUnits returns the unit of every function declaration and nested
+// literal (interval.go); each builds its SSA and interval facts only
+// when an analyzer first queries them.
 func (f *runFacts) funcUnits() []*funcUnit {
 	if !f.unitsBuilt {
 		f.units, f.unitsBuilt = buildFuncUnits(f), true

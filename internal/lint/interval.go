@@ -23,7 +23,13 @@ import (
 // branch condition's constraints met into its interval, provided the
 // guard tests the SAME SSA value as the use (version-exactness is what
 // makes `if p <= 0 { return nil }; n / p` provably safe while leaving
-// a reassigned p unrefined).
+// a reassigned p unrefined). Guard lookup walks the CFG's dominator
+// tree (cfg.go).
+//
+// Each function's SSA form and engine are built on demand, by the
+// first query an analyzer makes there (funcUnit.engine): bandcheck
+// asks only at a matched solver entry-point call or a scoped divide,
+// collectivedeadlock only at a make(chan T, n).
 
 // An Interval is a range of int64 values, possibly unbounded on either
 // side, possibly empty (the lattice bottom).
@@ -647,7 +653,7 @@ func (e *intervalEngine) guardsFor(blk *Block) []guard {
 				if g.soleReachablePred(side.tgt) != br.From {
 					continue
 				}
-				if side.tgt != blk && !g.dom[blk.Index][side.tgt.Index] {
+				if !g.dominates(side.tgt, blk) {
 					continue
 				}
 				out = append(out, guard{cond: br.Cond, truth: side.truth})
@@ -932,55 +938,48 @@ func isNilExpr(info *types.Info, expr ast.Expr) bool {
 	return ok && tv.IsNil()
 }
 
-// A funcUnit couples one function declaration or literal with its CFG,
-// SSA form, and fact engine. Analyzers iterate units rather than
-// rebuilding the stack ad hoc.
+// A funcUnit is one function declaration or literal. Its SSA form
+// and fact engine are built on first use (engine), so a function no
+// analyzer queries never pays for them.
 type funcUnit struct {
-	Decl *ast.FuncDecl // nil for literals
-	Lit  *ast.FuncLit  // nil for declarations
-	Body *ast.BlockStmt
-	Type *ast.FuncType
-	SSA  *SSAFunc
-	Eng  *intervalEngine
+	Decl  *ast.FuncDecl // nil for literals
+	Lit   *ast.FuncLit  // nil for declarations
+	Body  *ast.BlockStmt
+	Type  *ast.FuncType
+	facts *runFacts
+	eng   *intervalEngine
 }
 
-// buildFuncUnits constructs a unit for every function declaration and
-// every function literal (at any nesting depth) in the package's files,
-// on the fact base's shared CFGs.
+// engine returns the unit's fact engine over its SSA form, built on
+// the fact base's shared CFG.
+func (u *funcUnit) engine() *intervalEngine {
+	if u.eng == nil {
+		u.eng = newIntervalEngine(BuildSSA(u.facts.cfg(u.Body), u.facts.pkg.Info, unitRecv(u), u.Type, u.Body))
+	}
+	return u.eng
+}
+
+func unitRecv(unit *funcUnit) *ast.FieldList {
+	if unit.Decl != nil {
+		return unit.Decl.Recv
+	}
+	return nil
+}
+
+// buildFuncUnits lists a unit for every function declaration and every
+// function literal (at any nesting depth) in the package's files.
 func buildFuncUnits(f *runFacts) []*funcUnit {
 	var units []*funcUnit
-	build := func(decl *ast.FuncDecl, lit *ast.FuncLit) {
-		var recv *ast.FieldList
-		var ftype *ast.FuncType
-		var body *ast.BlockStmt
-		if decl != nil {
-			recv, ftype, body = decl.Recv, decl.Type, decl.Body
-		} else {
-			ftype, body = lit.Type, lit.Body
-		}
-		if body == nil {
-			return
-		}
-		ssa := BuildSSA(f.cfg(body), f.pkg.Info, recv, ftype, body)
-		units = append(units, &funcUnit{
-			Decl: decl,
-			Lit:  lit,
-			Body: body,
-			Type: ftype,
-			SSA:  ssa,
-			Eng:  newIntervalEngine(ssa),
-		})
-	}
 	for _, file := range f.pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			build(fd, nil)
+			units = append(units, &funcUnit{Decl: fd, Body: fd.Body, Type: fd.Type, facts: f})
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					build(nil, lit)
+					units = append(units, &funcUnit{Lit: lit, Body: lit.Body, Type: lit.Type, facts: f})
 				}
 				return true
 			})

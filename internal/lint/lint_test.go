@@ -313,9 +313,10 @@ var fixtureScopes = map[string]string{
 }
 
 func TestAnalyzerOrderIndependent(t *testing.T) {
-	// The run's shared facts (summaries, lock sets, CFGs, SSA units and
-	// their lazy guard caches) must not depend on which analyzer built
-	// them first: the suite and its reverse report the same findings.
+	// The run's shared facts (summaries, lock sets, CFGs, and the SSA
+	// form, interval facts and guard caches each unit builds on first
+	// query) must not depend on which analyzer built them first: the
+	// suite and its reverse report the same findings.
 	entries, err := os.ReadDir("testdata")
 	if err != nil {
 		t.Fatal(err)

@@ -10,14 +10,17 @@ import (
 // This file lifts the statement-grained CFG (cfg.go) into SSA form:
 // every use of a function-local variable resolves to exactly one
 // immutable value — a parameter, one defining assignment, or a phi
-// merging the values that flow into a join block. Phis are pruned:
-// they are placed on the iterated dominance frontier of a variable's
-// definition blocks, but only where the variable is live-in, so dead
-// merges never exist. The sparse fact layers (interval.go) attach
-// constant/interval/nilness lattices to these values instead of
-// re-solving a dense per-program-point fixpoint, which is what lets
-// the v3 analyzers (bandcheck, collectivedeadlock) reason about value
-// flow at a cost proportional to the number of values, not statements.
+// merging the values that flow into a join block. Placement is
+// minimal: phis sit on the iterated dominance frontier of a variable's
+// definition blocks, computed over the CFG's dominator tree (cfg.go).
+// A phi no use reaches is never read, so it changes no answer. The
+// sparse fact layers (interval.go) attach constant/interval/nilness
+// lattices to these values instead of re-solving a dense
+// per-program-point fixpoint, which is what lets the v3 analyzers
+// (bandcheck, collectivedeadlock) reason about value flow at a cost
+// proportional to the number of values, not statements. SSA is built
+// per function on demand, the first time an analyzer queries a fact
+// there (funcUnit.engine).
 //
 // Variables that escape single-assignment reasoning — address-taken
 // locals and variables shared with closures — are demoted wholesale:
@@ -78,9 +81,6 @@ type SSAFunc struct {
 	// Phis lists the phi nodes at each block head.
 	Phis map[*Block][]*ValPhi
 
-	// idom[b] is the immediate dominator's block index (-1 for the
-	// entry block and blocks unreachable from it).
-	idom []int
 	// unsafe marks variables demoted to ValUnknown.
 	unsafe map[*types.Var]bool
 }
@@ -104,7 +104,6 @@ func BuildSSA(g *CFG, info *types.Info, recv *ast.FieldList, ftype *ast.FuncType
 		Phis:     make(map[*Block][]*ValPhi),
 		unsafe:   make(map[*types.Var]bool),
 	}
-	f.computeIdoms()
 
 	// Entry values and tracked-variable set.
 	entryVars := entryVarList(info, recv, ftype)
@@ -134,10 +133,9 @@ func BuildSSA(g *CFG, info *types.Info, recv *ast.FieldList, ftype *ast.FuncType
 	// Demote address-taken and closure-shared variables.
 	f.findUnsafe(body, tracked)
 
-	// Pruned phi placement: iterated dominance frontier of the def
-	// blocks, filtered by liveness.
+	// Minimal phi placement: the iterated dominance frontier of the
+	// def blocks.
 	frontier := f.dominanceFrontiers()
-	liveIn := f.liveness(tracked)
 	ordered := orderedVars(tracked)
 	for _, obj := range ordered {
 		if f.unsafe[obj] {
@@ -159,7 +157,7 @@ func BuildSSA(g *CFG, info *types.Info, recv *ast.FieldList, ftype *ast.FuncType
 			blk := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, fb := range frontier[blk.Index] {
-				if hasPhi[fb] || !liveIn[fb.Index][obj] {
+				if hasPhi[fb] {
 					continue
 				}
 				hasPhi[fb] = true
@@ -338,42 +336,6 @@ func (f *SSAFunc) findUnsafe(body *ast.BlockStmt, tracked map[*types.Var]bool) {
 	walk(body)
 }
 
-// computeIdoms derives the immediate-dominator array from the CFG's
-// dominance matrix: idom(b) is the strict dominator of b that every
-// other strict dominator of b dominates.
-func (f *SSAFunc) computeIdoms() {
-	g := f.G
-	n := len(g.Blocks)
-	f.idom = make([]int, n)
-	for i := range f.idom {
-		f.idom[i] = -1
-	}
-	for _, blk := range g.Blocks {
-		if blk == g.Entry || !g.ReachableFromEntry(blk) {
-			continue
-		}
-		var doms []int
-		for _, a := range g.Blocks {
-			if a.Index != blk.Index && g.dom[blk.Index][a.Index] && g.ReachableFromEntry(a) {
-				doms = append(doms, a.Index)
-			}
-		}
-		for _, a := range doms {
-			closest := true
-			for _, c := range doms {
-				if c != a && !g.dom[a][c] {
-					closest = false
-					break
-				}
-			}
-			if closest {
-				f.idom[blk.Index] = a
-				break
-			}
-		}
-	}
-}
-
 // dominanceFrontiers computes DF(b) for every reachable block with the
 // Cooper–Harvey–Kennedy walk over reachable predecessors.
 func (f *SSAFunc) dominanceFrontiers() [][]*Block {
@@ -390,7 +352,7 @@ func (f *SSAFunc) dominanceFrontiers() [][]*Block {
 		}
 		for _, p := range preds {
 			runner := p.Index
-			for runner != -1 && runner != f.idom[blk.Index] {
+			for runner != -1 && runner != g.idom[blk.Index] {
 				if seen[runner] == nil {
 					seen[runner] = make(map[int]bool)
 				}
@@ -398,64 +360,11 @@ func (f *SSAFunc) dominanceFrontiers() [][]*Block {
 					seen[runner][blk.Index] = true
 					out[runner] = append(out[runner], blk)
 				}
-				runner = f.idom[runner]
+				runner = g.idom[runner]
 			}
 		}
 	}
 	return out
-}
-
-// liveness computes the live-in variable sets per block (tracked
-// variables only), for phi pruning.
-func (f *SSAFunc) liveness(tracked map[*types.Var]bool) []map[*types.Var]bool {
-	g := f.G
-	n := len(g.Blocks)
-	use := make([]map[*types.Var]bool, n)
-	def := make([]map[*types.Var]bool, n)
-	for i := range use {
-		use[i] = make(map[*types.Var]bool)
-		def[i] = make(map[*types.Var]bool)
-	}
-	for _, blk := range g.Blocks {
-		i := blk.Index
-		for _, node := range blk.Nodes {
-			for _, id := range nodeUses(f.Info, node) {
-				obj, _ := f.Info.ObjectOf(id).(*types.Var)
-				if obj == nil || !tracked[obj] || def[i][obj] {
-					continue
-				}
-				use[i][obj] = true
-			}
-			for _, d := range nodeDefs(f.Info, node) {
-				if tracked[d.obj] {
-					def[i][d.obj] = true
-				}
-			}
-		}
-	}
-	liveIn := make([]map[*types.Var]bool, n)
-	for i := range liveIn {
-		liveIn[i] = make(map[*types.Var]bool)
-		for v := range use[i] {
-			liveIn[i][v] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range g.Blocks {
-			i := blk.Index
-			for _, s := range blk.Succs {
-				for v := range liveIn[s.Index] {
-					if def[i][v] || liveIn[i][v] {
-						continue
-					}
-					liveIn[i][v] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return liveIn
 }
 
 // nodeUses lists the identifiers a node reads, skipping nested
@@ -508,7 +417,7 @@ func (f *SSAFunc) rename(entryVars []*types.Var) {
 	// Dominator-tree children, in index order for determinism.
 	children := make([][]int, len(g.Blocks))
 	for _, blk := range g.Blocks {
-		if p := f.idom[blk.Index]; p != -1 {
+		if p := g.idom[blk.Index]; p != -1 {
 			children[p] = append(children[p], blk.Index)
 		}
 	}

