@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race perfbench-test bench bench-fault bench-recovery bench-solver bench-solver-smoke bench-degraded bench-lint bench-serve figures fmt lint lint-audit ci-lint check ci
+.PHONY: all build vet test race perfbench-test bench bench-fault bench-recovery bench-solver bench-solver-smoke bench-degraded bench-virtual-check bench-lint bench-serve figures fmt lint lint-audit ci-lint check ci
 
 all: build
 
@@ -59,6 +59,13 @@ bench-solver-smoke:
 # site partition plus degraded trunk links, at three graph sizes).
 bench-degraded:
 	$(GO) run ./cmd/scatterbench -degraded BENCH_degraded.json
+
+# Fail if a virtual-time benchmark document no longer matches the code:
+# BENCH_fault.json, BENCH_recovery.json and BENCH_degraded.json are
+# deterministic in virtual time, so regenerating them must leave the
+# committed files byte-identical.
+bench-virtual-check: bench-fault bench-recovery bench-degraded
+	git diff --exit-code BENCH_fault.json BENCH_recovery.json BENCH_degraded.json
 
 # Regenerate BENCH_serve.json (scatterd under a seeded 120k-request
 # load: throughput, latency percentiles, store/cache hit rates, shed
