@@ -368,21 +368,35 @@ func (f *SSAFunc) dominanceFrontiers() [][]*Block {
 }
 
 // nodeUses lists the identifiers a node reads, skipping nested
-// function-literal bodies and pure-definition targets.
+// function-literal bodies and pure-definition targets. A RangeStmt
+// node stands for its loop header only: its body's statements are
+// nodes of the body blocks.
 func nodeUses(info *types.Info, n ast.Node) []*ast.Ident {
 	pure := pureDefIdents(info, n)
 	var out []*ast.Ident
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch v := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.Ident:
-			if !pure[v] {
-				out = append(out, v)
+	scan := func(n ast.Node) {
+		ast.Inspect(n, func(m ast.Node) bool {
+			switch v := m.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.Ident:
+				if !pure[v] {
+					out = append(out, v)
+				}
 			}
+			return true
+		})
+	}
+	rs, ok := n.(*ast.RangeStmt)
+	if !ok {
+		scan(n)
+		return out
+	}
+	for _, e := range []ast.Expr{rs.Key, rs.Value, rs.X} {
+		if e != nil {
+			scan(e)
 		}
-		return true
-	})
+	}
 	return out
 }
 

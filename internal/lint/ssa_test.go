@@ -117,6 +117,38 @@ func h(n int) int {
 	}
 }
 
+func TestSSARangeHeaderReadsOnlyItsHeader(t *testing.T) {
+	// d is defined in the loop body, so minimal SSA places a phi for it
+	// at the range header. The header node must not read the body:
+	// the pure definition d := x * 2 is no use of d.
+	src := `package p
+func r(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		d := x * 2
+		s += d
+	}
+	return s
+}`
+	fset, info, fd, f := buildSSAFor(t, src, "r")
+	line := lineOf(t, src, "d := x * 2")
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == "d" && info.Defs[id] != nil &&
+			fset.Position(id.Pos()).Line == line {
+			if v := f.ValueAt(id); v != nil {
+				t.Errorf("pure definition of d has a use value %T", v)
+			}
+		}
+		return true
+	})
+	if _, ok := f.ValueAt(useOnLine(t, fset, info, fd, "xs", lineOf(t, src, "range xs"))).(*ValParam); !ok {
+		t.Error("the ranged operand xs is not read at the header")
+	}
+	if _, ok := f.ValueAt(useOnLine(t, fset, info, fd, "d", lineOf(t, src, "s += d"))).(*ValDef); !ok {
+		t.Error("the body's use of d does not resolve to its definition")
+	}
+}
+
 func TestSSAParamAndUnknown(t *testing.T) {
 	src := `package p
 func k(a, b int) int {
