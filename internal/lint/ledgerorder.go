@@ -12,7 +12,8 @@ import (
 //
 //  1. Order: a (*fault.Ledger).Reclaim call must have a checkpoint
 //     append — a Deliver call, direct or through a summarized helper
-//     or local closure — on some CFG path before it. A reclaim with
+//     or local closure, or a call handed an appending closure as a
+//     callback — on some CFG path before it. A reclaim with
 //     no possible preceding append means a failover successor could
 //     replay a ledger that never recorded the data being
 //     redistributed, breaking exactly-once redistribution.
@@ -80,7 +81,7 @@ func checkReclaimOrder(pass *Pass, sum *pkgSummary, body *ast.BlockStmt) {
 			reclaims = append(reclaims, site{r})
 			reclaimCalls = append(reclaimCalls, call)
 		default:
-			if cf := sum.calleeFacts(call); cf != nil && cf.appendsLedger {
+			if cf := sum.calleeFacts(call); (cf != nil && cf.appendsLedger) || sum.passesAppender(call) {
 				appends = append(appends, site{r})
 			}
 		}

@@ -170,6 +170,29 @@ func (s *pkgSummary) calleeFacts(call *ast.CallExpr) *funcFacts {
 	return nil
 }
 
+// passesAppender reports whether the call hands its callee a
+// same-package function value that appends a ledger checkpoint — a
+// literal, or a variable bound to one. The callee may invoke it, so the
+// call counts as an append: the delivery-callback shape of the
+// supervised collectives, whose ledger write is an argument.
+func (s *pkgSummary) passesAppender(call *ast.CallExpr) bool {
+	for _, arg := range call.Args {
+		var fl *ast.FuncLit
+		switch a := ast.Unparen(arg).(type) {
+		case *ast.FuncLit:
+			fl = a
+		case *ast.Ident:
+			if v, ok := s.info.ObjectOf(a).(*types.Var); ok {
+				fl = s.closures[v]
+			}
+		}
+		if ff := s.byLit[fl]; ff != nil && ff.appendsLedger {
+			return true
+		}
+	}
+	return false
+}
+
 // update recomputes ff's facts from its body; reports whether anything
 // changed. Nested function literals are skipped — they have their own
 // summaries and effects flow through calls.
@@ -221,6 +244,10 @@ func (s *pkgSummary) update(ff *funcFacts) bool {
 					ff.appendsLedger = true
 					changed = true
 				}
+			}
+			if s.passesAppender(v) && !ff.appendsLedger {
+				ff.appendsLedger = true
+				changed = true
 			}
 			if fn := calleeFunc(s.info, v); isLedgerMethod(fn, "Deliver") && !ff.appendsLedger {
 				ff.appendsLedger = true

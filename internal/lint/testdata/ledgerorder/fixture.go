@@ -33,6 +33,31 @@ func closureDeliver(l *fault.Ledger, rs []fault.Range, at float64) []fault.Range
 	return l.Reclaim(0, at)
 }
 
+// serve invokes the delivery callback it is handed.
+func serve(n int, at float64, land func(rank int, at float64)) {
+	for i := 0; i < n; i++ {
+		land(i, at)
+	}
+}
+
+// callbackDeliver appends through a closure handed to a helper as its
+// delivery callback, the supervised-collective shape: the call that
+// passes it counts as the append.
+func callbackDeliver(l *fault.Ledger, r fault.Range, at float64) []fault.Range {
+	land := func(rank int, at float64) {
+		l.Deliver(rank, r, at)
+	}
+	serve(3, at, land)
+	return l.Reclaim(0, at)
+}
+
+// callbackNoAppend hands over a callback that never appends: the
+// reclaim still has nothing before it.
+func callbackNoAppend(l *fault.Ledger, at float64) []fault.Range {
+	serve(3, at, func(int, float64) {})
+	return l.Reclaim(0, at) // want "Reclaim with no checkpoint append"
+}
+
 // conditionalAppend appends on only one branch: reachability (not
 // dominance) is the protocol's ordering relation, so this is clean.
 func conditionalAppend(l *fault.Ledger, ok bool, r fault.Range, at float64) []fault.Range {

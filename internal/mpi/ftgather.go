@@ -1,88 +1,37 @@
 package mpi
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/fault"
-)
+import "repro/internal/fault"
 
 // This file is the failure-aware counterpart of Gatherv and Reduce: the
-// inverse leg of the pipeline FaultTolerantScatterv starts. The root
-// pulls each rank's contribution over its single inbound port in rank
-// order, retrying timed-out transfers under the same policy, and
-// tracks confirmed contributions in a fault.Ledger keyed by one-slot
-// ranges — slot [r, r+1) confirmed means rank r's contribution is held
-// at the current root. The ledger's metadata piggybacks on each
-// acknowledgement, so when the collecting root crashes the survivors
-// elect a successor exactly as in the scatter. The partial gather dies
-// with the old root, so the successor reclaims every confirmed slot
-// and re-collects from the surviving contributors — idempotently: a
-// contribution is re-sent verbatim and lands exactly once in the new
-// root's buffer, never duplicated. Contributors that died before any
-// surviving root confirmed them are reported in Missing; the caller
-// decides whether to recompute their share (see internal/chaos).
+// inverse leg of the pipeline FaultTolerantScatterv starts, run by the
+// same supervisor (ftscatter.go). The root pulls each rank's
+// contribution over its single inbound port in rank order, retrying
+// timed-out transfers under the same policy, and tracks confirmed
+// contributions in a fault.Ledger keyed by one-slot ranges — slot
+// [r, r+1) confirmed means rank r's contribution is held at the current
+// root. A pull waits until the contributor is ready as well as the
+// port. The gather hands the supervisor a nil network plan and a nil
+// divergence detector: its transfers see a clean network (no slowdown,
+// no cut, every survivor electable) and feed no divergence samples. The
+// ledger's metadata piggybacks on each acknowledgement, so when the
+// collecting root crashes the survivors elect a successor exactly as in
+// the scatter. The partial gather dies with the old root, so the
+// successor reclaims every confirmed slot and re-collects from the
+// surviving contributors — idempotently: a contribution is re-sent
+// verbatim and lands exactly once in the new root's buffer, never
+// duplicated. Contributors that died before any surviving root
+// confirmed them are reported in Missing; the caller decides whether to
+// recompute their share (see internal/chaos).
 
 // GatherReport describes how a fault-tolerant gather or reduce went.
+// Its Ledger holds slot [r, r+1) for every contribution the final root
+// holds.
 type GatherReport struct {
+	Supervision
 	// Contributed lists the ranks whose contributions the final root
 	// holds, in rank order; Missing lists the ranks whose contributions
 	// were lost with their machines.
 	Contributed, Missing []int
-	// Retries counts re-pulled transfers; Timeouts counts attempts the
-	// root gave up on; Rounds counts collection epochs (1 for a
-	// failure-free run, +1 per re-collection after a failover).
-	Retries, Timeouts, Rounds int
-	// Failovers counts root re-elections; RootPath lists every
-	// collecting root in order, the original first.
-	Failovers int
-	RootPath  []int
-	// Ledger is the final contribution ledger: slot [r, r+1) held means
-	// rank r contributed (shared between the ranks' reports; read-only).
-	Ledger *fault.Ledger
-	// Survivors is a communicator over the surviving ranks, rooted at
-	// the final root. It is the receiver's own communicator when
-	// nothing failed, and nil for a rank that failed.
-	Survivors *Comm
-}
-
-// FinalRoot returns the root that completed the collection.
-func (r *GatherReport) FinalRoot() int { return r.RootPath[len(r.RootPath)-1] }
-
-// gtShared is the per-gather outcome shared by every rank's report.
-type gtShared struct {
-	contributed []int
-	missing     []int
-	failedRanks []int
-	retries     int
-	timeouts    int
-	rounds      int
-	failovers   int
-	rootPath    []int
-	ledger      *fault.Ledger
-	sub         *World // nil when nothing failed
-}
-
-func (sh *gtShared) report() *GatherReport {
-	return &GatherReport{
-		Contributed: sh.contributed,
-		Missing:     sh.missing,
-		Retries:     sh.retries,
-		Timeouts:    sh.timeouts,
-		Rounds:      sh.rounds,
-		Failovers:   sh.failovers,
-		RootPath:    sh.rootPath,
-		Ledger:      sh.ledger,
-	}
-}
-
-// gtOut is the per-rank outcome of a fault-tolerant gather.
-type gtOut[T any] struct {
-	gathered []T
-	spans    []Span
-	failed   bool
-	subRank  int
-	shared   *gtShared
 }
 
 // FaultTolerantGatherv collects every rank's contribution at the root
@@ -99,312 +48,77 @@ func FaultTolerantGatherv[T any](c *Comm, contrib []T) ([]T, *GatherReport, erro
 	out, err := c.rendezvous(contrib, func(w *World, clocks []float64, inputs []any) ([]float64, []float64, []any, error) {
 		p := w.Size()
 		origRoot := w.rootRank
-		plan := w.fc.plan
-		pol := w.fc.policy.WithDefaults()
-
-		root := origRoot
-		t := clocks[root]
-		rootCrash, rootCrashes := plan.CrashTime(w.globalRank(root))
-
-		alive := make([]bool, p)
-		lastEnd := make([]float64, p)
-		for r := range alive {
-			alive[r] = true
-			lastEnd[r] = clocks[r]
-		}
-		dead := make([]bool, p)
-		sendSpans := make([][]Span, p)
-		serveSpans := make([][]Span, p)
-
-		ledger := fault.NewLedger()
-		sh := &gtShared{rootPath: []int{root}, ledger: ledger}
-
-		observe := func(ev fault.SendEvent) {
-			if w.fc.observer != nil {
-				w.fc.observer(ev)
-			}
-		}
+		s := newSupervisor(w, clocks, false, nil, nil)
+		ledger := s.ledger
 		confirm := func(r int, at float64) {
 			ledger.Deliver(r, fault.Range{Lo: r, Hi: r + 1}, at)
-			ledger.ReplicateHolders()
 		}
 
-		// pull supervises the collection of rank r's contribution over
-		// the root's inbound port, retrying under the policy. The same
-		// status machine as the scatter's deliver: every step first
-		// resolves the collecting root's own crash against the clock.
-		pull := func(r int, label string) int {
-			items := len(inputs[r].([]T))
-			gr := w.globalRank(r)
-			name := w.procs[r].Name
-			server := w.procs[root].Name
-			nominal := w.serveTransfer(root, r, items, false)
-			for attempt := 0; ; attempt++ {
-				start := t
-				if clocks[r] > start {
-					start = clocks[r]
-				}
-				if lastEnd[r] > start {
-					start = lastEnd[r]
-				}
-				if rootCrashes && rootCrash <= start {
-					return stRootLost
-				}
-				d := nominal * plan.Slowdown(gr, start)
-				arrive := start + d
-				if rootCrashes && rootCrash < arrive {
-					serveSpans[root] = append(serveSpans[root], Span{
-						Phase: PhaseComm, Start: start, End: rootCrash, Label: label + " (cut)",
-					})
-					observe(fault.SendEvent{
-						Rank: gr, Name: name, Server: server, At: rootCrash, Items: items,
-						Outcome: fault.SendAborted, Nominal: nominal,
-					})
-					t = rootCrash
-					lastEnd[root] = t
-					return stRootLost
-				}
-				lost := plan.Crashed(gr, arrive) || plan.DropsDuring(gr, start, arrive)
-				if !lost {
-					serveSpans[root] = append(serveSpans[root], Span{Phase: PhaseComm, Start: start, End: arrive, Label: label})
-					sendSpans[r] = append(sendSpans[r], Span{Phase: PhaseComm, Start: start, End: arrive, Label: label})
-					lastEnd[r] = arrive
-					confirm(r, arrive)
-					observe(fault.SendEvent{
-						Rank: gr, Name: name, Server: server, At: arrive, Items: items,
-						Outcome: fault.SendDelivered, Nominal: nominal, Actual: d,
-					})
-					t = arrive
-					lastEnd[root] = t
-					return stDelivered
-				}
-				tout := start + pol.Timeout
-				if rootCrashes && rootCrash < tout {
-					serveSpans[root] = append(serveSpans[root], Span{
-						Phase: PhaseTimeout, Start: start, End: rootCrash,
-						Label: fmt.Sprintf("timeout←%s (cut)", name),
-					})
-					t = rootCrash
-					lastEnd[root] = t
-					return stRootLost
-				}
-				sh.timeouts++
-				serveSpans[root] = append(serveSpans[root], Span{
-					Phase: PhaseTimeout, Start: start, End: tout,
-					Label: fmt.Sprintf("timeout←%s #%d", name, attempt+1),
-				})
-				t = tout
-				lastEnd[root] = t
-				observe(fault.SendEvent{
-					Rank: gr, Name: name, Server: server, At: t, Items: items,
-					Outcome: fault.SendTimedOut, Nominal: nominal,
-				})
-				if attempt >= pol.MaxRetries {
-					return stDestLost
-				}
-				sh.retries++
-				wait := pol.Backoff.Delay(attempt)
-				if wait > 0 {
-					bend := t + wait
-					if rootCrashes && rootCrash < bend {
-						serveSpans[root] = append(serveSpans[root], Span{
-							Phase: PhaseBackoff, Start: t, End: rootCrash,
-							Label: fmt.Sprintf("backoff←%s (cut)", name),
-						})
-						t = rootCrash
-						lastEnd[root] = t
-						return stRootLost
-					}
-					serveSpans[root] = append(serveSpans[root], Span{
-						Phase: PhaseBackoff, Start: t, End: bend,
-						Label: fmt.Sprintf("backoff←%s", name),
-					})
-					t = bend
-					lastEnd[root] = t
-				}
-			}
-		}
-
-		allLost := false
 		for round := 1; ; round++ {
-			sh.rounds = round
-			failover := false
-			for r := 0; r < p && !failover; r++ {
-				if r == root || !alive[r] || ledger.Held(r) > 0 {
+			s.rep.Rounds = round
+			verb := "recv"
+			if round > 1 || s.root != origRoot {
+				verb = "regather"
+			}
+			rootLost := false
+			for r := 0; r < p && !rootLost; r++ {
+				if r == s.root || !s.alive[r] || ledger.Held(r) > 0 {
 					continue
 				}
-				label := fmt.Sprintf("recv←%s", w.procs[r].Name)
-				if round > 1 || root != origRoot {
-					label = fmt.Sprintf("regather←%s", w.procs[r].Name)
-				}
-				switch pull(r, label) {
-				case stDestLost:
-					alive[r] = false
-				case stRootLost:
-					failover = true
-				}
+				rootLost = s.transfer(r, len(inputs[r].([]T)), s.lastEnd[r], verb+"←"+w.procs[r].Name, confirm)
 			}
-			if !failover {
-				if rootCrashes && rootCrash <= t {
-					// The root dies before banking its own contribution
-					// / confirming completion.
-					failover = true
-				} else if ledger.Held(root) == 0 {
-					confirm(root, t)
-				}
-			}
-			if failover {
-				alive[root] = false
-			}
-
-			// Sweep for contributor crashes up to the port's time.
-			for r := 0; r < p; r++ {
-				if alive[r] && r != root && plan.Crashed(w.globalRank(r), t) {
-					alive[r] = false
-				}
-			}
-			for r := 0; r < p; r++ {
-				if !dead[r] && !alive[r] {
-					dead[r] = true
-				}
-			}
-			if failover {
-				var survivors []int
-				for r := 0; r < p; r++ {
-					if alive[r] {
-						survivors = append(survivors, r)
-					}
-				}
+			if rootLost, _ = s.endRound(rootLost, ledger.Held(s.root) == 0, confirm); rootLost {
+				survivors := s.living()
 				if len(survivors) == 0 {
-					allLost = true
 					break
 				}
 				// The partial gather died with the old root: reclaim
 				// every confirmed slot (the replicas survive — they are
 				// what the election reads) and re-collect. A dead
 				// contributor's slot is gone for good.
-				newRoot, _ := ledger.ElectRoot(survivors)
 				for _, r := range ledger.Holders() {
-					ledger.Reclaim(r, t)
+					ledger.Reclaim(r, s.t)
 				}
-				electStart := t
-				if clocks[newRoot] > electStart {
-					electStart = clocks[newRoot]
-				}
-				if lastEnd[newRoot] > electStart {
-					electStart = lastEnd[newRoot]
-				}
-				electEnd := electStart + pol.Election
-				serveSpans[newRoot] = append(serveSpans[newRoot], Span{
-					Phase: PhaseFailover, Start: electStart, End: electEnd,
-					Label: fmt.Sprintf("failover %s→%s", w.procs[root].Name, w.procs[newRoot].Name),
-				})
-				sh.failovers++
-				root = newRoot
-				sh.rootPath = append(sh.rootPath, root)
-				rootCrash, rootCrashes = plan.CrashTime(w.globalRank(root))
-				t = electEnd
-				lastEnd[root] = electEnd
-				ledger.Replicate(root)
+				s.failover(survivors)
 				continue
 			}
 			// No failover: done once every living contributor is banked.
 			pending := false
-			for r := 0; r < p; r++ {
-				if alive[r] && ledger.Held(r) == 0 {
-					pending = true
-				}
+			for _, r := range s.living() {
+				pending = pending || ledger.Held(r) == 0
 			}
 			if !pending {
 				break
 			}
 		}
 
-		// Assemble the shared report and per-rank outcomes.
-		for r := 0; r < p; r++ {
-			if allLost || dead[r] {
-				sh.failedRanks = append(sh.failedRanks, r)
-			}
-			if ledger.Held(r) > 0 && !allLost {
-				sh.contributed = append(sh.contributed, r)
-			} else {
-				sh.missing = append(sh.missing, r)
-			}
-		}
-		sort.Ints(sh.failedRanks)
+		rep := GatherReport{Supervision: s.rep}
+		allLost := len(s.living()) == 0
 		var gathered []T
-		if !allLost {
-			for _, r := range sh.contributed {
-				gathered = append(gathered, inputs[r].([]T)...)
-			}
-		}
-		var subRanks []int
-		subRank := make([]int, p)
-		if len(sh.failedRanks) > 0 && !allLost {
-			for r := 0; r < p; r++ {
-				if !dead[r] {
-					subRank[r] = len(subRanks)
-					subRanks = append(subRanks, r)
-				}
-			}
-			rootPos := 0
-			for i, r := range subRanks {
-				if r == root {
-					rootPos = i
-				}
-			}
-			sh.sub = w.subWorld(subRanks, rootPos)
-		}
-
-		commStarts := make([]float64, p)
-		outClocks := make([]float64, p)
-		outputs := make([]any, p)
 		for r := 0; r < p; r++ {
-			commStarts[r] = clocks[r]
-			outClocks[r] = clocks[r]
-			o := gtOut[T]{shared: sh}
-			spans := append(append([]Span(nil), sendSpans[r]...), serveSpans[r]...)
-			if dead[r] || allLost {
-				o.failed = true
-				start := clocks[r]
-				if lastEnd[r] > start {
-					start = lastEnd[r]
-				}
-				if ct, ok := plan.CrashTime(w.globalRank(r)); ok && ct > start {
-					spans = append(spans, Span{Phase: PhaseIdle, Start: start, End: ct, Label: "crashed"})
-				}
+			if ledger.Held(r) > 0 && !allLost {
+				rep.Contributed = append(rep.Contributed, r)
+				gathered = append(gathered, inputs[r].([]T)...)
 			} else {
-				if r == root {
-					o.gathered = gathered
-				}
-				if sh.sub != nil {
-					o.subRank = subRank[r]
-				}
+				rep.Missing = append(rep.Missing, r)
 			}
-			o.spans = spans
-			outputs[r] = o
 		}
-		for _, r := range sh.failedRanks {
-			w.markFailed(r, fmt.Errorf("mpi: rank %d lost to injected fault: %w", r, ErrRankFailed))
-		}
-		return commStarts, outClocks, outputs, nil
+		return outcomes(s, rep, func(r int) []T {
+			if r == s.root {
+				return gathered
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	o := out.(gtOut[T])
-	c.playSpans(o.spans)
-	sh := o.shared
-	rep := sh.report()
-	if o.failed {
-		return nil, rep, fmt.Errorf("mpi: rank %d: %w", c.rank, ErrRankFailed)
+	o := out.(ftOut[T, GatherReport])
+	rep := o.rep
+	if err := o.join(c, &rep.Supervision); err != nil {
+		return nil, &rep, err
 	}
-	if sh.sub != nil {
-		rep.Survivors = &Comm{world: sh.sub, rank: o.subRank, clock: c.clock, stats: c.stats}
-	} else {
-		rep.Survivors = c
-	}
-	return o.gathered, rep, nil
+	return o.payload, &rep, nil
 }
 
 // FaultTolerantReduce folds every rank's value at the root with op,

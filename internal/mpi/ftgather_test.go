@@ -233,3 +233,46 @@ func TestFTReduceRootFailover(t *testing.T) {
 		t.Errorf("survivor reduction = %g, want 1+2+3 = 6", sums[0])
 	}
 }
+
+func TestFTGathervJitteredRetriesDecorrelate(t *testing.T) {
+	// Ranks 0 and 1 each lose their first pull to a link drop. Under a
+	// jittered policy each contributor retries on its own Stream of the
+	// schedule, so the two backoffs differ: retries against one flapping
+	// link do not re-synchronize, exactly as in the scatter.
+	pol := fault.Policy{
+		Timeout: 1, MaxRetries: 2,
+		Backoff: fault.Backoff{Base: 0.5, Factor: 2, Cap: 2, Jitter: 0.5, Seed: 42},
+	}
+	w := world4(t)
+	w.SetFaultPlan(fault.MustPlan(
+		fault.Fault{Kind: fault.LinkDrop, Rank: 0, Start: 0, End: 0.5},
+		fault.Fault{Kind: fault.LinkDrop, Rank: 1, Start: 0, End: 4},
+	), pol)
+	_, reports, gatherErrs, stats := runFTGather(t, w, contribs4())
+	for r, err := range gatherErrs {
+		if err != nil {
+			t.Fatalf("rank %d errored: %v", r, err)
+		}
+	}
+	if rep := reports[3]; rep.Retries != 2 || len(rep.Missing) != 0 {
+		t.Fatalf("report = %+v, want 2 retries and nothing missing", rep)
+	}
+	waits := map[string]float64{}
+	for _, s := range stats[3].Spans {
+		if s.Phase == PhaseBackoff {
+			waits[s.Label] = s.End - s.Start
+		}
+	}
+	for gr, label := range []string{"backoff←P1", "backoff←P2"} {
+		got, ok := waits[label]
+		if !ok {
+			t.Fatalf("no %q span; backoffs = %v", label, waits)
+		}
+		if want := pol.Backoff.Stream(int64(gr)).Delay(0); math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s waited %g, want its own stream's %g", label, got, want)
+		}
+	}
+	if waits["backoff←P1"] == waits["backoff←P2"] {
+		t.Errorf("both contributors backed off %g: the retries share one jitter stream", waits["backoff←P1"])
+	}
+}

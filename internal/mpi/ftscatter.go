@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -199,25 +198,17 @@ const (
 	RebalanceUniform = "uniform"
 )
 
-// ScatterReport describes how a fault-tolerant scatter went.
-type ScatterReport struct {
-	// Planned is the requested per-rank distribution (the counts
-	// argument); Final is what each rank actually ended up holding —
-	// zero for ranks that failed.
-	Planned, Final core.Distribution
-	// Failed lists the ranks declared dead during the scatter, in rank
-	// order.
-	Failed []int
-	// Retries counts re-sent transfers; Timeouts counts transfer
-	// attempts the root gave up on; Rounds counts scatter rounds (1 for
-	// a failure-free run, +1 per rebalance or resume).
+// Supervision is what the supervised port reports about a
+// fault-tolerant collective; ScatterReport and GatherReport embed it.
+type Supervision struct {
+	// Retries counts re-attempted transfers; Timeouts counts transfer
+	// attempts the root gave up on; Rounds counts service rounds (1 for
+	// a failure-free run, +1 per rebalance, resume or re-collection).
 	Retries, Timeouts, Rounds int
 	// Failovers counts root re-elections; RootPath lists every serving
 	// root in order, the original first (length Failovers+1).
 	Failovers int
 	RootPath  []int
-	// Rebalances records every recovery re-solve in order.
-	Rebalances []Rebalance
 	// Ledger is the final delivery ledger (shared between the ranks'
 	// reports; read-only).
 	Ledger *fault.Ledger
@@ -228,55 +219,359 @@ type ScatterReport struct {
 	Survivors *Comm
 }
 
-// FinalRoot returns the root that completed the scatter (the last
+// FinalRoot returns the root that completed the collective (the last
 // entry of RootPath).
-func (r *ScatterReport) FinalRoot() int { return r.RootPath[len(r.RootPath)-1] }
+func (s *Supervision) FinalRoot() int { return s.RootPath[len(s.RootPath)-1] }
 
-// ftShared is the per-scatter outcome shared by every rank's report.
-type ftShared struct {
-	planned, final core.Distribution
-	failedRanks    []int
-	retries        int
-	timeouts       int
-	rounds         int
-	failovers      int
-	rootPath       []int
-	rebalances     []Rebalance
-	ledger         *fault.Ledger
-	sub            *World // nil when nothing failed
+// ScatterReport describes how a fault-tolerant scatter went.
+type ScatterReport struct {
+	Supervision
+	// Planned is the requested per-rank distribution (the counts
+	// argument); Final is what each rank actually ended up holding —
+	// zero for ranks that failed.
+	Planned, Final core.Distribution
+	// Failed lists the ranks declared dead during the scatter, in rank
+	// order.
+	Failed []int
+	// Rebalances records every recovery re-solve in order.
+	Rebalances []Rebalance
 }
 
-// report assembles the public report from the shared outcome.
-func (sh *ftShared) report() *ScatterReport {
-	return &ScatterReport{
-		Planned:    sh.planned,
-		Final:      sh.final,
-		Failed:     sh.failedRanks,
-		Retries:    sh.retries,
-		Timeouts:   sh.timeouts,
-		Rounds:     sh.rounds,
-		Failovers:  sh.failovers,
-		RootPath:   sh.rootPath,
-		Rebalances: sh.rebalances,
-		Ledger:     sh.ledger,
+// supervisor runs the supervised single-port service both
+// fault-tolerant collectives are made of: the serving root works
+// through the ranks in rank order, one transfer at a time, and resolves
+// every transfer, timeout and backoff against the fault plan, the
+// network plan and its own crash. FaultTolerantScatterv pushes item
+// ranges to the ranks; FaultTolerantGatherv pulls one contribution from
+// each. What differs between the two is an input: the transfer
+// direction (and the arrow of the span labels), the network plan and
+// divergence detector — nil for the gather: a clean network nothing is
+// observed on — and, per transfer, its size, the time the other side is
+// ready, and the ledger write that lands it.
+type supervisor struct {
+	w      *World
+	clocks []float64
+	plan   *fault.Plan
+	pol    fault.Policy
+	np     *fault.NetPlan
+	div    *monitor.Divergence
+	sends  bool   // the root sends (scatter) rather than receives
+	arrow  string // "→" when the root sends, "←" when it receives
+	ledger *fault.Ledger
+	rep    Supervision
+
+	root        int     // the serving root
+	t           float64 // its port time
+	rootCrash   float64
+	rootCrashes bool
+	alive, dead []bool
+	lastEnd     []float64 // each rank's last busy instant
+	peerSpans   [][]Span  // each rank's side of its transfers
+	serveSpans  [][]Span  // each rank's port time as root, and its election
+}
+
+// newSupervisor starts the service at the world's root, at the root's
+// clock, with every rank alive and an empty ledger.
+func newSupervisor(w *World, clocks []float64, sends bool, np *fault.NetPlan, div *monitor.Divergence) *supervisor {
+	p := w.Size()
+	s := &supervisor{
+		w: w, clocks: clocks, plan: w.fc.plan, pol: w.fc.policy.WithDefaults(),
+		np: np, div: div, sends: sends, arrow: "←", ledger: fault.NewLedger(),
+		root: w.rootRank, t: clocks[w.rootRank],
+		alive: make([]bool, p), dead: make([]bool, p),
+		lastEnd:   append([]float64(nil), clocks...),
+		peerSpans: make([][]Span, p), serveSpans: make([][]Span, p),
+	}
+	if sends {
+		s.arrow = "→"
+	}
+	for r := range s.alive {
+		s.alive[r] = true
+	}
+	s.rootCrash, s.rootCrashes = s.plan.CrashTime(w.globalRank(s.root))
+	s.rep.RootPath = []int{s.root}
+	s.rep.Ledger = s.ledger
+	return s
+}
+
+// book records a span of the serving root's port and moves the port
+// time to its end.
+func (s *supervisor) book(phase Phase, start, end float64, label string) {
+	s.serveSpans[s.root] = append(s.serveSpans[s.root], Span{Phase: phase, Start: start, End: end, Label: label})
+	s.t = end
+	s.lastEnd[s.root] = end
+}
+
+// observe reports a transfer outcome, at the current port time, to the
+// world's send observer.
+func (s *supervisor) observe(ev fault.SendEvent, outcome fault.SendOutcome, actual float64) {
+	if s.w.fc.observer != nil {
+		ev.At, ev.Outcome, ev.Actual = s.t, outcome, actual
+		s.w.fc.observer(ev)
 	}
 }
 
-// ftOut is the per-rank outcome of a fault-tolerant scatter.
-type ftOut[T any] struct {
-	chunk   []T
-	spans   []Span
-	failed  bool
-	subRank int
-	shared  *ftShared
+// transfer supervises the transfer of items between the serving root
+// and rank r, retrying under the policy, and reports whether the
+// serving root was lost. An attempt starts once the root's port is
+// free and r is ready (the scatter pushes whenever the port is free,
+// so it passes ready 0). Every step first resolves the serving root's
+// own crash against the simulated clock: a transfer, timeout or backoff
+// the crash instant falls inside is cut short and triggers a failover.
+// A confirmed transfer is written to the ledger by land, and the ledger
+// metadata piggybacks on the acknowledgement to every holder; a rank
+// that exhausts its retries is declared lost.
+func (s *supervisor) transfer(r, items int, ready float64, label string, land func(r int, at float64)) (rootLost bool) {
+	w := s.w
+	gr, grServer := w.globalRank(r), w.globalRank(s.root)
+	name := w.procs[r].Name
+	ev := fault.SendEvent{
+		Rank: gr, Name: name, Server: w.procs[s.root].Name, Items: items,
+		Nominal: w.serveTransfer(s.root, r, items, s.sends),
+	}
+	// Per-destination jitter stream: concurrent retries against a
+	// flapping link must not re-synchronize on the shared schedule.
+	// Stream is the identity for jitter-free policies.
+	backoff := s.pol.Backoff.Stream(int64(gr))
+	for attempt := 0; ; attempt++ {
+		start := s.t
+		if ready > start {
+			start = ready
+		}
+		if s.rootCrashes && s.rootCrash <= start {
+			return true
+		}
+		d := ev.Nominal * s.plan.Slowdown(gr, start) * s.np.Slowdown(grServer, gr, start)
+		arrive := start + d
+		if s.rootCrashes && s.rootCrash < arrive {
+			// The server dies mid-transfer: the transfer is never
+			// confirmed, so the partial data is discarded.
+			s.book(PhaseComm, start, s.rootCrash, label+" (cut)")
+			s.observe(ev, fault.SendAborted, 0)
+			return true
+		}
+		lost := s.plan.Crashed(gr, arrive) || s.plan.DropsDuring(gr, start, arrive) ||
+			s.np.CutDuring(grServer, gr, start, arrive)
+		if !lost {
+			s.book(PhaseComm, start, arrive, label)
+			ps, pe := start, arrive
+			if s.clocks[r] > ps {
+				ps = s.clocks[r]
+			}
+			if s.clocks[r] > pe {
+				pe = s.clocks[r]
+			}
+			s.peerSpans[r] = append(s.peerSpans[r], Span{Phase: PhaseComm, Start: ps, End: pe, Label: label})
+			if pe > s.lastEnd[r] {
+				s.lastEnd[r] = pe
+			}
+			land(r, arrive)
+			s.ledger.ReplicateHolders()
+			s.observe(ev, fault.SendDelivered, d)
+			if s.div != nil {
+				s.div.Observe(ev.Nominal, d)
+			}
+			return false
+		}
+		tout := start + s.pol.Timeout
+		if s.rootCrashes && s.rootCrash < tout {
+			s.book(PhaseTimeout, start, s.rootCrash, fmt.Sprintf("timeout%s%s (cut)", s.arrow, name))
+			return true
+		}
+		s.rep.Timeouts++
+		s.book(PhaseTimeout, start, tout, fmt.Sprintf("timeout%s%s #%d", s.arrow, name, attempt+1))
+		s.observe(ev, fault.SendTimedOut, 0)
+		if s.div != nil {
+			s.div.ObserveFailure()
+		}
+		if attempt >= s.pol.MaxRetries {
+			s.alive[r] = false
+			return false
+		}
+		s.rep.Retries++
+		if wait := backoff.Delay(attempt); wait > 0 {
+			bend := s.t + wait
+			if s.rootCrashes && s.rootCrash < bend {
+				s.book(PhaseBackoff, s.t, s.rootCrash, fmt.Sprintf("backoff%s%s (cut)", s.arrow, name))
+				return true
+			}
+			s.book(PhaseBackoff, s.t, bend, fmt.Sprintf("backoff%s%s", s.arrow, name))
+		}
+	}
 }
 
-// deliver outcomes.
-const (
-	stDelivered = iota // the items landed and were checkpointed
-	stDestLost         // the destination exhausted its retries
-	stRootLost         // the serving root crashed; failover required
-)
+// endRound closes a round's pass over the port. Unless the pass lost
+// the serving root already, the root either dies before it claims its
+// own share and confirms completion — lost as well — or, when ownDue,
+// lands its own share, which costs no port time. A rank that crashed by
+// the port's current time takes what it received down with it. endRound
+// marks every rank lost this round dead and returns them in rank order,
+// with whether the serving root was lost.
+func (s *supervisor) endRound(rootLost, ownDue bool, land func(r int, at float64)) (bool, []int) {
+	if !rootLost {
+		if s.rootCrashes && s.rootCrash <= s.t {
+			rootLost = true
+		} else if ownDue {
+			land(s.root, s.t)
+			s.ledger.ReplicateHolders()
+		}
+	}
+	if rootLost {
+		s.alive[s.root] = false
+	}
+	var lost []int
+	for r := range s.alive {
+		if s.alive[r] && r != s.root && s.plan.Crashed(s.w.globalRank(r), s.t) {
+			s.alive[r] = false
+		}
+		if !s.alive[r] && !s.dead[r] {
+			s.dead[r] = true
+			lost = append(lost, r)
+		}
+	}
+	return rootLost, lost
+}
+
+// living returns the ranks still alive, in rank order.
+func (s *supervisor) living() []int {
+	var out []int
+	for r, ok := range s.alive {
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// failover hands the service to the survivors' deterministic choice:
+// the lowest survivor holding a fresh ledger copy. The election starts
+// when the survivors notice the silence and ends after the agreement
+// round. Under an active partition the electorate skips candidates cut
+// off from the majority of survivors — a fresh ledger on an unreachable
+// site cannot serve anyone. A nil network plan cuts nothing, so every
+// survivor is a candidate.
+func (s *supervisor) failover(survivors []int) {
+	w := s.w
+	var eligible func(int) bool
+	if s.np.HasFaults() {
+		eligible = func(cand int) bool {
+			gc := w.globalRank(cand)
+			reach := 0
+			for _, r := range survivors {
+				if r != cand && s.np.Reachable(gc, w.globalRank(r), s.t) {
+					reach++
+				}
+			}
+			return 2*reach >= len(survivors)-1
+		}
+	}
+	next, _ := s.ledger.ElectRootEligible(survivors, eligible)
+	start := s.t
+	if s.clocks[next] > start {
+		start = s.clocks[next]
+	}
+	if s.lastEnd[next] > start {
+		start = s.lastEnd[next]
+	}
+	end := start + s.pol.Election
+	s.serveSpans[next] = append(s.serveSpans[next], Span{
+		Phase: PhaseFailover, Start: start, End: end,
+		Label: fmt.Sprintf("failover %s→%s", w.procs[s.root].Name, w.procs[next].Name),
+	})
+	s.rep.Failovers++
+	s.rep.RootPath = append(s.rep.RootPath, next)
+	s.root = next
+	s.rootCrash, s.rootCrashes = s.plan.CrashTime(w.globalRank(next))
+	s.t = end
+	s.lastEnd[next] = end
+	s.ledger.Replicate(next)
+}
+
+// failed returns the ranks declared dead, in rank order.
+func (s *supervisor) failed() []int {
+	var out []int
+	for r, d := range s.dead {
+		if d {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// ftOut is one rank's outcome of a supervised collective.
+type ftOut[T, R any] struct {
+	payload []T
+	rep     R // shared by every rank; Survivors is set per rank
+	spans   []Span
+	failed  bool
+	sub     *World // the survivors' world; nil when nothing failed
+	subRank int
+}
+
+// outcomes assembles a supervised collective's rendezvous result:
+// every rank's timeline (a dead rank idles "crashed" until its crash),
+// payload(r) for each survivor, the shared report, and the survivors'
+// world when someone failed. It marks the dead failed so the rest of
+// the program fails fast instead of deadlocking on ranks that will
+// never arrive.
+func outcomes[T, R any](s *supervisor, rep R, payload func(r int) []T) ([]float64, []float64, []any, error) {
+	w := s.w
+	p := w.Size()
+	failed := s.failed()
+	var sub *World
+	subRank := make([]int, p)
+	if len(failed) > 0 && len(failed) < p {
+		var ranks []int
+		rootPos := 0
+		for r := 0; r < p; r++ {
+			if !s.dead[r] {
+				if r == s.root {
+					rootPos = len(ranks)
+				}
+				subRank[r] = len(ranks)
+				ranks = append(ranks, r)
+			}
+		}
+		sub = w.subWorld(ranks, rootPos)
+	}
+	outputs := make([]any, p)
+	for r := 0; r < p; r++ {
+		o := ftOut[T, R]{rep: rep, failed: s.dead[r]}
+		o.spans = append(append([]Span(nil), s.peerSpans[r]...), s.serveSpans[r]...)
+		if o.failed {
+			start := s.clocks[r]
+			if s.lastEnd[r] > start {
+				start = s.lastEnd[r]
+			}
+			if ct, ok := s.plan.CrashTime(w.globalRank(r)); ok && ct > start {
+				o.spans = append(o.spans, Span{Phase: PhaseIdle, Start: start, End: ct, Label: "crashed"})
+			}
+		} else {
+			o.payload = payload(r)
+			o.sub, o.subRank = sub, subRank[r]
+		}
+		outputs[r] = o
+	}
+	for _, r := range failed {
+		w.markFailed(r, fmt.Errorf("mpi: rank %d lost to injected fault: %w", r, ErrRankFailed))
+	}
+	return s.clocks, s.clocks, outputs, nil
+}
+
+// join replays the rank's timeline onto its clock and sets sup's
+// Survivors to the communicator the rank continues on; a rank declared
+// dead gets an error wrapping ErrRankFailed instead.
+func (o ftOut[T, R]) join(c *Comm, sup *Supervision) error {
+	c.playSpans(o.spans)
+	if o.failed {
+		return fmt.Errorf("mpi: rank %d: %w", c.rank, ErrRankFailed)
+	}
+	sup.Survivors = c
+	if o.sub != nil {
+		sup.Survivors = &Comm{world: o.sub, rank: o.subRank, clock: c.clock, stats: c.stats}
+	}
+	return nil
+}
 
 // FaultTolerantScatterv distributes data from the root like Scatterv,
 // but supervises every transfer against the world's fault plan:
@@ -312,37 +607,9 @@ func FaultTolerantScatterv[T any](c *Comm, data []T, counts []int) ([]T, *Scatte
 		if total > len(rootIn.data) {
 			return nil, nil, nil, fmt.Errorf("mpi: scatterv needs %d items, root has %d", total, len(rootIn.data))
 		}
-		plan := w.fc.plan
-		pol := w.fc.policy.WithDefaults()
-		np := w.fc.netplan // nil-safe: a nil plan is a clean network
-		div := w.fc.divergence
-
-		root := origRoot
-		t := clocks[root]
-		rootCrash, rootCrashes := plan.CrashTime(w.globalRank(root))
-
-		alive := make([]bool, p)
-		lastEnd := make([]float64, p)
-		for r := range alive {
-			alive[r] = true
-			lastEnd[r] = clocks[r]
-		}
-		dead := make([]bool, p)
-		recvSpans := make([][]Span, p)
-		serveSpans := make([][]Span, p)
-
-		ledger := fault.NewLedger()
-		sh := &ftShared{
-			planned:  append(core.Distribution(nil), counts...),
-			rootPath: []int{root},
-			ledger:   ledger,
-		}
-
-		observe := func(ev fault.SendEvent) {
-			if w.fc.observer != nil {
-				w.fc.observer(ev)
-			}
-		}
+		np, div := w.fc.netplan, w.fc.divergence // a nil plan is a clean network
+		s := newSupervisor(w, clocks, true, np, div)
+		ledger := s.ledger
 
 		// Round 1 ships the requested distribution: contiguous ranges
 		// of the root's buffer, in rank order.
@@ -354,257 +621,61 @@ func FaultTolerantScatterv[T any](c *Comm, data []T, counts []int) ([]T, *Scatte
 			}
 			off += n
 		}
-
-		// deliver supervises the transfer of the ranges to rank r,
-		// retrying under the policy. It advances the serving root's
-		// port time t and reports how the attempt sequence ended. Every
-		// step first resolves the serving root's own crash against the
-		// simulated clock: a transfer, timeout or backoff the crash
-		// instant falls inside is cut short and triggers a failover.
-		deliver := func(r int, ranges []fault.Range, label string) int {
-			items := fault.RangeLen(ranges)
-			gr := w.globalRank(r)
-			name := w.procs[r].Name
-			server := w.procs[root].Name
-			grServer := w.globalRank(root)
-			nominal := w.serveTransfer(root, r, items, true)
-			// Per-destination jitter stream: concurrent retries against
-			// a flapping link must not re-synchronize on the shared
-			// schedule. Stream is the identity for jitter-free policies.
-			backoff := pol.Backoff.Stream(int64(gr))
-			for attempt := 0; ; attempt++ {
-				if rootCrashes && t >= rootCrash {
-					return stRootLost
-				}
-				d := nominal * plan.Slowdown(gr, t) * np.Slowdown(grServer, gr, t)
-				arrive := t + d
-				if rootCrashes && rootCrash < arrive {
-					// The server dies mid-transfer: the send is never
-					// confirmed, so the destination discards the
-					// partial data and the items stay in the pool.
-					serveSpans[root] = append(serveSpans[root], Span{
-						Phase: PhaseComm, Start: t, End: rootCrash, Label: label + " (cut)",
-					})
-					observe(fault.SendEvent{
-						Rank: gr, Name: name, Server: server, At: rootCrash, Items: items,
-						Outcome: fault.SendAborted, Nominal: nominal,
-					})
-					t = rootCrash
-					lastEnd[root] = t
-					return stRootLost
-				}
-				lost := plan.Crashed(gr, arrive) || plan.DropsDuring(gr, t, arrive) ||
-					np.CutDuring(grServer, gr, t, arrive)
-				if !lost {
-					serveSpans[root] = append(serveSpans[root], Span{Phase: PhaseComm, Start: t, End: arrive, Label: label})
-					start, end := t, arrive
-					if clocks[r] > start {
-						start = clocks[r]
-					}
-					if clocks[r] > end {
-						end = clocks[r]
-					}
-					recvSpans[r] = append(recvSpans[r], Span{Phase: PhaseComm, Start: start, End: end, Label: label})
-					if end > lastEnd[r] {
-						lastEnd[r] = end
-					}
-					for _, rg := range ranges {
-						ledger.Deliver(r, rg, arrive)
-					}
-					ledger.ReplicateHolders()
-					observe(fault.SendEvent{
-						Rank: gr, Name: name, Server: server, At: arrive, Items: items,
-						Outcome: fault.SendDelivered, Nominal: nominal, Actual: d,
-					})
-					if div != nil {
-						div.Observe(nominal, d)
-					}
-					t = arrive
-					lastEnd[root] = t
-					return stDelivered
-				}
-				tout := t + pol.Timeout
-				if rootCrashes && rootCrash < tout {
-					serveSpans[root] = append(serveSpans[root], Span{
-						Phase: PhaseTimeout, Start: t, End: rootCrash,
-						Label: fmt.Sprintf("timeout→%s (cut)", name),
-					})
-					t = rootCrash
-					lastEnd[root] = t
-					return stRootLost
-				}
-				sh.timeouts++
-				serveSpans[root] = append(serveSpans[root], Span{
-					Phase: PhaseTimeout, Start: t, End: tout,
-					Label: fmt.Sprintf("timeout→%s #%d", name, attempt+1),
-				})
-				t = tout
-				lastEnd[root] = t
-				observe(fault.SendEvent{
-					Rank: gr, Name: name, Server: server, At: t, Items: items,
-					Outcome: fault.SendTimedOut, Nominal: nominal,
-				})
-				if div != nil {
-					div.ObserveFailure()
-				}
-				if attempt >= pol.MaxRetries {
-					return stDestLost
-				}
-				sh.retries++
-				wait := backoff.Delay(attempt)
-				if wait > 0 {
-					bend := t + wait
-					if rootCrashes && rootCrash < bend {
-						serveSpans[root] = append(serveSpans[root], Span{
-							Phase: PhaseBackoff, Start: t, End: rootCrash,
-							Label: fmt.Sprintf("backoff→%s (cut)", name),
-						})
-						t = rootCrash
-						lastEnd[root] = t
-						return stRootLost
-					}
-					serveSpans[root] = append(serveSpans[root], Span{
-						Phase: PhaseBackoff, Start: t, End: bend,
-						Label: fmt.Sprintf("backoff→%s", name),
-					})
-					t = bend
-					lastEnd[root] = t
-				}
+		deliver := func(r int, at float64) {
+			for _, rg := range assign[r] {
+				ledger.Deliver(r, rg, at)
 			}
+			assign[r] = nil
 		}
 
-		allLost := false
+		var rebalances []Rebalance
 		roundMode := "" // how the current round's assignments were computed
 		for round := 1; ; round++ {
-			sh.rounds = round
+			s.rep.Rounds = round
 			// Serve the round's recipients in rank order over the
 			// serving root's single port.
-			failover := false
-			for r := 0; r < p && !failover; r++ {
-				if r == root || !alive[r] || len(assign[r]) == 0 {
+			rootLost := false
+			for r := 0; r < p && !rootLost; r++ {
+				if r == s.root || !s.alive[r] || len(assign[r]) == 0 {
 					continue
 				}
-				var label string
+				verb := "send"
 				switch {
 				case roundMode == RebalanceDiffuse:
-					label = fmt.Sprintf("diffuse→%s", w.procs[r].Name)
-				case root != origRoot:
-					label = fmt.Sprintf("resume→%s", w.procs[r].Name)
+					verb = "diffuse"
+				case s.root != origRoot:
+					verb = "resume"
 				case round > 1:
-					label = fmt.Sprintf("rebalance→%s", w.procs[r].Name)
-				default:
-					label = fmt.Sprintf("send→%s", w.procs[r].Name)
+					verb = "rebalance"
 				}
-				switch deliver(r, assign[r], label) {
-				case stDelivered:
-					assign[r] = nil
-				case stDestLost:
-					alive[r] = false // keep assign[r] for reclaiming
-				case stRootLost:
-					failover = true
-				}
+				rootLost = s.transfer(r, fault.RangeLen(assign[r]), 0, verb+"→"+w.procs[r].Name, deliver)
 			}
-			if !failover {
-				if rootCrashes && rootCrash <= t {
-					// The root dies before claiming its own share /
-					// confirming completion.
-					failover = true
-				} else if len(assign[root]) > 0 {
-					// The root's own share ships for free once the
-					// port is idle.
-					for _, rg := range assign[root] {
-						ledger.Deliver(root, rg, t)
-					}
-					ledger.ReplicateHolders()
-					assign[root] = nil
-				}
-			}
-			if failover {
-				alive[root] = false
-			}
-
-			// Sweep for crashes up to the port's current time: a rank
-			// that received its chunk and then died takes the data down
-			// with it, so its items re-enter the pool too.
-			for r := 0; r < p; r++ {
-				if alive[r] && r != root && plan.Crashed(w.globalRank(r), t) {
-					alive[r] = false
-				}
-			}
+			// A rank lost this round (a crashed machine's partial
+			// results are gone) returns what it held and what it was
+			// still owed to the pool.
+			rootLost, lost := s.endRound(rootLost, len(assign[s.root]) > 0, deliver)
 			var pool []fault.Range
-			for r := 0; r < p; r++ {
-				if dead[r] || alive[r] {
-					continue
-				}
-				dead[r] = true
-				pool = append(pool, ledger.Reclaim(r, t)...)
+			for _, r := range lost {
+				pool = append(pool, ledger.Reclaim(r, s.t)...)
 				pool = append(pool, assign[r]...)
 				assign[r] = nil
 			}
-			if failover {
-				// Unsent assignments return to the pool: the successor
-				// re-reads them from the scatter's durable input.
-				for r := 0; r < p; r++ {
-					if len(assign[r]) > 0 {
-						pool = append(pool, assign[r]...)
-						assign[r] = nil
-					}
-				}
-				var survivors []int
-				for r := 0; r < p; r++ {
-					if alive[r] {
-						survivors = append(survivors, r)
-					}
-				}
+			if rootLost {
+				survivors := s.living()
 				if len(survivors) == 0 {
-					allLost = true
 					break
 				}
-				// Deterministic re-election: lowest survivor holding a
-				// fresh ledger copy. The election starts when the
-				// survivors notice the silence and ends after the
-				// agreement round. Under an active partition the
-				// electorate skips candidates cut off from the majority
-				// of survivors — a fresh ledger on an unreachable site
-				// cannot serve anyone.
-				var eligible func(int) bool
-				if np.HasFaults() {
-					electAt := t
-					eligible = func(cand int) bool {
-						gc := w.globalRank(cand)
-						reach := 0
-						for _, s := range survivors {
-							if s != cand && np.Reachable(gc, w.globalRank(s), electAt) {
-								reach++
-							}
-						}
-						return 2*reach >= len(survivors)-1
-					}
+				// Unsent assignments return to the pool: the successor
+				// re-reads them from the scatter's durable input.
+				for r := range assign {
+					pool = append(pool, assign[r]...)
+					assign[r] = nil
 				}
-				newRoot, _ := ledger.ElectRootEligible(survivors, eligible)
-				electStart := t
-				if clocks[newRoot] > electStart {
-					electStart = clocks[newRoot]
-				}
-				if lastEnd[newRoot] > electStart {
-					electStart = lastEnd[newRoot]
-				}
-				electEnd := electStart + pol.Election
-				serveSpans[newRoot] = append(serveSpans[newRoot], Span{
-					Phase: PhaseFailover, Start: electStart, End: electEnd,
-					Label: fmt.Sprintf("failover %s→%s", w.procs[root].Name, w.procs[newRoot].Name),
-				})
-				sh.failovers++
-				root = newRoot
-				sh.rootPath = append(sh.rootPath, root)
-				rootCrash, rootCrashes = plan.CrashTime(w.globalRank(root))
-				t = electEnd
-				lastEnd[root] = electEnd
-				ledger.Replicate(root)
+				s.failover(survivors)
 			}
 			pool = fault.CoalesceRanges(pool)
 			if len(pool) == 0 {
-				if failover {
+				if rootLost {
 					continue // nothing pending; next round just confirms
 				}
 				break
@@ -615,11 +686,11 @@ func FaultTolerantScatterv[T any](c *Comm, data []T, counts []int) ([]T, *Scatte
 			// ship the losses in another round.
 			var survivors []int
 			for r := 0; r < p; r++ {
-				if r != root && alive[r] {
+				if r != s.root && s.alive[r] {
 					survivors = append(survivors, r)
 				}
 			}
-			survivors = append(survivors, root)
+			survivors = append(survivors, s.root)
 			n := fault.RangeLen(pool)
 			solveProcs := w.rebalanceProcs(survivors)
 
@@ -629,14 +700,14 @@ func FaultTolerantScatterv[T any](c *Comm, data []T, counts []int) ([]T, *Scatte
 			// cut); a fully healed network releases the pin and lets the
 			// sample vote recover on its own.
 			if div != nil && np.HasFaults() {
-				if np.Healed(t) {
+				if np.Healed(s.t) {
 					if div.Forced() {
 						div.Heal()
 					}
 				} else {
-					grServer := w.globalRank(root)
-					for _, s := range survivors {
-						if s != root && !np.Reachable(grServer, w.globalRank(s), t) {
+					grServer := w.globalRank(s.root)
+					for _, r := range survivors {
+						if r != s.root && !np.Reachable(grServer, w.globalRank(r), s.t) {
 							div.ForceDegraded()
 							break
 						}
@@ -653,7 +724,7 @@ func FaultTolerantScatterv[T any](c *Comm, data []T, counts []int) ([]T, *Scatte
 				// only. Survivors cut off from the root's component get
 				// nothing this round — their items would die with the
 				// retries — and rejoin via later rounds after the heal.
-				adj := w.liveAdjacency(survivors, t)
+				adj := w.liveAdjacency(survivors, s.t)
 				if res, _, err := core.DiffusePool(solveProcs, adj, n); err == nil {
 					dist = res.Distribution
 					mode = RebalanceDiffuse
@@ -668,8 +739,8 @@ func FaultTolerantScatterv[T any](c *Comm, data []T, counts []int) ([]T, *Scatte
 			for pos, r := range survivors {
 				assign[r] = parts[pos]
 			}
-			sh.rebalances = append(sh.rebalances, Rebalance{
-				Round: round + 1, Root: root, Items: n,
+			rebalances = append(rebalances, Rebalance{
+				Round: round + 1, Root: s.root, Items: n,
 				Ranks:     append([]int(nil), survivors...),
 				Procs:     solveProcs,
 				Dist:      append(core.Distribution(nil), dist...),
@@ -678,83 +749,28 @@ func FaultTolerantScatterv[T any](c *Comm, data []T, counts []int) ([]T, *Scatte
 			})
 		}
 
-		// Assemble the shared report and per-rank outcomes.
-		sh.final = make(core.Distribution, p)
-		for r := 0; r < p; r++ {
-			sh.final[r] = ledger.Held(r)
-			if dead[r] || allLost {
-				sh.failedRanks = append(sh.failedRanks, r)
-			}
+		rep := ScatterReport{
+			Supervision: s.rep,
+			Planned:     append(core.Distribution(nil), counts...),
+			Final:       make(core.Distribution, p),
+			Failed:      s.failed(),
+			Rebalances:  rebalances,
 		}
-		sort.Ints(sh.failedRanks)
-		var subRanks []int
-		subRank := make([]int, p)
-		if len(sh.failedRanks) > 0 && !allLost {
-			for r := 0; r < p; r++ {
-				if !dead[r] {
-					subRank[r] = len(subRanks)
-					subRanks = append(subRanks, r)
-				}
-			}
-			rootPos := 0
-			for i, r := range subRanks {
-				if r == root {
-					rootPos = i
-				}
-			}
-			sh.sub = w.subWorld(subRanks, rootPos)
+		for r := range rep.Final {
+			rep.Final[r] = ledger.Held(r)
 		}
-
-		commStarts := make([]float64, p)
-		outClocks := make([]float64, p)
-		outputs := make([]any, p)
-		for r := 0; r < p; r++ {
-			commStarts[r] = clocks[r]
-			outClocks[r] = clocks[r]
-			o := ftOut[T]{shared: sh}
-			spans := append(append([]Span(nil), recvSpans[r]...), serveSpans[r]...)
-			if dead[r] || allLost {
-				o.failed = true
-				start := clocks[r]
-				if lastEnd[r] > start {
-					start = lastEnd[r]
-				}
-				if ct, ok := plan.CrashTime(w.globalRank(r)); ok && ct > start {
-					spans = append(spans, Span{Phase: PhaseIdle, Start: start, End: ct, Label: "crashed"})
-				}
-			} else {
-				o.chunk = chunkOf(rootIn.data, ledger.Holdings(r))
-				if sh.sub != nil {
-					o.subRank = subRank[r]
-				}
-			}
-			o.spans = spans
-			outputs[r] = o
-		}
-		// Mark the dead so the rest of the program fails fast instead
-		// of deadlocking on ranks that will never arrive.
-		for _, r := range sh.failedRanks {
-			w.markFailed(r, fmt.Errorf("mpi: rank %d lost to injected fault: %w", r, ErrRankFailed))
-		}
-		return commStarts, outClocks, outputs, nil
+		return outcomes(s, rep, func(r int) []T { return chunkOf(rootIn.data, ledger.Holdings(r)) })
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	o := out.(ftOut[T])
-	c.playSpans(o.spans)
-	sh := o.shared
-	rep := sh.report()
-	if o.failed {
-		return nil, rep, fmt.Errorf("mpi: rank %d: %w", c.rank, ErrRankFailed)
+	o := out.(ftOut[T, ScatterReport])
+	rep := o.rep
+	if err := o.join(c, &rep.Supervision); err != nil {
+		return nil, &rep, err
 	}
-	c.stats.ItemsReceived += len(o.chunk)
-	if sh.sub != nil {
-		rep.Survivors = &Comm{world: sh.sub, rank: o.subRank, clock: c.clock, stats: c.stats}
-	} else {
-		rep.Survivors = c
-	}
-	return o.chunk, rep, nil
+	c.stats.ItemsReceived += len(o.payload)
+	return o.payload, &rep, nil
 }
 
 // chunkOf assembles a rank's chunk from its ledger holdings. A single
