@@ -245,10 +245,6 @@ func (s *pkgSummary) update(ff *funcFacts) bool {
 					changed = true
 				}
 			}
-			if s.passesAppender(v) && !ff.appendsLedger {
-				ff.appendsLedger = true
-				changed = true
-			}
 			if fn := calleeFunc(s.info, v); isLedgerMethod(fn, "Deliver") && !ff.appendsLedger {
 				ff.appendsLedger = true
 				changed = true
