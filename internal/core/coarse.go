@@ -84,6 +84,15 @@ func newCostRow(n int) costRow {
 	return costRow{comm: make([]float64, n), comp: make([]float64, n)}
 }
 
+// resize makes c hold n shares, reusing its buffers when they are
+// large enough.
+func (c *costRow) resize(n int) {
+	if cap(c.comm) < n {
+		*c = newCostRow(n)
+	}
+	c.comm, c.comp = c.comm[:n], c.comp[:n]
+}
+
 // fill sets comm[k] and comp[k] to pr's costs at the share start + k.
 func (c costRow) fill(pr Processor, start int) {
 	fillCosts(pr.Comm, start, c.comm)

@@ -138,23 +138,20 @@ func fillCosts(f cost.Function, start int, out []float64) {
 // updates only on a strictly smaller cost.
 // It runs the shared rowRange kernel, on a pool of GOMAXPROCS workers
 // from 2^15 items (planParallelThreshold) and on the calling goroutine
-// below, and tabulates duplicate processors' costs once.
+// below, and evaluates each processor's costs only up to its row's
+// crossover, the last share the row reads.
 func Algorithm2(procs []Processor, n int) (Result, error) {
-	return algorithm2(newTabCache(), procs, n, 0)
+	return Algorithm2Parallel(procs, n, 0)
 }
 
 // Algorithm2Parallel is Algorithm2 with an explicit worker count for
 // the row pool (<= 0 selects GOMAXPROCS; 1 keeps every row on the
 // calling goroutine). Results are bit-identical to Algorithm2 at any
-// worker count: within a row, cells only read the previous row.
+// worker count: within a row, cells only read the previous row. It
+// runs solveRows without retaining cost rows or fingerprints, which
+// only a resolve reads.
 func Algorithm2Parallel(procs []Processor, n, workers int) (Result, error) {
-	return algorithm2(newTabCache(), procs, n, workers)
-}
-
-// algorithm2 runs the exact driver without retaining cost rows and
-// reconstructs the full problem's distribution.
-func algorithm2(tc *tabCache, procs []Processor, n, workers int) (Result, error) {
-	pl, err := solveRows(tc, procs, n, workers, false)
+	pl, err := solveRows(procs, nil, n, workers, false)
 	if err != nil {
 		return Result{}, err
 	}

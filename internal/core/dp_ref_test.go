@@ -26,13 +26,7 @@ import (
 // No binary search, no neighbor seeding, no early break — everything
 // the kernel optimizes away must not change the answer.
 func referenceCell(comm, comp, costNext []float64, d int) (int32, float64) {
-	emax := d
-	for e := 0; e <= d; e++ {
-		if comp[e] >= costNext[d-e] {
-			emax = e
-			break
-		}
-	}
+	emax := referenceCrossover(comp, costNext, d)
 	sol := emax
 	min := comm[sol] + maxf(comp[sol], costNext[d-sol])
 	for e := emax - 1; e >= 0; e-- {
@@ -41,6 +35,17 @@ func referenceCell(comm, comp, costNext []float64, d int) (int32, float64) {
 		}
 	}
 	return int32(sol), min
+}
+
+// referenceCrossover is the crossover of cell d by its definition: the
+// smallest e with comp[e] >= costNext[d-e], or d when there is none.
+func referenceCrossover(comp, costNext []float64, d int) int {
+	for e := 0; e < d; e++ {
+		if comp[e] >= costNext[d-e] {
+			return e
+		}
+	}
+	return d
 }
 
 // refOptions switches off the two optimizations that turn Algorithm 1

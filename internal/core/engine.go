@@ -165,7 +165,6 @@ func signature(procs []Processor) (fps []string, sig string, ok bool) {
 type Engine struct {
 	mu      sync.Mutex
 	cache   *PlanCache         //scatterlint:guardedby mu
-	tabs    *tabCache          //scatterlint:guardedby immutable — set once in the constructor; internally synchronized
 	stats   EngineStats        //scatterlint:guardedby mu
 	flights map[string]*flight //scatterlint:guardedby mu
 
@@ -226,7 +225,6 @@ func NewEngineConfig(cfg EngineConfig) *Engine {
 	}
 	return &Engine{
 		cache:     NewPlanCache(cfg.Capacity),
-		tabs:      newTabCache(),
 		flights:   make(map[string]*flight),
 		workers:   cfg.Workers,
 		policy:    cfg.Policy,
@@ -270,7 +268,7 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 		if fps == nil {
 			res, err = Algorithm1(procs, n)
 		} else {
-			res, err = algorithm2(e.tabs, procs, n, e.workers)
+			res, err = Algorithm2Parallel(procs, n, e.workers)
 		}
 		return res, SolveInfo{Source: SourceFallback}, err
 	}
@@ -313,12 +311,12 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 	if !cert.Certified {
 		source = SourceCold
 		if base != nil {
-			if derived, rerr := base.resolve(e.tabs, n, procs, e.workers); rerr == nil {
+			if derived, rerr := base.resolve(n, procs, fps, e.workers); rerr == nil {
 				pl, source = derived, SourceResolve
 			}
 		}
 		if pl == nil {
-			pl, err = solveRows(e.tabs, procs, n, e.workers, true)
+			pl, err = solveRows(procs, fps, n, e.workers, true)
 		}
 	}
 

@@ -137,6 +137,13 @@ const firstScanBlock = 8
 // kernel stays bit-identical to the paper's per-cell search (kept as
 // the test-only reference in dp_ref_test.go).
 //
+// A cell reads comm and comp only at shares up to its crossover, and
+// emax(d) <= emax(n) for every d <= n, so comm and comp need only hold
+// the shares [0, emax(n)] of the row's last cell n: fillRows tabulates
+// no more. The kernel bounds its reads by len(comp)-1, both in the
+// hoisted slices and in the seed search; a table shorter than that
+// invariant asks for makes a hoisted slice panic, never a wrong cell.
+//
 // Below the crossover comp[e] < costNext[d-e] (both rows are
 // nondecreasing), so the recurrence's max is exactly costNext[d-e] and
 // the descending scan never loads comp. It evaluates one 4-share
@@ -165,15 +172,18 @@ func rowRange(comm, comp, costNext, costCur []float64, choiceRow []int32, lo, hi
 	if lo > hi {
 		return
 	}
-	// Hoist the bounds checks: every index below is within [0, hi].
-	comm = comm[: hi+1 : hi+1]
-	comp = comp[: hi+1 : hi+1]
+	// Hoist the bounds checks: every index below is within [0, hi],
+	// and every share within [0, top], the row's last crossover.
+	top := min(hi, len(comp)-1)
+	comm = comm[: top+1 : top+1]
+	comp = comp[: top+1 : top+1]
 	costNext = costNext[: hi+1 : hi+1]
 	costCur = costCur[: hi+1 : hi+1]
 	choiceRow = choiceRow[: hi+1 : hi+1]
 
-	// Seed emax at d = lo with the usual binary search.
-	l, h := 0, lo
+	// Seed emax at d = lo with the usual binary search, over the
+	// shares the tables hold: emax(lo) <= top.
+	l, h := 0, min(lo, top)
 	for l < h {
 		mid := int(uint(l+h) >> 1)
 		if comp[mid] >= costNext[lo-mid] {

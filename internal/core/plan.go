@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cost"
 )
@@ -56,7 +55,7 @@ func (pl *Plan) Size() int { return len(pl.procs) }
 // functions and retains every DP row. The distribution reachable via
 // Lookup(n, 0) is bit-identical to Algorithm2's: both run solveRows.
 func SolvePlan(procs []Processor, n int) (*Plan, error) {
-	return solveRows(newTabCache(), procs, n, 0, true)
+	return solveRows(procs, fingerprints(procs), n, 0, true)
 }
 
 // planParallelThreshold is the item count from which solveRows fills
@@ -64,40 +63,53 @@ func SolvePlan(procs []Processor, n int) (*Plan, error) {
 // row computation, so small solves stay on the calling goroutine.
 const planParallelThreshold = 1 << 15
 
-// solveRows is the one exact Algorithm 2 driver. It tabulates each
-// processor's costs through tc, fills the base row, then every other
-// row with rowRange, on a pool of workers (<= 0: GOMAXPROCS) once n
-// reaches planParallelThreshold. With retain the plan keeps every cost
-// row for Lookup and Resolve; without, each cost row is dropped as soon
-// as the row before it is filled and only the choice rows survive —
-// enough for Lookup(n, 0).
-func solveRows(tc *tabCache, procs []Processor, n, workers int, retain bool) (*Plan, error) {
+// baseWindow is the number of shares at a time for which the base row
+// evaluates the root's costs.
+const baseWindow = 1024
+
+// solveRows runs every exact Algorithm 2 solve. It fills the base row,
+// then every other row with rowRange, on a pool of workers (<= 0:
+// GOMAXPROCS) once n reaches planParallelThreshold. fps are the
+// processors' fingerprints, kept for Resolve's suffix matching (nil
+// without retain). With retain the plan keeps every cost row for Lookup
+// and Resolve; without, each cost row is dropped as soon as the row
+// before it is filled and only the choice rows survive — enough for
+// Lookup(n, 0).
+func solveRows(procs []Processor, fps []string, n, workers int, retain bool) (*Plan, error) {
 	if err := validateDPInput(procs, n); err != nil {
 		return nil, err
 	}
 	p := len(procs)
 	pl := &Plan{
 		procs: append([]Processor(nil), procs...),
-		fps:   fingerprints(procs),
+		fps:   fps,
 		n:     n,
 		rows:  make([]planRow, p),
 	}
-	// Base row: the last processor takes everything that remains.
-	comm, comp := tc.tables(procs[p-1], pl.fps[p-1], n)
+	// Base row: the last processor takes everything that remains. Its
+	// costs are evaluated a window at a time, never as n-wide tables.
 	base := newPlanRow(n)
-	for d := 0; d <= n; d++ {
-		base.cost[d] = comm[d] + comp[d]
-		base.choice[d] = int32(d)
+	var win costRow
+	for lo := 0; lo <= n; lo += baseWindow {
+		win.resize(min(baseWindow, n+1-lo))
+		win.fill(procs[p-1], lo)
+		for k := range win.comm {
+			base.cost[lo+k] = win.comm[k] + win.comp[k]
+			base.choice[lo+k] = int32(lo + k)
+		}
 	}
 	pl.rows[p-1] = base
-	pl.fillRows(tc, p-1, workers, retain)
+	pl.fillRows(p-1, workers, retain)
 	return pl, nil
 }
 
 // fillRows computes rows top-1 down to 0 at width pl.n from the
-// filled row top. Without retain, each consumed cost row becomes the
-// buffer of the row after next, so only two cost rows are ever live.
-func (pl *Plan) fillRows(tc *tabCache, top, workers int, retain bool) {
+// filled row top. Row i reads its processor's costs only up to its
+// crossover at d = pl.n (see rowRange), so it evaluates them on
+// [0, emax_i(pl.n)] alone, into two buffers every row reuses. Without
+// retain, each consumed cost row becomes the buffer of the row after
+// next, so only two cost rows are ever live.
+func (pl *Plan) fillRows(top, workers int, retain bool) {
 	if top == 0 {
 		return
 	}
@@ -106,20 +118,43 @@ func (pl *Plan) fillRows(tc *tabCache, top, workers int, retain bool) {
 		rp = newRowPool(workers)
 		defer rp.close()
 	}
+	var tabs costRow    // the row processor's costs up to its crossover
 	var spare []float64 // without retain: the last consumed cost row
 	for i := top - 1; i >= 0; i-- {
-		comm, comp := tc.tables(pl.procs[i], pl.fps[i], pl.n)
+		next := pl.rows[i+1].cost
+		tabs.resize(crossover(pl.procs[i].Comp, next, pl.n) + 1)
+		tabs.fill(pl.procs[i], 0)
 		row := planRow{cost: spare, choice: make([]int32, pl.n+1)}
 		if row.cost == nil {
 			row.cost = make([]float64, pl.n+1)
 		}
-		next := pl.rows[i+1].cost
-		rp.run(pl.n, &exactRow{comm: comm, comp: comp, next: next, cost: row.cost, choice: row.choice})
+		rp.run(pl.n, &exactRow{comm: tabs.comm, comp: tabs.comp, next: next, cost: row.cost, choice: row.choice})
 		pl.rows[i] = row
 		if !retain {
 			spare, pl.rows[i+1].cost = next, nil
 		}
 	}
+}
+
+// crossover returns the crossover of the cell d = n of a row whose
+// processor computes with comp over the next row's costs next: the
+// smallest e in [0, n) with comp(e) >= next[n-e], or n when there is
+// none. It is rowRange's seed search at d = n, evaluating comp one
+// share at a time; fillCosts gives each share the bits of the full
+// table, so the answer is the kernel's own.
+func crossover(comp cost.Function, next []float64, n int) int {
+	var v [1]float64
+	l, h := 0, n
+	for l < h {
+		mid := int(uint(l+h) >> 1)
+		fillCosts(comp, mid, v[:])
+		if v[0] >= next[n-mid] {
+			h = mid
+		} else {
+			l = mid + 1
+		}
+	}
+	return l
 }
 
 // Lookup answers the suffix subproblem "distribute d items over
@@ -153,7 +188,7 @@ func (pl *Plan) Lookup(d, i int) (Result, error) {
 // back to a fresh solve. Either way the distribution is bit-identical
 // to Algorithm2(survivors, remaining).
 func (pl *Plan) Resolve(remaining int, survivors []Processor) (Result, error) {
-	d, err := pl.resolve(newTabCache(), remaining, survivors, 0)
+	d, err := pl.resolve(remaining, survivors, fingerprints(survivors), 0)
 	if err != nil {
 		return Result{}, err
 	}
@@ -161,25 +196,24 @@ func (pl *Plan) Resolve(remaining int, survivors []Processor) (Result, error) {
 }
 
 // resolve is Resolve returning the derived plan, so the Engine can
-// retain it for future warm starts. tc caches cost tables across
-// solves. The body only reads pl: the Engine runs it without its
+// retain it for future warm starts; sfps are the survivors'
+// fingerprints. The body only reads pl: the Engine runs it without its
 // mutex, concurrently with other resolves from the same plan.
-func (pl *Plan) resolve(tc *tabCache, remaining int, survivors []Processor, workers int) (*Plan, error) {
+func (pl *Plan) resolve(remaining int, survivors []Processor, sfps []string, workers int) (*Plan, error) {
 	if err := validateDPInput(survivors, remaining); err != nil {
 		return nil, err
 	}
 	if remaining > pl.n {
 		// The retained rows are too narrow; nothing reusable.
-		return solveRows(tc, survivors, remaining, workers, true)
+		return solveRows(survivors, sfps, remaining, workers, true)
 	}
 	p, m := len(pl.procs), len(survivors)
-	sfps := fingerprints(survivors)
 	// Longest common fingerprint suffix. Opaque functions ("") never
 	// match: closures cannot be proven equal, so their rows are never
 	// reused.
 	t := commonFPSuffix(pl.fps, sfps)
 	if t == 0 {
-		return solveRows(tc, survivors, remaining, workers, true)
+		return solveRows(survivors, sfps, remaining, workers, true)
 	}
 
 	d := &Plan{
@@ -198,7 +232,7 @@ func (pl *Plan) resolve(tc *tabCache, remaining int, survivors []Processor, work
 	// Partial reuse: recompute the invalidated prefix rows, at the
 	// width actually needed now.
 	d.n = remaining
-	d.fillRows(tc, m-t, workers, true)
+	d.fillRows(m-t, workers, true)
 	return d, nil
 }
 
@@ -220,54 +254,4 @@ func fingerprints(procs []Processor) []string {
 // newPlanRow allocates a row covering shares [0, n].
 func newPlanRow(n int) planRow {
 	return planRow{cost: make([]float64, n+1), choice: make([]int32, n+1)}
-}
-
-// tabCache memoizes the comm/comp cost tables per fingerprint, so
-// repeated solves on the same platform skip re-tabulation entirely.
-// Safe for concurrent use: published tables are immutable, and the
-// mutex guards only map access — concurrent solves of distinct
-// platforms tabulate in parallel.
-type tabCache struct {
-	mu   sync.Mutex
-	tabs map[string][]float64 //scatterlint:guardedby mu — values are immutable once published
-}
-
-func newTabCache() *tabCache {
-	return &tabCache{tabs: make(map[string][]float64)}
-}
-
-// tables returns comm and comp tables covering [0, n] for pr. Opaque
-// functions (fp == "") cannot be keyed, so they are tabulated afresh
-// on every call.
-func (tc *tabCache) tables(pr Processor, fp string, n int) (comm, comp []float64) {
-	if fp == "" {
-		comm, comp = make([]float64, n+1), make([]float64, n+1)
-		tabulate(pr, n, comm, comp)
-		return comm, comp
-	}
-	comm = tc.table(pr.Comm, "m|"+fp, n)
-	comp = tc.table(pr.Comp, "p|"+fp, n)
-	return comm, comp
-}
-
-func (tc *tabCache) table(f cost.Function, key string, n int) []float64 {
-	tc.mu.Lock()
-	tab, ok := tc.tabs[key]
-	tc.mu.Unlock()
-	if ok && len(tab) >= n+1 {
-		return tab[:n+1]
-	}
-	// Tabulate outside the lock so distinct platforms fill in
-	// parallel; concurrent fills of one key duplicate O(n) work at
-	// worst, and the widest table wins the publish.
-	tab = make([]float64, n+1)
-	fillCosts(f, 0, tab)
-	tc.mu.Lock()
-	if cur, ok := tc.tabs[key]; ok && len(cur) >= len(tab) {
-		tab = cur
-	} else {
-		tc.tabs[key] = tab
-	}
-	tc.mu.Unlock()
-	return tab[:n+1]
 }

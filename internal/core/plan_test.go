@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cost"
@@ -98,7 +101,7 @@ func TestPlanResolvePureSuffix(t *testing.T) {
 				remaining, got.Distribution, got.Makespan, want.Distribution, want.Makespan)
 		}
 	}
-	d, err := pl.resolve(newTabCache(), n, survivors, 0)
+	d, err := pl.resolve(n, survivors, fingerprints(survivors), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +277,79 @@ func TestEngineSolveMatrix(t *testing.T) {
 	}
 }
 
+// TestCrossoverMatchesKernel holds fillRows' crossover search, which
+// evaluates comp one share at a time, to the crossover of the row's
+// last cell by its definition over the full comp table — the emax the
+// kernel reaches at d = n. It covers every row of Table 1 and of
+// dyadic and float-affine platforms, and dyadic table rows with flat
+// stretches.
+func TestCrossoverMatchesKernel(t *testing.T) {
+	check := func(label string, comp cost.Function, next []float64, n int) {
+		t.Helper()
+		full := make([]float64, n+1)
+		fillCosts(comp, 0, full)
+		if got, want := crossover(comp, next, n), referenceCrossover(full, next, n); got != want {
+			t.Fatalf("%s: crossover = %d, kernel's emax(%d) = %d", label, got, n, want)
+		}
+	}
+	checkPlan := func(label string, procs []Processor, n int) {
+		t.Helper()
+		pl, err := SolvePlan(procs, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+1 < len(procs); i++ {
+			check(fmt.Sprintf("%s row %d", label, i), procs[i].Comp, pl.rows[i+1].cost, n)
+		}
+	}
+	checkPlan("table1", table1Procs(), 5000)
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 8; trial++ {
+		p, n := 2+rng.Intn(6), 1+rng.Intn(3000)
+		checkPlan(fmt.Sprintf("dyadic %d", trial), randomDyadicProcs(rng, p), n)
+		checkPlan(fmt.Sprintf("float-affine %d", trial), randomFloatAffineProcs(rng, p), n)
+	}
+	for trial := 0; trial < 40; trial++ {
+		n, flat := 1+rng.Intn(500), trial%2 == 0
+		comp := cost.Table{Values: dyadicTable(rng, n, flat), Increasing: true}
+		check(fmt.Sprintf("dyadic table %d", trial), comp, dyadicTable(rng, n, flat), n)
+	}
+}
+
+// TestEngineHeapStaysBounded solves a stream of fresh platforms —
+// Table 1 with every cost jittered by up to 1%, as a planning daemon
+// sees them — through an engine that retains one plan (16 rows of
+// 4,097 cells, ~0.8 MiB). Nothing else a solve builds may outlive it:
+// cost tables kept per platform would grow the heap by ~32 MiB.
+func TestEngineHeapStaysBounded(t *testing.T) {
+	const platforms, n = 32, 4096
+	rng := rand.New(rand.NewSource(5))
+	jitter := func(f cost.Function) cost.Function {
+		return cost.Linear{PerItem: f.(cost.Linear).PerItem * (1 + 0.01*(2*rng.Float64()-1))}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := NewEngine(1)
+	for k := 0; k < platforms; k++ {
+		procs := table1Procs()
+		for i := range procs {
+			procs[i].Comm, procs[i].Comp = jitter(procs[i].Comm), jitter(procs[i].Comp)
+		}
+		if _, err := e.Solve(procs, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s := e.Stats(); s.ColdSolves != platforms {
+		t.Fatalf("stats = %+v, want %d cold solves", s, platforms)
+	}
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 4<<20 {
+		t.Fatalf("heap grew by %.1f MiB over %d solves, want at most 4 MiB", float64(growth)/(1<<20), platforms)
+	}
+}
+
 // TestPlanCacheLRU checks capacity bounding, recency order and that
 // rows shared with a derived plan survive their owner's eviction.
 func TestPlanCacheLRU(t *testing.T) {
@@ -303,7 +379,7 @@ func TestPlanCacheLRU(t *testing.T) {
 		t.Fatal("wrong survivors after eviction")
 	}
 	// Evicting the owner of shared rows must leave them intact.
-	d, err := a.resolve(newTabCache(), 10, procs[1:], 0)
+	d, err := a.resolve(10, procs[1:], fingerprints(procs[1:]), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

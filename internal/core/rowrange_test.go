@@ -143,20 +143,34 @@ func FuzzRowRangeRounded(f *testing.F) {
 
 // checkChunkedRow fills the cells [lo, n] of a row with rowRange, in
 // chunks of the given width, and holds every cell to referenceCell
-// bit for bit.
+// bit for bit. It then fills the chunks again from comm and comp cut
+// after the crossover of the last cell n, as fillRows tabulates them,
+// and requires the same bits: the kernel never reads past it.
 func checkChunkedRow(t *testing.T, comm, comp, costNext []float64, lo, chunk int, label string) {
 	t.Helper()
 	n := len(comm) - 1
-	cost := make([]float64, n+1)
-	choice := make([]int32, n+1)
-	for a := lo; a <= n; a += chunk {
-		rowRange(comm, comp, costNext, cost, choice, a, min(a+chunk-1, n))
+	fill := func(comm, comp []float64) ([]float64, []int32) {
+		cost := make([]float64, n+1)
+		choice := make([]int32, n+1)
+		for a := lo; a <= n; a += chunk {
+			rowRange(comm, comp, costNext, cost, choice, a, min(a+chunk-1, n))
+		}
+		return cost, choice
 	}
+	cost, choice := fill(comm, comp)
 	for d := lo; d <= n; d++ {
 		wantSol, wantMin := referenceCell(comm, comp, costNext, d)
 		if choice[d] != wantSol || !sameBits(cost[d], wantMin) {
 			t.Fatalf("%s d=%d: kernel (e=%d, %g) != reference (e=%d, %g)",
 				label, d, choice[d], cost[d], wantSol, wantMin)
+		}
+	}
+	top := referenceCrossover(comp, costNext, n)
+	cutCost, cutChoice := fill(comm[:top+1], comp[:top+1])
+	for d := lo; d <= n; d++ {
+		if cutChoice[d] != choice[d] || !sameBits(cutCost[d], cost[d]) {
+			t.Fatalf("%s d=%d: tables cut at emax(n)=%d give (e=%d, %g), full tables (e=%d, %g)",
+				label, d, top, cutChoice[d], cutCost[d], choice[d], cost[d])
 		}
 	}
 }

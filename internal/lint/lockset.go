@@ -1548,20 +1548,12 @@ func (ls *lockSummary) reportCycle(adj map[lockClass]map[lockClass]lockEdge, sta
 // the known hole: they would need reverse edges this table cannot
 // express.
 var apiLockAcquires = map[string][]lockClass{
-	"repro/internal/core.Engine": {
-		"repro/internal/core.Engine.mu",
-		"repro/internal/core.tabCache.mu",
-	},
-	"repro/internal/core.Plan": {
-		"repro/internal/core.tabCache.mu",
-	},
-	"repro/internal/core.SolvePlan":  {"repro/internal/core.tabCache.mu"},
+	"repro/internal/core.Engine":     {"repro/internal/core.Engine.mu"},
 	"repro/internal/store.Store":     {"repro/internal/store.Store.mu"},
 	"repro/internal/monitor.Monitor": {"repro/internal/monitor.Monitor.mu"},
 	"repro/internal/serve.Server": {
 		"repro/internal/serve.Server.mu",
 		"repro/internal/core.Engine.mu",
-		"repro/internal/core.tabCache.mu",
 		"repro/internal/store.Store.mu",
 		"repro/internal/monitor.Monitor.mu",
 	},
@@ -1569,13 +1561,11 @@ var apiLockAcquires = map[string][]lockClass{
 		"repro/internal/mpi.World.mu",
 		"repro/internal/mpi.collective.mu",
 		"repro/internal/core.Engine.mu",
-		"repro/internal/core.tabCache.mu",
 	},
 	"repro/internal/mpi.Comm": {
 		"repro/internal/mpi.World.mu",
 		"repro/internal/mpi.collective.mu",
 		"repro/internal/core.Engine.mu",
-		"repro/internal/core.tabCache.mu",
 	},
 }
 

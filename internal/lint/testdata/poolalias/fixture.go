@@ -55,7 +55,7 @@ func reexport(n int) []float64 {
 }
 
 // lendRow pairs the escaping buffer with a recycle closure — the
-// tabCache.tables lend-return idiom — and is clean.
+// lend-return idiom — and is clean.
 func lendRow(n int) ([]float64, func()) {
 	buf := getF64(n)
 	return buf, func() { putF64(buf) }

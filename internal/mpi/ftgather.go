@@ -10,9 +10,11 @@ import "repro/internal/fault"
 // contributions in a fault.Ledger keyed by one-slot ranges — slot
 // [r, r+1) confirmed means rank r's contribution is held at the current
 // root. A pull waits until the contributor is ready as well as the
-// port. The gather hands the supervisor a nil network plan and a nil
-// divergence detector: its transfers see a clean network (no slowdown,
-// no cut, every survivor electable) and feed no divergence samples. The
+// port. The gather hands the supervisor the world's network plan, so
+// its pulls are slowed by degraded trunks and lost across cuts, and its
+// elections skip candidates cut off from the survivors, as in the
+// scatter. It passes no divergence detector: the detector only steers
+// the scatter's rebalances, and a gather has nothing to rebalance. The
 // ledger's metadata piggybacks on each acknowledgement, so when the
 // collecting root crashes the survivors elect a successor exactly as in
 // the scatter. The partial gather dies with the old root, so the
@@ -48,7 +50,7 @@ func FaultTolerantGatherv[T any](c *Comm, contrib []T) ([]T, *GatherReport, erro
 	out, err := c.rendezvous(contrib, func(w *World, clocks []float64, inputs []any) ([]float64, []float64, []any, error) {
 		p := w.Size()
 		origRoot := w.rootRank
-		s := newSupervisor(w, clocks, false, nil, nil)
+		s := newSupervisor(w, clocks, false, nil)
 		ledger := s.ledger
 		confirm := func(r int, at float64) {
 			ledger.Deliver(r, fault.Range{Lo: r, Hi: r + 1}, at)

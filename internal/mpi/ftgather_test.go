@@ -276,3 +276,32 @@ func TestFTGathervJitteredRetriesDecorrelate(t *testing.T) {
 		t.Errorf("both contributors backed off %g: the retries share one jitter stream", waits["backoff←P1"])
 	}
 }
+
+// TestFTGathervNetPartitionTimesOut cuts rank 1 off from the root for
+// the whole run: the gather's pulls from it time out and exhaust their
+// retries exactly as the scatter's sends to it do, and rank 1 is
+// reported missing.
+func TestFTGathervNetPartitionTimesOut(t *testing.T) {
+	np := fault.NewNetPlan()
+	np.AddCut(3, 1, fault.Window{Start: 0, End: 1e6})
+	_, sreps, _, _ := runFT(t, netWorld4(t, np), seqData(8), []int{2, 2, 2, 2})
+	gathered, greps, gatherErrs, _ := runFTGather(t, netWorld4(t, np), contribs4())
+
+	want := testPolicy().MaxRetries + 1
+	if srep := sreps[3]; srep.Timeouts != want || !intsEqual(srep.Failed, []int{1}) {
+		t.Fatalf("scatter report = %+v, want rank 1 failed after %d timeouts", srep, want)
+	}
+	grep := greps[3]
+	if grep.Timeouts != want || grep.Retries != want-1 {
+		t.Errorf("gather timeouts, retries = %d, %d; want %d, %d", grep.Timeouts, grep.Retries, want, want-1)
+	}
+	if !intsEqual(grep.Missing, []int{1}) || !intsEqual(grep.Contributed, []int{0, 2, 3}) {
+		t.Errorf("gather contributed %v, missing %v; want [0 2 3], [1]", grep.Contributed, grep.Missing)
+	}
+	if !errors.Is(gatherErrs[1], ErrRankFailed) {
+		t.Errorf("rank 1 error = %v, want ErrRankFailed", gatherErrs[1])
+	}
+	if want := []int{0, 1, 20, 21, 30, 31}; !intsEqual(gathered[3], want) {
+		t.Errorf("root gathered %v, want %v", gathered[3], want)
+	}
+}

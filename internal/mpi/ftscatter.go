@@ -271,12 +271,13 @@ type supervisor struct {
 }
 
 // newSupervisor starts the service at the world's root, at the root's
-// clock, with every rank alive and an empty ledger.
-func newSupervisor(w *World, clocks []float64, sends bool, np *fault.NetPlan, div *monitor.Divergence) *supervisor {
+// clock, with every rank alive and an empty ledger, under the world's
+// fault and network plans. A nil div feeds no divergence samples.
+func newSupervisor(w *World, clocks []float64, sends bool, div *monitor.Divergence) *supervisor {
 	p := w.Size()
 	s := &supervisor{
 		w: w, clocks: clocks, plan: w.fc.plan, pol: w.fc.policy.WithDefaults(),
-		np: np, div: div, sends: sends, arrow: "←", ledger: fault.NewLedger(),
+		np: w.fc.netplan, div: div, sends: sends, arrow: "←", ledger: fault.NewLedger(),
 		root: w.rootRank, t: clocks[w.rootRank],
 		alive: make([]bool, p), dead: make([]bool, p),
 		lastEnd:   append([]float64(nil), clocks...),
@@ -608,7 +609,7 @@ func FaultTolerantScatterv[T any](c *Comm, data []T, counts []int) ([]T, *Scatte
 			return nil, nil, nil, fmt.Errorf("mpi: scatterv needs %d items, root has %d", total, len(rootIn.data))
 		}
 		np, div := w.fc.netplan, w.fc.divergence // a nil plan is a clean network
-		s := newSupervisor(w, clocks, true, np, div)
+		s := newSupervisor(w, clocks, true, div)
 		ledger := s.ledger
 
 		// Round 1 ships the requested distribution: contiguous ranges
