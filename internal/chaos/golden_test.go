@@ -104,9 +104,9 @@ func rootSpan(t *testing.T, cfg Config, prefix string) mpi.Span {
 // rootCrashCases time a crash of the initial root to land inside the
 // root's first transfer, timeout and backoff of the scatter (arrow →)
 // and of the gather (arrow ←). A link drop on rank 1 covering its
-// first attempt supplies the timeout and the backoff; the timeout
-// outlasts the transfer, so a crash after the lost transfer's arrival
-// still lands inside the timeout.
+// first attempt supplies the timeout and the backoff; a crash inside a
+// lost attempt's timeout cuts the timeout, wherever the transfer would
+// have ended (see TestRootCrashInLostAttemptCutsTimeout).
 func rootCrashCases(t *testing.T) []goldenCase {
 	base := testConfig(7, 4, 24)
 	base.Policy = fault.Policy{
@@ -151,6 +151,41 @@ func rootCrashCases(t *testing.T) []goldenCase {
 		}
 	}
 	return out
+}
+
+// TestRootCrashInLostAttemptCutsTimeout pins the booking rule for a
+// root crash during a lost attempt: the supervisor books a lost
+// attempt as a timeout [start, start+Timeout], so a crash inside that
+// span cuts the timeout, even while the lost transfer itself would
+// still be under way. With testConfig's policy (1 s timeout) the
+// transfer to M1 takes 5 s from t = 5; a link drop loses it, and the
+// crash-free run books timeout→M1 #1 on [5, 6]. A root crash at 5.5 s
+// must book timeout→M1 (cut) on [5, 5.5], not send→M1 (cut).
+func TestRootCrashInLostAttemptCutsTimeout(t *testing.T) {
+	base := testConfig(7, 4, 24)
+	send := rootSpan(t, base, "send→M1")
+	dropped := base
+	dropped.ExtraFaults = []fault.Fault{{Kind: fault.LinkDrop, Rank: 1, Start: send.Start, End: send.End}}
+	if to := rootSpan(t, dropped, "timeout→M1"); to.Start != 5 || to.End != 6 || send.End != 10 {
+		t.Fatalf("crash-free run: send→M1 %+v, first timeout %+v; want the transfer on [5, 10] and the timeout on [5, 6]", send, to)
+	}
+	crashed := dropped
+	crashed.ExtraFaults = append(append([]fault.Fault(nil), dropped.ExtraFaults...),
+		fault.Fault{Kind: fault.Crash, Rank: base.Root, Start: 5.5})
+	res, err := Run(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut []mpi.Span
+	for _, s := range res.Stats[base.Root].Spans {
+		if strings.HasSuffix(s.Label, "(cut)") {
+			cut = append(cut, s)
+		}
+	}
+	want := mpi.Span{Phase: mpi.PhaseTimeout, Start: 5, End: 5.5, Label: "timeout→M1 (cut)"}
+	if len(cut) != 1 || cut[0] != want {
+		t.Fatalf("cut spans %+v, want exactly %+v", cut, want)
+	}
 }
 
 func goldenCases(t *testing.T) []goldenCase {

@@ -148,10 +148,9 @@ func Algorithm2(procs []Processor, n int) (Result, error) {
 // the row pool (<= 0 selects GOMAXPROCS; 1 keeps every row on the
 // calling goroutine). Results are bit-identical to Algorithm2 at any
 // worker count: within a row, cells only read the previous row. It
-// runs solveRows without retaining cost rows or fingerprints, which
-// only a resolve reads.
+// runs solveRows without fingerprints, which only a resolve reads.
 func Algorithm2Parallel(procs []Processor, n, workers int) (Result, error) {
-	pl, err := solveRows(procs, nil, n, workers, false)
+	pl, err := solveRows(procs, nil, n, workers)
 	if err != nil {
 		return Result{}, err
 	}

@@ -316,7 +316,7 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 			}
 		}
 		if pl == nil {
-			pl, err = solveRows(procs, fps, n, e.workers, true)
+			pl, err = solveRows(procs, fps, n, e.workers)
 		}
 	}
 

@@ -12,21 +12,49 @@ import (
 // one per chunk — and the chunk size can shrink for load balance
 // without growing coordination traffic.
 type rowWork struct {
-	k        *exactRow
+	k        rowKernel
 	n, chunk int
 	cursor   atomic.Int64
 }
 
-// exactRow is a row of the exact recurrence, filled by rowRange.
+// rowKernel fills the cells [lo, hi] of one row. Cells only read the
+// row after theirs, so disjoint ranges may run concurrently.
+type rowKernel interface{ fill(lo, hi int) }
+
+// exactRow is a row of the exact recurrence, filled by rowRange, whose
+// choices pack encodes chunk by chunk as they are filled.
 type exactRow struct {
 	comm, comp, next, cost []float64
-	choice                 []int32
+	pack                   *choicePacker
 }
 
-func (r *exactRow) fill(lo, hi int) { rowRange(r.comm, r.comp, r.next, r.cost, r.choice, lo, hi) }
+func (r *exactRow) fill(lo, hi int) {
+	rowRange(r.comm, r.comp, r.next, r.cost, r.pack.c, lo, hi)
+	r.pack.encode(lo, hi)
+}
+
+// rebuiltRow is a row's costs rebuilt from its packed choices with the
+// kernel's expression (see Plan.costs). A chunk starts at a block
+// boundary and decodes its own blocks.
+type rebuiltRow struct {
+	comm, comp, next, cost []float64
+	choice                 *choiceRow
+}
+
+func (r *rebuiltRow) fill(lo, hi int) {
+	comm, comp, next, cost := r.comm, r.comp, r.next, r.cost[:hi+1]
+	var ch [choiceBlock]int32
+	for d := lo; d <= hi; d += choiceBlock {
+		blk := ch[:min(choiceBlock, hi+1-d)]
+		r.choice.decodeBlock(d/choiceBlock, blk)
+		for k, s := range blk {
+			cost[d+k] = comm[s] + maxf(comp[s], next[d+k-int(s)])
+		}
+	}
+}
 
 // rowPool is a persistent pool of workers computing disjoint chunks of
-// the exact DP rows of solveRows. The workers are spawned once per
+// the DP rows of one solve or resolve. The workers are spawned once per
 // solve and reused for every row. Within a row, chunks are independent (they
 // only read the previous row), so the result is bit-identical to the
 // sequential recurrence; the row-to-row dependency stays sequential
@@ -38,14 +66,15 @@ type rowPool struct {
 }
 
 // newRowPool starts workers goroutines (GOMAXPROCS when workers <= 0)
-// that wait for rows. Callers must close() the pool when done. A
-// single worker needs no pool: the result is nil, whose rows run
-// inline.
-func newRowPool(workers int) *rowPool {
+// that wait for rows of n+1 cells. Callers must close() the pool when
+// done. A single worker needs no pool, nor do rows below
+// planParallelThreshold, whose fan-out costs more than the row: the
+// result is then nil, whose rows run inline.
+func newRowPool(n, workers int) *rowPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
+	if workers == 1 || n < planParallelThreshold {
 		return nil
 	}
 	rp := &rowPool{work: make(chan *rowWork, workers), workers: workers}
@@ -83,17 +112,16 @@ const (
 // run fills the cells [0, n] of one DP row with k, over disjoint
 // chunks, and returns once every chunk is done. The chunk size adapts to n and the
 // worker count instead of a fixed floor, so small rows stay on one
-// worker and large rows split finely enough to balance. A nil pool
-// runs the row inline.
-func (rp *rowPool) run(n int, k *exactRow) {
+// worker and large rows split finely enough to balance. Chunks hold
+// whole blocks of packed choices (choiceBlock cells). A nil pool runs
+// the row inline.
+func (rp *rowPool) run(n int, k rowKernel) {
 	if rp == nil {
 		k.fill(0, n)
 		return
 	}
 	chunk := (n + rp.workers*rowChunksPerWorker) / (rp.workers * rowChunksPerWorker)
-	if chunk < minRowChunk {
-		chunk = minRowChunk
-	}
+	chunk = (max(chunk, minRowChunk) + choiceBlock - 1) / choiceBlock * choiceBlock
 	if n < chunk {
 		// The fan-out would cost more than the row: run it inline.
 		k.fill(0, n)

@@ -2,15 +2,16 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/cost"
 )
 
-// This file implements the incremental solver: a Plan retains the full
-// per-processor DP rows produced by the Algorithm 2 recurrence, so that
-// any suffix subproblem — "distribute d items over processors Pi..Pp" —
-// is answered by an O(p) walk of the choice rows instead of a fresh
-// O(p·n²) solve.
+// This file implements the incremental solver: a Plan keeps the
+// choice rows of the Algorithm 2 recurrence, packed (choices.go), so
+// that any suffix subproblem — "distribute d items over processors
+// Pi..Pp" — is answered by an O(p) walk of the choice rows instead of a
+// fresh O(p·n²) solve.
 //
 // The key structural fact (Section 3.2 of the paper): row i of the DP
 // depends only on the processors at positions i..p-1 and on d. Rows are
@@ -21,27 +22,40 @@ import (
 // this: when the survivors share a cost-fingerprint suffix with the
 // plan's platform, only the prefix rows are recomputed (none at all
 // when the first-served processor is the one that crashed).
+//
+// No solve keeps a cost row past the filling of the next one: a cost
+// row is a function of its row's choices and the costs of the row after
+// it, cost_i[d] = comm_i(s) + max(comp_i(s), cost_{i+1}[d-s]) with
+// s = choice_i[d], the kernel's own expression. A partial resolve needs
+// the costs of one row, the junction where the reused suffix starts,
+// and rebuilds them from the root's row upward (Plan.costs). The
+// junction's costs are memoized on the row itself, so a plan used as a
+// warm base pays for a junction's rebuild once, not on every resolve.
 
-// planRow is one retained DP row: cost[d] is the optimal makespan of d
-// items on the row's processor suffix, choice[d] the share the suffix's
-// first processor takes. A row is immutable once filled, so derived
-// plans share suffix rows with their source as they are, and the
-// garbage collector frees a row when no plan references it.
+// planRow is one retained DP row: its packed choices (choice[d] is the
+// share the row's processor takes of d items on the row's suffix) and,
+// once a partial resolve has rebuilt them, its costs (cost[d] is the
+// optimal makespan of d items on the suffix). The choices never change
+// once packed, so derived plans share suffix rows with their source as
+// they are, and the garbage collector frees a row when no plan
+// references it. Every rebuild of a row's costs computes the same
+// bits, so racing rebuilders store equal rows.
 type planRow struct {
-	cost   []float64
-	choice []int32
+	choice choiceRow
+	cost   atomic.Pointer[[]float64] //scatterlint:guardedby atomic
 }
 
 // Plan is a retained solution of the Algorithm 2 dynamic program for a
 // platform and item count, answering suffix subproblems and warm-started
 // re-solves without repeating work. Build one with SolvePlan or through
-// an Engine. A Plan never changes once built: Lookup and Resolve only
-// read it, so they are safe for concurrent use.
+// an Engine. A Plan's processors and choices never change once built,
+// and its rows' rebuilt costs are published atomically: Lookup and
+// Resolve are safe for concurrent use.
 type Plan struct {
 	procs []Processor
 	fps   []string // per-processor cost fingerprint; "" if opaque
 	n     int      // rows answer any d in [0, n]
-	rows  []planRow
+	rows  []*planRow
 }
 
 // Items returns the item count the plan was solved for; Lookup and
@@ -52,15 +66,17 @@ func (pl *Plan) Items() int { return pl.n }
 func (pl *Plan) Size() int { return len(pl.procs) }
 
 // SolvePlan runs the Algorithm 2 dynamic program over increasing cost
-// functions and retains every DP row. The distribution reachable via
-// Lookup(n, 0) is bit-identical to Algorithm2's: both run solveRows.
+// functions and retains every DP row's choices. The distribution
+// reachable via Lookup(n, 0) is bit-identical to Algorithm2's: both run
+// solveRows.
 func SolvePlan(procs []Processor, n int) (*Plan, error) {
-	return solveRows(procs, fingerprints(procs), n, 0, true)
+	return solveRows(procs, fingerprints(procs), n, 0)
 }
 
-// planParallelThreshold is the item count from which solveRows fills
-// rows with a worker pool; below it the fan-out costs more than the
-// row computation, so small solves stay on the calling goroutine.
+// planParallelThreshold is the item count from which a solve fills
+// rows with a worker pool (newRowPool); below it the fan-out costs more
+// than the row computation, so small solves stay on the calling
+// goroutine.
 const planParallelThreshold = 1 << 15
 
 // baseWindow is the number of shares at a time for which the base row
@@ -71,11 +87,9 @@ const baseWindow = 1024
 // then every other row with rowRange, on a pool of workers (<= 0:
 // GOMAXPROCS) once n reaches planParallelThreshold. fps are the
 // processors' fingerprints, kept for Resolve's suffix matching (nil
-// without retain). With retain the plan keeps every cost row for Lookup
-// and Resolve; without, each cost row is dropped as soon as the row
-// before it is filled and only the choice rows survive — enough for
-// Lookup(n, 0).
-func solveRows(procs []Processor, fps []string, n, workers int, retain bool) (*Plan, error) {
+// when the plan will never be resolved). The plan keeps every row's
+// packed choices, enough for Lookup and Resolve, and no costs.
+func solveRows(procs []Processor, fps []string, n, workers int) (*Plan, error) {
 	if err := validateDPInput(procs, n); err != nil {
 		return nil, err
 	}
@@ -84,55 +98,65 @@ func solveRows(procs []Processor, fps []string, n, workers int, retain bool) (*P
 		procs: append([]Processor(nil), procs...),
 		fps:   fps,
 		n:     n,
-		rows:  make([]planRow, p),
+		rows:  make([]*planRow, p),
 	}
-	// Base row: the last processor takes everything that remains. Its
-	// costs are evaluated a window at a time, never as n-wide tables.
-	base := newPlanRow(n)
-	var win costRow
-	for lo := 0; lo <= n; lo += baseWindow {
-		win.resize(min(baseWindow, n+1-lo))
-		win.fill(procs[p-1], lo)
-		for k := range win.comm {
-			base.cost[lo+k] = win.comm[k] + win.comp[k]
-			base.choice[lo+k] = int32(lo + k)
-		}
+	// Base row: the last processor takes everything that remains.
+	all := make([]int32, n+1)
+	for d := range all {
+		all[d] = int32(d)
 	}
-	pl.rows[p-1] = base
-	pl.fillRows(p-1, workers, retain)
+	pl.rows[p-1] = &planRow{choice: packChoices(all)}
+	rp := newRowPool(n, workers)
+	defer rp.close()
+	pl.fillRows(p-1, rootCosts(procs[p-1], n), true, rp)
 	return pl, nil
 }
 
-// fillRows computes rows top-1 down to 0 at width pl.n from the
-// filled row top. Row i reads its processor's costs only up to its
-// crossover at d = pl.n (see rowRange), so it evaluates them on
-// [0, emax_i(pl.n)] alone, into two buffers every row reuses. Without
-// retain, each consumed cost row becomes the buffer of the row after
-// next, so only two cost rows are ever live.
-func (pl *Plan) fillRows(top, workers int, retain bool) {
-	if top == 0 {
-		return
+// rootCosts returns the base row's costs on [0, n]: the last processor
+// takes everything that remains. They are evaluated a window at a
+// time, never as n-wide tables.
+func rootCosts(pr Processor, n int) []float64 {
+	cost := make([]float64, n+1)
+	var win costRow
+	for lo := 0; lo <= n; lo += baseWindow {
+		win.resize(min(baseWindow, n+1-lo))
+		win.fill(pr, lo)
+		for k := range win.comm {
+			cost[lo+k] = win.comm[k] + win.comp[k]
+		}
 	}
-	var rp *rowPool
-	if pl.n >= planParallelThreshold {
-		rp = newRowPool(workers)
-		defer rp.close()
-	}
+	return cost
+}
+
+// fillRows computes rows top-1 down to 0 at width pl.n from next, the
+// costs of row top on at least [0, pl.n]. Row i reads its processor's
+// costs only up to its crossover at d = pl.n (see rowRange), so it
+// evaluates them on [0, emax_i(pl.n)] alone, into two buffers every
+// row reuses. Each row is computed into one choice buffer and one cost
+// buffer and keeps only its packed choices. Two cost rows are live at
+// a time: once a row is filled, the costs it consumed become the
+// buffer of the row after it — when they belong to this solve, which
+// own says of next; a memoized junction row is never overwritten.
+// Rows are filled on rp (nil: on the calling goroutine).
+func (pl *Plan) fillRows(top int, next []float64, own bool, rp *rowPool) {
 	var tabs costRow    // the row processor's costs up to its crossover
-	var spare []float64 // without retain: the last consumed cost row
+	var spare []float64 // the last consumed cost row this solve owns
+	var pack choicePacker
+	choice := make([]int32, pl.n+1)
 	for i := top - 1; i >= 0; i-- {
-		next := pl.rows[i+1].cost
 		tabs.resize(crossover(pl.procs[i].Comp, next, pl.n) + 1)
 		tabs.fill(pl.procs[i], 0)
-		row := planRow{cost: spare, choice: make([]int32, pl.n+1)}
-		if row.cost == nil {
-			row.cost = make([]float64, pl.n+1)
+		cost := spare
+		if cost == nil {
+			cost = make([]float64, pl.n+1)
 		}
-		rp.run(pl.n, &exactRow{comm: tabs.comm, comp: tabs.comp, next: next, cost: row.cost, choice: row.choice})
-		pl.rows[i] = row
-		if !retain {
-			spare, pl.rows[i+1].cost = next, nil
+		pack.reset(choice)
+		rp.run(pl.n, &exactRow{comm: tabs.comm, comp: tabs.comp, next: next, cost: cost, pack: &pack})
+		pl.rows[i] = &planRow{choice: pack.finish()}
+		if own {
+			spare = next
 		}
+		next, own = cost, true
 	}
 }
 
@@ -173,7 +197,7 @@ func (pl *Plan) Lookup(d, i int) (Result, error) {
 	dist := make(Distribution, p-i)
 	rem := d
 	for j := i; j < p; j++ {
-		e := int(pl.rows[j].choice[rem])
+		e := int(pl.rows[j].choice.at(rem))
 		dist[j-i] = e
 		rem -= e
 	}
@@ -205,7 +229,7 @@ func (pl *Plan) resolve(remaining int, survivors []Processor, sfps []string, wor
 	}
 	if remaining > pl.n {
 		// The retained rows are too narrow; nothing reusable.
-		return solveRows(survivors, sfps, remaining, workers, true)
+		return solveRows(survivors, sfps, remaining, workers)
 	}
 	p, m := len(pl.procs), len(survivors)
 	// Longest common fingerprint suffix. Opaque functions ("") never
@@ -213,13 +237,13 @@ func (pl *Plan) resolve(remaining int, survivors []Processor, sfps []string, wor
 	// reused.
 	t := commonFPSuffix(pl.fps, sfps)
 	if t == 0 {
-		return solveRows(survivors, sfps, remaining, workers, true)
+		return solveRows(survivors, sfps, remaining, workers)
 	}
 
 	d := &Plan{
 		procs: append([]Processor(nil), survivors...),
 		fps:   sfps,
-		rows:  make([]planRow, m),
+		rows:  make([]*planRow, m),
 	}
 	// Share the valid suffix rows verbatim.
 	copy(d.rows[m-t:], pl.rows[p-t:])
@@ -230,10 +254,63 @@ func (pl *Plan) resolve(remaining int, survivors []Processor, sfps []string, wor
 		return d, nil
 	}
 	// Partial reuse: recompute the invalidated prefix rows, at the
-	// width actually needed now.
+	// width actually needed now, from the junction row's costs.
 	d.n = remaining
-	d.fillRows(m-t, workers, true)
+	rp := newRowPool(remaining, workers)
+	defer rp.close()
+	d.fillRows(m-t, pl.costs(p-t, rp), false, rp)
 	return d, nil
+}
+
+// costs returns the costs of row j on its choices' whole width, and
+// memoizes them on the row. When no resolve has rebuilt them yet, they
+// are rebuilt from the nearest row toward the root that holds memoized
+// costs (from the root's own costs when none does), row by row through
+// the choices with the kernel's expression. The rows in between only
+// feed the next one, so two buffers serve them all and only row j's
+// costs are kept. Row widths never grow from the root toward row 0 (a
+// derived plan's recomputed rows are at most as wide as the rows it
+// shares), so every row's costs cover the row before it. Rows are
+// rebuilt on rp (nil: on the calling goroutine).
+func (pl *Plan) costs(j int, rp *rowPool) []float64 {
+	p := len(pl.rows)
+	k := j
+	var next []float64
+	for ; k < p; k++ {
+		if c := pl.rows[k].cost.Load(); c != nil {
+			next = *c
+			break
+		}
+	}
+	if k == j {
+		return next
+	}
+	var tabs costRow
+	var spare []float64 // a row rebuilt here that no later row reads
+	for i := k - 1; i >= j; i-- {
+		w := pl.rows[i].choice.n
+		var cost []float64
+		if i == p-1 {
+			cost = rootCosts(pl.procs[i], w)
+		} else {
+			// Every choice lies at or below its cell's crossover, and
+			// so at or below the crossover at d = w, as in fillRows.
+			tabs.resize(crossover(pl.procs[i].Comp, next, w) + 1)
+			tabs.fill(pl.procs[i], 0)
+			cost = spare
+			if i == j || cost == nil {
+				cost = make([]float64, w+1) // row j's costs are kept
+			}
+			cost = cost[:w+1]
+			rp.run(w, &rebuiltRow{comm: tabs.comm, comp: tabs.comp, next: next, cost: cost, choice: &pl.rows[i].choice})
+		}
+		if i < k-1 {
+			spare = next
+		}
+		next = cost
+	}
+	pl.rows[j].cost.Store(&next)
+	return next
 }
 
 // fingerprints computes the per-processor cost fingerprint used for
@@ -249,9 +326,4 @@ func fingerprints(procs []Processor) []string {
 		}
 	}
 	return fps
-}
-
-// newPlanRow allocates a row covering shares [0, n].
-func newPlanRow(n int) planRow {
-	return planRow{cost: make([]float64, n+1), choice: make([]int32, n+1)}
 }

@@ -234,7 +234,7 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 	}
 	add(solverRow{Name: "plan_build_cold", Seconds: planSecs, Makespan: planRes.Makespan,
 		IdenticalToFresh: boolp(identical(planRes, cold)),
-		Note:             "cold DP retaining every row for incremental reuse"})
+		Note:             "cold DP retaining every row's packed choices for incremental reuse"})
 
 	// Crash of the first-served processor, detected after the round:
 	// the whole pool is reclaimed, the survivors are a pure suffix of
@@ -273,7 +273,7 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 	}
 	add(solverRow{Name: "warm_resolve_mid_crash", Seconds: warmMidSecs, Makespan: warmMid.Makespan,
 		IdenticalToFresh: boolp(identical(warmMid, freshMid)),
-		Note:             fmt.Sprintf("partial reuse: rows %d.. reused, rows 0..%d recomputed", midPos+1, midPos-1)})
+		Note:             fmt.Sprintf("partial reuse: rows %d.. reused (the junction's costs rebuilt from their choices on this first use), rows 0..%d recomputed", midPos+1, midPos-1)})
 
 	// Engine with plan cache: cold fill, exact-signature hit, and a
 	// warm start for the crashed platform.

@@ -319,6 +319,8 @@ func (s *supervisor) observe(ev fault.SendEvent, outcome fault.SendOutcome, actu
 // so it passes ready 0). Every step first resolves the serving root's
 // own crash against the simulated clock: a transfer, timeout or backoff
 // the crash instant falls inside is cut short and triggers a failover.
+// An attempt is judged lost or delivered before the crash, so a crash
+// during a lost attempt cuts its timeout, never a transfer.
 // A confirmed transfer is written to the ledger by land, and the ledger
 // metadata piggybacks on the acknowledgement to every holder; a rank
 // that exhausts its retries is declared lost.
@@ -344,15 +346,19 @@ func (s *supervisor) transfer(r, items int, ready float64, label string, land fu
 		}
 		d := ev.Nominal * s.plan.Slowdown(gr, start) * s.np.Slowdown(grServer, gr, start)
 		arrive := start + d
-		if s.rootCrashes && s.rootCrash < arrive {
+		// Whether the attempt is lost decides the span it is booked
+		// as, and so the span a root crash is judged against: the
+		// transfer [start, arrive] when it would be delivered, the
+		// timeout [start, start+Timeout] when it is lost.
+		lost := s.plan.Crashed(gr, arrive) || s.plan.DropsDuring(gr, start, arrive) ||
+			s.np.CutDuring(grServer, gr, start, arrive)
+		if !lost && s.rootCrashes && s.rootCrash < arrive {
 			// The server dies mid-transfer: the transfer is never
 			// confirmed, so the partial data is discarded.
 			s.book(PhaseComm, start, s.rootCrash, label+" (cut)")
 			s.observe(ev, fault.SendAborted, 0)
 			return true
 		}
-		lost := s.plan.Crashed(gr, arrive) || s.plan.DropsDuring(gr, start, arrive) ||
-			s.np.CutDuring(grServer, gr, start, arrive)
 		if !lost {
 			s.book(PhaseComm, start, arrive, label)
 			ps, pe := start, arrive
