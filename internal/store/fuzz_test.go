@@ -8,7 +8,10 @@ import (
 	"testing"
 )
 
-// FuzzWALRecover builds a valid WAL from a seeded batch of entries,
+// FuzzWALRecover builds a valid WAL from a seeded batch of entries
+// whose signatures come from a small pool, so one signature carries
+// several item counts (after each append it re-appends an earlier
+// entry, identical and then conflicting, and neither may write), then
 // applies an arbitrary byte-level truncation and a one-byte mutation,
 // and asserts the recovery contract: Open never panics and never
 // errors on corruption, the recovered entries are exactly a prefix of
@@ -35,8 +38,17 @@ func FuzzWALRecover(f *testing.F) {
 			t.Fatalf("open fresh: %v", err)
 		}
 		rng := rand.New(rand.NewSource(seed))
+		// Signatures come from a small pool, so several item counts
+		// share one and recovery reaches an index with more than one
+		// entry per signature. Keys stay distinct: a drawn key already
+		// committed gets one more item on its first share.
+		pool := make([]string, 1+rng.Intn(3))
+		for i := range pool {
+			pool[i] = fmt.Sprintf("lin(0x1.%xp-%d)|fuzz%d", rng.Intn(1<<16), 1+rng.Intn(20), i)
+		}
 		k := 1 + int(nEntries)%8
 		committed := make([]Entry, k)
+		used := make(map[string]bool)
 		for i := range committed {
 			p := 2 + rng.Intn(5)
 			dist := make([]int, p)
@@ -45,14 +57,45 @@ func FuzzWALRecover(f *testing.F) {
 				dist[j] = rng.Intn(1000)
 				items += dist[j]
 			}
+			sig := pool[rng.Intn(len(pool))]
+			for used[fmt.Sprintf("%s#%d", sig, items)] {
+				dist[0]++
+				items++
+			}
+			used[fmt.Sprintf("%s#%d", sig, items)] = true
 			committed[i] = Entry{
-				Sig:      fmt.Sprintf("lin(0x1.%xp-%d)|fuzz%d", rng.Intn(1<<16), 1+rng.Intn(20), i),
+				Sig:      sig,
 				Items:    items,
 				Makespan: rng.Float64() * 1000,
 				Dist:     dist,
 			}
 			if err := s.Append(committed[i]); err != nil {
 				t.Fatalf("append %d: %v", i, err)
+			}
+			// Re-append an earlier entry: identical, a no-op; with one
+			// item moved between its first two shares, a conflict.
+			// Neither may write a frame.
+			before, err := s.Size()
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := committed[rng.Intn(i+1)]
+			if err := s.Append(again); err != nil {
+				t.Fatalf("identical re-append of %s#%d: %v", again.Sig, again.Items, err)
+			}
+			conflict := again
+			conflict.Dist = append([]int(nil), again.Dist...)
+			if conflict.Dist[0] > 0 {
+				conflict.Dist[0]--
+				conflict.Dist[1]++
+			} else {
+				conflict.Makespan++
+			}
+			if err := s.Append(conflict); err == nil {
+				t.Fatalf("conflicting append for %s#%d accepted", again.Sig, again.Items)
+			}
+			if after, err := s.Size(); err != nil || after != before {
+				t.Fatalf("re-appends moved the log from %d to %d bytes (%v)", before, after, err)
 			}
 		}
 		if err := s.Close(); err != nil {
@@ -111,8 +154,8 @@ func checkPrefix(t *testing.T, s *Store, committed []Entry, info RecoveryInfo) {
 		t.Fatalf("recovered %d records from a log of %d", m, len(committed))
 	}
 	if s.Len() != m {
-		// Every committed entry has a distinct sig, so live entries
-		// must equal replayed records.
+		// Committed keys are distinct, so live entries must equal
+		// replayed records.
 		t.Fatalf("recovered %d records but %d live entries", m, s.Len())
 	}
 	for i := 0; i < m; i++ {

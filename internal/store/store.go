@@ -27,24 +27,29 @@
 // append (or tail corruption) costs at most the records at and after
 // the damage — every earlier committed plan survives. Makespans are
 // encoded as hex floats so recovered results are bit-identical to the
-// solves that produced them. Compaction rewrites the live entries in
-// sorted order to a temporary file and renames it into place, so it
-// is atomic: a crash during compaction leaves either the old or the
-// new WAL, never a mix.
+// solves that produced them. Compaction rewrites the live entries, in
+// the bytewise order of the strings sig#items, to a temporary file and
+// renames it into place, so it is atomic: a crash during compaction
+// leaves either the old or the new WAL, never a mix.
 package store
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // header is the WAL version line.
@@ -72,24 +77,40 @@ type Entry struct {
 
 // validate rejects entries the codec cannot round-trip exactly.
 func (e Entry) validate() error {
-	if e.Sig == "" || strings.ContainsAny(e.Sig, " \t\n\r") {
+	if !validSig(e.Sig) {
 		return fmt.Errorf("store: unusable signature %q", e.Sig)
 	}
-	if len(e.Dist) == 0 {
-		return fmt.Errorf("store: entry for %q has an empty distribution", e.Sig)
+	if err := checkPlan(e.Items, e.Makespan, e.Dist); err != nil {
+		return fmt.Errorf("store: entry for %q %w", e.Sig, err)
 	}
-	if math.IsNaN(e.Makespan) || math.IsInf(e.Makespan, 0) || e.Makespan < 0 {
-		return fmt.Errorf("store: entry for %q has makespan %v", e.Sig, e.Makespan)
+	return nil
+}
+
+// validSig reports whether a signature fits on the WAL's sig line and
+// in the index: non-empty, with no space, tab, CR or newline.
+func validSig(sig string) bool {
+	return sig != "" && !strings.ContainsAny(sig, " \t\n\r")
+}
+
+// checkPlan holds everything but the signature to what the codec
+// round-trips: a non-empty distribution of non-negative shares summing
+// to items, and a finite, non-negative makespan.
+func checkPlan(items int, makespan float64, dist []int) error {
+	if len(dist) == 0 {
+		return errors.New("has an empty distribution")
+	}
+	if math.IsNaN(makespan) || math.IsInf(makespan, 0) || makespan < 0 {
+		return fmt.Errorf("has makespan %v", makespan)
 	}
 	sum := 0
-	for _, d := range e.Dist {
+	for _, d := range dist {
 		if d < 0 {
-			return fmt.Errorf("store: entry for %q has negative share %d", e.Sig, d)
+			return fmt.Errorf("has negative share %d", d)
 		}
 		sum += d
 	}
-	if sum != e.Items {
-		return fmt.Errorf("store: entry for %q sums to %d, want %d items", e.Sig, sum, e.Items)
+	if sum != items {
+		return fmt.Errorf("sums to %d, want %d items", sum, items)
 	}
 	return nil
 }
@@ -113,17 +134,26 @@ type RecoveryInfo struct {
 // use. The WAL assumes a single writing process; running two daemons
 // against one file corrupts neither's memory but interleaves frames
 // unpredictably.
+//
+// The in-memory index is keyed by signature first: plans holds each
+// signature once, as a key, over a map from item count to that entry's
+// makespan and distribution. A signature joins the fingerprints of all
+// of a platform's processors (~414 bytes at p = 8), and the daemon
+// stores many item counts per platform, so an entry costs its map slot
+// and its shares, not another copy of its signature.
 type Store struct {
 	mu      sync.Mutex
-	path    string           //scatterlint:guardedby immutable
-	f       *os.File         //scatterlint:guardedby mu
-	entries map[string]Entry //scatterlint:guardedby mu
-	records int              //scatterlint:guardedby mu
+	path    string                  //scatterlint:guardedby immutable
+	f       *os.File                //scatterlint:guardedby mu
+	plans   map[string]map[int]plan //scatterlint:guardedby mu
+	live    int                     //scatterlint:guardedby mu
+	records int                     //scatterlint:guardedby mu
 }
 
-// key is the in-memory index key for (sig, items).
-func key(sig string, items int) string {
-	return sig + "#" + strconv.Itoa(items)
+// plan is an indexed entry without its key.
+type plan struct {
+	makespan float64
+	dist     []int
 }
 
 // Open reads (or creates) the WAL at path, replays every committed
@@ -135,7 +165,7 @@ func Open(path string) (*Store, RecoveryInfo, error) {
 	if err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("store: open %s: %w", path, err)
 	}
-	s := &Store{path: path, f: f, entries: make(map[string]Entry)}
+	s := &Store{path: path, f: f, plans: make(map[string]map[int]plan)}
 	info, err := s.recover()
 	if err != nil {
 		f.Close()
@@ -145,7 +175,9 @@ func Open(path string) (*Store, RecoveryInfo, error) {
 }
 
 // recover replays the WAL and truncates the torn tail. Called once
-// from Open, before the store is shared.
+// from Open, before the store is shared. It parses from bytes: each
+// frame header in the reader's buffer, each payload into one reused
+// buffer.
 func (s *Store) recover() (RecoveryInfo, error) {
 	var info RecoveryInfo
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
@@ -159,15 +191,15 @@ func (s *Store) recover() (RecoveryInfo, error) {
 	}
 	total := size.Size()
 
-	hdr, err := readLine(r, len(header))
+	hdr, err := r.ReadSlice('\n')
 	switch {
-	case err == io.EOF && hdr == "":
+	case err == io.EOF && len(hdr) == 0:
 		// Fresh file: write the header.
 		if werr := s.rewrite(nil); werr != nil {
 			return info, werr
 		}
 		return info, nil
-	case err == nil && hdr == strings.TrimSuffix(header, "\n"):
+	case err == nil && string(hdr) == header:
 		// Valid header; replay records below.
 	default:
 		// Unreadable or wrong header: nothing before it can be
@@ -182,38 +214,31 @@ func (s *Store) recover() (RecoveryInfo, error) {
 
 	good := int64(len(header)) // offset of the first byte after the last valid record
 	off := good
+	var payload []byte
+	var rec record
 	for {
-		line, err := readLine(r, 64)
-		if err != nil || line == "" {
+		line, err := r.ReadSlice('\n')
+		if err != nil {
 			break
 		}
-		off += int64(len(line)) + 1
-		var plen int
-		var crc uint32
-		if n, err := fmt.Sscanf(line, "plan %d %x", &plen, &crc); n != 2 || err != nil {
+		off += int64(len(line))
+		plen, crc, ok := parseFrameHeader(line)
+		if !ok {
 			break
 		}
-		if plen <= 0 || plen > maxPayload {
-			break
-		}
-		payload := make([]byte, plen)
+		payload = slices.Grow(payload[:0], plen)[:plen]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			break
 		}
 		off += int64(plen)
-		if crc32.Checksum(payload, castagnoli) != crc {
+		if crc32.Checksum(payload, castagnoli) != crc || !s.replay(payload, &rec) {
 			break
 		}
-		e, err := decodePayload(payload)
-		if err != nil {
-			break
-		}
-		s.entries[key(e.Sig, e.Items)] = e
 		s.records++
 		good = off
 	}
 	info.Records = s.records
-	info.Entries = len(s.entries)
+	info.Entries = s.live
 	if good < total {
 		info.TornBytes = total - good
 		if err := s.f.Truncate(good); err != nil {
@@ -229,19 +254,51 @@ func (s *Store) recover() (RecoveryInfo, error) {
 	return info, nil
 }
 
-// readLine reads one \n-terminated line without the terminator,
-// rejecting lines longer than roughly max bytes (a corrupt frame, not
-// a real header). Returns io.EOF with what was read when the file ends
-// without a terminator.
-func readLine(r *bufio.Reader, max int) (string, error) {
-	line, err := r.ReadString('\n')
+// parseFrameHeader parses a frame header line as frame writes it,
+// "plan <len> <crc32c as 8 hex digits>\n", and reports whether it is
+// one with a payload length in (0, maxPayload].
+func parseFrameHeader(line []byte) (plen int, crc uint32, ok bool) {
+	rest, ok := bytes.CutPrefix(line, []byte("plan "))
+	if !ok {
+		return 0, 0, false
+	}
+	lenStr, crcStr, ok := bytes.Cut(rest, []byte(" "))
+	if !ok || len(crcStr) != 9 || crcStr[8] != '\n' {
+		return 0, 0, false
+	}
+	n, err := strconv.ParseUint(string(lenStr), 10, 32)
+	if err != nil || n == 0 || n > maxPayload {
+		return 0, 0, false
+	}
+	c, err := strconv.ParseUint(string(crcStr[:8]), 16, 32)
 	if err != nil {
-		return strings.TrimSuffix(line, "\n"), err
+		return 0, 0, false
 	}
-	if len(line) > max+1 {
-		return "", fmt.Errorf("store: line of %d bytes exceeds %d", len(line), max)
+	return int(n), uint32(c), true
+}
+
+// replay decodes one record payload into the index and reports whether
+// it was a valid record. A signature already indexed is looked up from
+// the payload's bytes and its key kept; a new one is copied out and
+// checked (validSig) once, as it enters the index.
+func (s *Store) replay(payload []byte, rec *record) bool {
+	if decodeRecord(payload, rec) != nil {
+		return false
 	}
-	return strings.TrimSuffix(line, "\n"), nil
+	byItems, ok := s.plans[string(rec.sig)]
+	if !ok {
+		sig := string(rec.sig)
+		if !validSig(sig) {
+			return false
+		}
+		byItems = make(map[int]plan)
+		s.plans[sig] = byItems
+	}
+	if _, dup := byItems[rec.items]; !dup {
+		s.live++
+	}
+	byItems[rec.items] = plan{makespan: rec.makespan, dist: slices.Clone(rec.dist)}
+	return true
 }
 
 // encodePayload renders an entry in the documented text form.
@@ -262,51 +319,97 @@ func encodePayload(e Entry) []byte {
 	return []byte(sb.String())
 }
 
-// decodePayload parses and validates the text form.
-func decodePayload(payload []byte) (Entry, error) {
-	var e Entry
-	lines := strings.Split(strings.TrimSuffix(string(payload), "\n"), "\n")
-	if len(lines) != 4 {
-		return e, fmt.Errorf("store: payload has %d lines, want 4", len(lines))
-	}
-	sig, ok := strings.CutPrefix(lines[0], "sig ")
-	if !ok {
-		return e, fmt.Errorf("store: bad sig line %q", lines[0])
-	}
-	e.Sig = sig
-	itemsStr, ok := strings.CutPrefix(lines[1], "items ")
-	if !ok {
-		return e, fmt.Errorf("store: bad items line %q", lines[1])
-	}
-	items, err := strconv.Atoi(itemsStr)
-	if err != nil {
-		return e, fmt.Errorf("store: bad item count %q: %w", itemsStr, err)
-	}
-	e.Items = items
-	msStr, ok := strings.CutPrefix(lines[2], "makespan ")
-	if !ok {
-		return e, fmt.Errorf("store: bad makespan line %q", lines[2])
-	}
-	ms, err := strconv.ParseFloat(msStr, 64)
-	if err != nil {
-		return e, fmt.Errorf("store: bad makespan %q: %w", msStr, err)
-	}
-	e.Makespan = ms
-	distStr, ok := strings.CutPrefix(lines[3], "dist")
-	if !ok {
-		return e, fmt.Errorf("store: bad dist line %q", lines[3])
-	}
-	for _, fld := range strings.Fields(distStr) {
-		d, err := strconv.Atoi(fld)
-		if err != nil {
-			return e, fmt.Errorf("store: bad dist share %q: %w", fld, err)
+// record is one decoded payload: sig aliases the payload, and dist's
+// storage is reused from one record to the next.
+type record struct {
+	sig      []byte
+	items    int
+	makespan float64
+	dist     []int
+}
+
+// decodeRecord parses a payload in the text form encodePayload writes
+// into rec. It takes what strings.Split, strings.Fields, strconv.Atoi
+// and strconv.ParseFloat take over the text: exactly four lines, the
+// last newline optional; each line behind its prefix ("dist" without a
+// space); the shares split at Unicode white space; and it applies
+// checkPlan. The signature's characters are left to the caller, which
+// checks each signature once.
+func decodeRecord(payload []byte, rec *record) error {
+	p := bytes.TrimSuffix(payload, []byte("\n"))
+	var line [4][]byte
+	for i := range 3 {
+		nl := bytes.IndexByte(p, '\n')
+		if nl < 0 {
+			return fmt.Errorf("store: payload has %d lines, want 4", i+1)
 		}
-		e.Dist = append(e.Dist, d)
+		line[i], p = p[:nl], p[nl+1:]
 	}
-	if err := e.validate(); err != nil {
-		return Entry{}, err
+	if bytes.IndexByte(p, '\n') >= 0 {
+		return errors.New("store: payload has more than 4 lines")
 	}
-	return e, nil
+	line[3] = p
+	sig, ok := bytes.CutPrefix(line[0], []byte("sig "))
+	if !ok {
+		return fmt.Errorf("store: bad sig line %q", line[0])
+	}
+	itemsStr, ok := bytes.CutPrefix(line[1], []byte("items "))
+	if !ok {
+		return fmt.Errorf("store: bad items line %q", line[1])
+	}
+	items, err := strconv.Atoi(string(itemsStr))
+	if err != nil {
+		return fmt.Errorf("store: bad item count %q: %w", itemsStr, err)
+	}
+	msStr, ok := bytes.CutPrefix(line[2], []byte("makespan "))
+	if !ok {
+		return fmt.Errorf("store: bad makespan line %q", line[2])
+	}
+	ms, err := strconv.ParseFloat(string(msStr), 64)
+	if err != nil {
+		return fmt.Errorf("store: bad makespan %q: %w", msStr, err)
+	}
+	shares, ok := bytes.CutPrefix(line[3], []byte("dist"))
+	if !ok {
+		return fmt.Errorf("store: bad dist line %q", line[3])
+	}
+	dist := rec.dist[:0]
+	field := -1 // start of the share being read, -1 between shares
+	for i := 0; i <= len(shares); {
+		width, space := 1, true // the line's end ends a share
+		if i < len(shares) {
+			width, space = runeAt(shares, i)
+		}
+		switch {
+		case space && field >= 0:
+			d, err := strconv.Atoi(string(shares[field:i]))
+			if err != nil {
+				return fmt.Errorf("store: bad dist share %q: %w", shares[field:i], err)
+			}
+			dist = append(dist, d)
+			field = -1
+		case !space && field < 0:
+			field = i
+		}
+		i += width
+	}
+	rec.dist = dist
+	if err := checkPlan(items, ms, dist); err != nil {
+		return fmt.Errorf("store: entry %w", err)
+	}
+	rec.sig, rec.items, rec.makespan = sig, items, ms
+	return nil
+}
+
+// runeAt returns the width of the rune starting at b[i] and whether it
+// is white space as strings.Fields counts it: unicode.IsSpace, with an
+// invalid UTF-8 byte a one-byte rune that is not.
+func runeAt(b []byte, i int) (width int, space bool) {
+	if c := b[i]; c < utf8.RuneSelf {
+		return 1, unicode.IsSpace(rune(c))
+	}
+	r, width := utf8.DecodeRune(b[i:])
+	return width, unicode.IsSpace(r)
 }
 
 // frame renders the full record frame (header line + payload) for an
@@ -331,12 +434,12 @@ func (s *Store) Append(e Entry) error {
 	if s.f == nil {
 		return fmt.Errorf("store: %s is closed", s.path)
 	}
-	k := key(e.Sig, e.Items)
-	if cur, ok := s.entries[k]; ok {
-		if equalEntry(cur, e) {
+	byItems := s.plans[e.Sig]
+	if cur, ok := byItems[e.Items]; ok {
+		if cur.makespan == e.Makespan && slices.Equal(cur.dist, e.Dist) {
 			return nil
 		}
-		return fmt.Errorf("store: conflicting result for %s: have %v, got %v", k, cur.Dist, e.Dist)
+		return fmt.Errorf("store: conflicting result for %s#%d: have %v, got %v", e.Sig, e.Items, cur.dist, e.Dist)
 	}
 	if _, err := s.f.Write(frame(e)); err != nil {
 		return fmt.Errorf("store: append to %s: %w", s.path, err)
@@ -344,25 +447,18 @@ func (s *Store) Append(e Entry) error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("store: sync %s: %w", s.path, err)
 	}
+	if byItems == nil {
+		// The caller's string may be part of something larger; the
+		// index keeps a copy of its own.
+		byItems = make(map[int]plan)
+		s.plans[strings.Clone(e.Sig)] = byItems
+	}
 	// Copy the distribution so later caller mutations cannot alias
 	// into the index.
-	e.Dist = append([]int(nil), e.Dist...)
-	s.entries[k] = e
+	byItems[e.Items] = plan{makespan: e.Makespan, dist: slices.Clone(e.Dist)}
+	s.live++
 	s.records++
 	return nil
-}
-
-// equalEntry compares two entries bit-for-bit.
-func equalEntry(a, b Entry) bool {
-	if a.Sig != b.Sig || a.Items != b.Items || a.Makespan != b.Makespan || len(a.Dist) != len(b.Dist) {
-		return false
-	}
-	for i := range a.Dist {
-		if a.Dist[i] != b.Dist[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Get returns the persisted entry for (sig, items). The returned
@@ -370,19 +466,18 @@ func equalEntry(a, b Entry) bool {
 func (s *Store) Get(sig string, items int) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key(sig, items)]
+	p, ok := s.plans[sig][items]
 	if !ok {
 		return Entry{}, false
 	}
-	e.Dist = append([]int(nil), e.Dist...)
-	return e, true
+	return Entry{Sig: sig, Items: items, Makespan: p.makespan, Dist: slices.Clone(p.dist)}, true
 }
 
 // Len returns the number of live entries.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.live
 }
 
 // Records returns the number of records in the log, live plus
@@ -412,30 +507,56 @@ func (s *Store) Size() (int64, error) {
 }
 
 // Compact atomically rewrites the WAL to exactly the live entries, in
-// sorted key order so the rewritten file is deterministic. A crash
-// during compaction leaves either the old file or the new one, never
-// a mix: the new log is fully written and fsynced under a temporary
-// name first, then renamed over the old one.
+// the bytewise order of the strings sig#items, so the rewritten file is
+// deterministic. A crash during compaction leaves either the old file
+// or the new one, never a mix: the new log is fully written and
+// fsynced under a temporary name first, then renamed over the old one.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return fmt.Errorf("store: %s is closed", s.path)
 	}
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
+	type keyed struct {
+		e   Entry
+		num string // "#" and the item count: e.Sig+num is the sort key
 	}
-	sort.Strings(keys)
-	entries := make([]Entry, len(keys))
-	for i, k := range keys {
-		entries[i] = s.entries[k]
+	all := make([]keyed, 0, s.live)
+	for sig, byItems := range s.plans {
+		for items, p := range byItems {
+			all = append(all, keyed{Entry{Sig: sig, Items: items, Makespan: p.makespan, Dist: p.dist}, "#" + strconv.Itoa(items)})
+		}
+	}
+	slices.SortFunc(all, func(a, b keyed) int { return cmpJoined(a.e.Sig, a.num, b.e.Sig, b.num) })
+	entries := make([]Entry, len(all))
+	for i, k := range all {
+		entries[i] = k.e
 	}
 	if err := s.rewrite(entries); err != nil {
 		return err
 	}
 	s.records = len(entries)
 	return nil
+}
+
+// cmpJoined compares the strings a0+a1 and b0+b1 without building them.
+func cmpJoined(a0, a1, b0, b1 string) int {
+	for {
+		if a0 == "" {
+			a0, a1 = a1, ""
+		}
+		if b0 == "" {
+			b0, b1 = b1, ""
+		}
+		n := min(len(a0), len(b0))
+		if n == 0 {
+			return cmp.Compare(len(a0), len(b0))
+		}
+		if c := strings.Compare(a0[:n], b0[:n]); c != 0 {
+			return c
+		}
+		a0, b0 = a0[n:], b0[n:]
+	}
 }
 
 // rewrite replaces the WAL file with header + the given frames, via

@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -320,5 +322,140 @@ func TestStoreClosedOps(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// orderEntries are the entries the compaction-order tests write: two
+// item counts under one signature whose decimal order is not their
+// string order (9 and 10), a signature that is a prefix of another,
+// and signatures holding '#', whose keys sig#items interleave with
+// another signature's.
+func orderEntries() []Entry {
+	const base = "lin(0x1.ap-8)|aff(0x1p-4,0x1.8p-2)"
+	return []Entry{
+		{Sig: base, Items: 10, Makespan: 0x1.4p+03, Dist: []int{3, 3, 4}},
+		{Sig: base, Items: 9, Makespan: 0x1.2p+03, Dist: []int{3, 3, 3}},
+		{Sig: base + "|lin(0x1p-3)", Items: 9, Makespan: 403.97522960000003, Dist: []int{2, 0, 7}},
+		{Sig: base + "|lin(0x1p-3)", Items: 100, Makespan: 0, Dist: []int{50, 50}},
+		{Sig: "p#9", Items: 1, Makespan: 1.5, Dist: []int{1}},
+		{Sig: "p", Items: 9, Makespan: 2.5, Dist: []int{9}},
+		{Sig: "p", Items: 10, Makespan: math.Nextafter(3, 4), Dist: []int{4, 6}},
+		{Sig: "p#", Items: 0, Makespan: 0.125, Dist: []int{0, 0}},
+	}
+}
+
+// TestStoreCompactOrder: Compact writes the live entries as frames in
+// the bytewise order of the strings sig#items, whatever the append
+// order, so its output is byte-identical to those frames concatenated.
+func TestStoreCompactOrder(t *testing.T) {
+	entries := orderEntries()
+	sorted := slices.Clone(entries)
+	slices.SortFunc(sorted, func(a, b Entry) int {
+		return strings.Compare(fmt.Sprintf("%s#%d", a.Sig, a.Items), fmt.Sprintf("%s#%d", b.Sig, b.Items))
+	})
+	want := []byte(header)
+	for _, e := range sorted {
+		want = append(want, frame(e)...)
+	}
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {7, 6, 5, 4, 3, 2, 1, 0}, {5, 0, 7, 2, 4, 1, 6, 3}} {
+		path := filepath.Join(t.TempDir(), "plans.wal")
+		s, _ := openT(t, path)
+		for _, i := range order {
+			if err := s.Append(entries[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("append order %v: compacted file\n%s\nwant\n%s", order, got, want)
+		}
+	}
+}
+
+// TestStoreRecoversParentWAL recovers testdata/parent.wal, which the
+// text-decoding store wrote from orderEntries (appended, then
+// compacted): every entry must come back bit-identical, and compacting
+// the recovered store must reproduce the file byte for byte.
+func TestStoreRecoversParentWAL(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "plans.wal")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, info := openT(t, path)
+	defer s.Close()
+	entries := orderEntries()
+	if info.Records != len(entries) || info.Entries != len(entries) || info.TornBytes != 0 || info.Reset {
+		t.Fatalf("recovery = %+v, want %d clean records", info, len(entries))
+	}
+	for _, want := range entries {
+		if got, ok := s.Get(want.Sig, want.Items); !ok || !equalEntry(got, want) {
+			t.Fatalf("recovered %+v (found %v), want %+v", got, ok, want)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("compacting the recovered store wrote\n%s\nwant\n%s", got, golden)
+	}
+}
+
+// TestStoreHeapPerEntry recovers a WAL of the serve benchmarks' shape
+// — 20 platforms of 8 processors, 1,000 item counts each, signatures
+// of ~414 bytes — and bounds the heap the open store retains per
+// entry. Each signature is held once, so an entry costs its index slot
+// and its shares.
+func TestStoreHeapPerEntry(t *testing.T) {
+	const sigs, counts, p = 20, 1000, 8
+	data := []byte(header)
+	for g := 0; g < sigs; g++ {
+		var sb strings.Builder
+		for sb.Len() < 414 {
+			fmt.Fprintf(&sb, "lin(0x1.%04xp-10)|aff(0x1.%03xp-4,0x1p-%d);", 0x1000+g*p+sb.Len(), g, sb.Len()%17)
+		}
+		sig := sb.String()[:414]
+		for i := 1; i <= counts; i++ {
+			dist := make([]int, p)
+			for j := range dist {
+				dist[j] = i
+			}
+			data = append(data, frame(Entry{Sig: sig, Items: p * i, Makespan: float64(i) / 3, Dist: dist})...)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "plans.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data = nil
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, info := openT(t, path)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer s.Close()
+	if info.Entries != sigs*counts {
+		t.Fatalf("recovered %d entries, want %d", info.Entries, sigs*counts)
+	}
+	perEntry := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(info.Entries)
+	t.Logf("open store retains %.0f B per entry", perEntry)
+	if perEntry > 256 {
+		t.Fatalf("open store retains %.0f B per entry, want <= 256", perEntry)
 	}
 }
