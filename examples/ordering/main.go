@@ -29,51 +29,29 @@ func main() {
 	if len(procs) > 7 {
 		procs = append(procs[:6], procs[len(procs)-1]) // keep it exhaustive-friendly
 	}
-	p := len(procs)
+	study, err := core.ExhaustiveOrdering(procs, items, scatter.Balance)
+	if err != nil {
+		log.Fatal(err)
+	}
+	stair := func(r core.OrderedResult) float64 {
+		tl, err := schedule.Build(core.Permute(procs, r.Order), r.Result.Distribution)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return tl.StairArea()
+	}
 	fmt.Printf("exhaustive study: %d processors, %d items, %d orderings\n",
-		p, items, factorial(p-1))
-
-	type outcome struct {
-		perm     []int
-		makespan float64
-		stair    float64
-	}
-	var best, worst *outcome
-	workers := make([]int, p-1)
-	for i := range workers {
-		workers[i] = i
-	}
-	permute(workers, func(perm []int) {
-		ordered := make([]scatter.Processor, 0, p)
-		for _, idx := range perm {
-			ordered = append(ordered, procs[idx])
-		}
-		ordered = append(ordered, procs[p-1])
-		res, err := scatter.Balance(ordered, items)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tl, err := schedule.Build(ordered, res.Distribution)
-		if err != nil {
-			log.Fatal(err)
-		}
-		o := &outcome{perm: append([]int(nil), perm...), makespan: res.Makespan, stair: tl.StairArea()}
-		if best == nil || o.makespan < best.makespan {
-			best = o
-		}
-		if worst == nil || o.makespan > worst.makespan {
-			worst = o
-		}
-	})
+		len(procs), items, study.Orderings)
 
 	policy := scatter.Order(procs)
 	resPolicy, err := scatter.Balance(policy, items)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  best permutation:  makespan %8.2f s (stair area %7.1f s)\n", best.makespan, best.stair)
+	best, worst := study.Best, study.Worst
+	fmt.Printf("  best permutation:  makespan %8.2f s (stair area %7.1f s)\n", best.Result.Makespan, stair(best))
 	fmt.Printf("  theorem 3 policy:  makespan %8.2f s\n", resPolicy.Makespan)
-	fmt.Printf("  worst permutation: makespan %8.2f s (stair area %7.1f s)\n\n", worst.makespan, worst.stair)
+	fmt.Printf("  worst permutation: makespan %8.2f s (stair area %7.1f s)\n\n", worst.Result.Makespan, stair(worst))
 
 	// The Table 1 grid: the three standard policies side by side.
 	fmt.Println("Table 1 grid, 817101 rays:")
@@ -97,28 +75,4 @@ func main() {
 		fmt.Printf("  %-22s makespan %7.2f s, stair area %7.1f s\n",
 			o.String(), res.Makespan, tl.StairArea())
 	}
-}
-
-func permute(xs []int, f func([]int)) {
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(xs) {
-			f(xs)
-			return
-		}
-		for i := k; i < len(xs); i++ {
-			xs[k], xs[i] = xs[i], xs[k]
-			rec(k + 1)
-			xs[k], xs[i] = xs[i], xs[k]
-		}
-	}
-	rec(0)
-}
-
-func factorial(n int) int {
-	f := 1
-	for i := 2; i <= n; i++ {
-		f *= i
-	}
-	return f
 }

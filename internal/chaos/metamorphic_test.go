@@ -127,12 +127,15 @@ func TestRootCrashMetamorphic(t *testing.T) {
 			}
 
 			// The survivors' election of the dead root's successor ends
-			// at elected.
+			// at elected, and starts exactly at the crash instant.
 			elected := -1.0
 			for _, rs := range res.Stats {
 				for _, s := range rs.Spans {
 					if s.Phase == mpi.PhaseFailover && strings.HasPrefix(s.Label, "failover "+rootName+"→") {
 						elected = s.End
+						if s.Start != at {
+							t.Errorf("%s: %s's %q span starts at %v, not at the crash", name, rs.Name, s.Label, s.Start)
+						}
 					}
 				}
 			}

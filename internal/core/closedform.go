@@ -29,15 +29,6 @@ func (lp LinearProcessor) Processor() Processor {
 	}
 }
 
-// LinearProcessors converts a slice of linear descriptions.
-func LinearProcessors(lps []LinearProcessor) []Processor {
-	out := make([]Processor, len(lps))
-	for i, lp := range lps {
-		out[i] = lp.Processor()
-	}
-	return out
-}
-
 // ExtractLinear recovers the Alpha/Beta constants from processors whose
 // cost functions are linear (per cost.ClassOf). It fails if any
 // function is not linear.

@@ -327,3 +327,12 @@ func permute(xs []int, f func([]int)) {
 	}
 	rec(0)
 }
+
+// LinearProcessors converts a slice of linear descriptions.
+func LinearProcessors(lps []LinearProcessor) []Processor {
+	out := make([]Processor, len(lps))
+	for i, lp := range lps {
+		out[i] = lp.Processor()
+	}
+	return out
+}

@@ -232,16 +232,6 @@ func Permute(procs []Processor, order []int) []Processor {
 	return out
 }
 
-// InversePermute maps a distribution computed for Permute(procs, order)
-// back to the original processor indexing.
-func InversePermute(dist Distribution, order []int) Distribution {
-	out := make(Distribution, len(dist))
-	for pos, idx := range order {
-		out[idx] = dist[pos]
-	}
-	return out
-}
-
 // RootChoice is one candidate root for the Section 3.4 selection: the
 // time to move the whole data set from its original location C to this
 // root, and the processor list as seen from this root (root last).

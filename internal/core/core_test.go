@@ -302,3 +302,13 @@ func TestBruteForceErrors(t *testing.T) {
 		t.Error("negative n accepted")
 	}
 }
+
+// InversePermute maps a distribution computed for Permute(procs, order)
+// back to the original processor indexing.
+func InversePermute(dist Distribution, order []int) Distribution {
+	out := make(Distribution, len(dist))
+	for pos, idx := range order {
+		out[idx] = dist[pos]
+	}
+	return out
+}

@@ -190,21 +190,3 @@ func reconstruct(procs []Processor, n int, choice [][]int32) Result {
 	}
 	return Result{Distribution: dist, Makespan: Makespan(procs, dist)}
 }
-
-// RequireIncreasing verifies (by probing every count up to n) that all
-// processors' cost functions are increasing, the precondition of
-// Algorithm 2. Processors whose functions declare an analytic class of
-// Increasing or better are trusted without probing.
-func RequireIncreasing(procs []Processor, n int) error {
-	for i, pr := range procs {
-		for _, f := range []cost.Function{pr.Comm, pr.Comp} {
-			if cost.ClassOf(f) >= cost.Increasing {
-				continue
-			}
-			if err := cost.CheckIncreasing(f, n); err != nil {
-				return fmt.Errorf("core: processor %d (%s): %w", i, pr.Name, err)
-			}
-		}
-	}
-	return nil
-}

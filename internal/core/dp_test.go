@@ -234,20 +234,6 @@ func TestAlgorithm2LargeNSmoke(t *testing.T) {
 	}
 }
 
-func TestRequireIncreasing(t *testing.T) {
-	if err := RequireIncreasing(figure1Procs(), 100); err != nil {
-		t.Errorf("linear processors rejected: %v", err)
-	}
-	bumpy := []Processor{{
-		Name: "bumpy",
-		Comm: cost.Zero,
-		Comp: cost.Func(func(x int) float64 { return math.Abs(float64(10 - x)) }),
-	}}
-	if err := RequireIncreasing(bumpy, 20); err == nil {
-		t.Error("non-monotone computation cost accepted")
-	}
-}
-
 // TestDPOptimalityInvariant checks, on random instances, that no
 // single-item move between two processors improves the DP's makespan —
 // a local-optimality property implied by global optimality.

@@ -10,10 +10,10 @@ import (
 // indeed consider all the possible orderings of our p processors, use
 // Algorithm 1 to compute the theoretical execution times, and chose
 // the best result. This is theoretically possible. In practice, for
-// large values of p such an approach is unrealistic." BestOrdering
-// makes the feasible version available (with a guard on p) and
-// OrderingStudy quantifies how much the Theorem 3 policy leaves on the
-// table.
+// large values of p such an approach is unrealistic." ExhaustiveOrdering
+// makes the feasible version available (with a guard on p) and also
+// returns the worst ordering, which bounds how much the Theorem 3
+// policy could leave on the table.
 
 // MaxExhaustiveOrderingProcs bounds the exhaustive search: (p-1)!
 // solver calls explode quickly (9! = 362880).
@@ -29,25 +29,33 @@ type OrderedResult struct {
 	Result Result
 }
 
-// BestOrdering exhaustively searches every ordering of the processors
-// (keeping the root — the last input processor — last), solving each
-// with the given solver, and returns the minimizer. It refuses p >
+// OrderingStudy is the outcome of an exhaustive ordering search.
+type OrderingStudy struct {
+	// Best and Worst minimize and maximize the makespan; on a tie the
+	// first ordering found wins.
+	Best, Worst OrderedResult
+	// Orderings is how many orderings were solved: (p-1)!.
+	Orderings int
+}
+
+// ExhaustiveOrdering solves every ordering of the processors (keeping
+// the root — the last input processor — last) with the given solver
+// and returns the best and the worst. It refuses p >
 // MaxExhaustiveOrderingProcs; use OrderDecreasingBandwidth there (the
 // paper's recommendation, optimal in the linear case by Theorem 3).
-func BestOrdering(procs []Processor, n int, solve Solver) (OrderedResult, error) {
+func ExhaustiveOrdering(procs []Processor, n int, solve Solver) (OrderingStudy, error) {
 	if err := ValidateProcessors(procs); err != nil {
-		return OrderedResult{}, err
+		return OrderingStudy{}, err
 	}
 	p := len(procs)
 	if p > MaxExhaustiveOrderingProcs {
-		return OrderedResult{}, fmt.Errorf("core: exhaustive ordering over %d processors needs %d solver calls; use the Theorem 3 policy instead", p, factorial(p-1))
+		return OrderingStudy{}, fmt.Errorf("core: exhaustive ordering over %d processors needs %d solver calls; use the Theorem 3 policy instead", p, factorial(p-1))
 	}
 	if solve == nil {
-		return OrderedResult{}, errors.New("core: nil solver")
+		return OrderingStudy{}, errors.New("core: nil solver")
 	}
 
-	best := OrderedResult{}
-	found := false
+	var study OrderingStudy
 	workers := make([]int, p-1)
 	for i := range workers {
 		workers[i] = i
@@ -63,67 +71,19 @@ func BestOrdering(procs []Processor, n int, solve Solver) (OrderedResult, error)
 			solveErr = err
 			return
 		}
-		if !found || res.Makespan < best.Result.Makespan {
-			best = OrderedResult{Order: order, Result: res}
-			found = true
+		r := OrderedResult{Order: order, Result: res}
+		if study.Orderings == 0 || res.Makespan < study.Best.Result.Makespan {
+			study.Best = r
 		}
+		if study.Orderings == 0 || res.Makespan > study.Worst.Result.Makespan {
+			study.Worst = r
+		}
+		study.Orderings++
 	})
 	if solveErr != nil {
-		return OrderedResult{}, solveErr
+		return OrderingStudy{}, solveErr
 	}
-	return best, nil
-}
-
-// OrderingStudy compares the Theorem 3 policy against the exhaustive
-// optimum and the worst ordering, returning (policy, best, worst)
-// makespans. Subject to the same p guard as BestOrdering.
-func OrderingStudy(procs []Processor, n int, solve Solver) (policy, best, worst float64, err error) {
-	if err := ValidateProcessors(procs); err != nil {
-		return 0, 0, 0, err
-	}
-	p := len(procs)
-	if p > MaxExhaustiveOrderingProcs {
-		return 0, 0, 0, fmt.Errorf("core: ordering study over %d processors is unrealistic (the paper's own caveat)", p)
-	}
-	order := OrderDecreasingBandwidth(procs, p-1)
-	res, err := solve(Permute(procs, order), n)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	policy = res.Makespan
-
-	found := false
-	workers := make([]int, p-1)
-	for i := range workers {
-		workers[i] = i
-	}
-	var solveErr error
-	permuteInts(workers, func(perm []int) {
-		if solveErr != nil {
-			return
-		}
-		fullOrder := append(append([]int(nil), perm...), p-1)
-		r, err := solve(Permute(procs, fullOrder), n)
-		if err != nil {
-			solveErr = err
-			return
-		}
-		if !found {
-			best, worst = r.Makespan, r.Makespan
-			found = true
-			return
-		}
-		if r.Makespan < best {
-			best = r.Makespan
-		}
-		if r.Makespan > worst {
-			worst = r.Makespan
-		}
-	})
-	if solveErr != nil {
-		return 0, 0, 0, solveErr
-	}
-	return policy, best, worst, nil
+	return study, nil
 }
 
 func permuteInts(xs []int, f func([]int)) {

@@ -105,21 +105,3 @@ func SolveLinearRootOverlap(lps []LinearProcessor, n int) (LinearSolution, error
 	sol.Shares[p-1] = t / root.Beta
 	return sol, nil
 }
-
-// OverlapGain returns the relative makespan improvement the
-// root-overlap relaxation buys over the paper's no-overlap model on
-// the same processors: (t_noOverlap - t_overlap) / t_noOverlap.
-func OverlapGain(lps []LinearProcessor, n int) (float64, error) {
-	plain, err := SolveLinearRational(lps, n)
-	if err != nil {
-		return 0, err
-	}
-	over, err := SolveLinearRootOverlap(lps, n)
-	if err != nil {
-		return 0, err
-	}
-	if plain.Makespan == 0 {
-		return 0, nil
-	}
-	return (plain.Makespan - over.Makespan) / plain.Makespan, nil
-}

@@ -68,6 +68,24 @@ func TestOverlapSimultaneousEndings(t *testing.T) {
 	}
 }
 
+// overlapGain is the relative makespan improvement the root-overlap
+// relaxation buys over the paper's no-overlap model on the same
+// processors, computed as experiment/overlap.go tabulates it.
+func overlapGain(lps []LinearProcessor, n int) (float64, error) {
+	plain, err := SolveLinearRational(lps, n)
+	if err != nil {
+		return 0, err
+	}
+	over, err := SolveLinearRootOverlap(lps, n)
+	if err != nil {
+		return 0, err
+	}
+	if plain.Makespan == 0 {
+		return 0, nil
+	}
+	return (plain.Makespan - over.Makespan) / plain.Makespan, nil
+}
+
 func TestOverlapGainIsTheRootCommWindow(t *testing.T) {
 	// With a single worker and the root, the no-overlap root waits
 	// alpha_1*n_1 before computing; overlapping removes exactly that
@@ -77,7 +95,7 @@ func TestOverlapGainIsTheRootCommWindow(t *testing.T) {
 		{Name: "w", Alpha: 1, Beta: 1},
 		{Name: "root", Alpha: 0, Beta: 1},
 	}
-	gain, err := OverlapGain(lps, 100)
+	gain, err := overlapGain(lps, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +111,7 @@ func TestOverlapGainZeroWhenCommFree(t *testing.T) {
 		{Name: "w", Alpha: 0, Beta: 1},
 		{Name: "root", Alpha: 0, Beta: 1},
 	}
-	gain, err := OverlapGain(lps, 100)
+	gain, err := overlapGain(lps, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +175,7 @@ func TestOverlapGainTable1Scale(t *testing.T) {
 		{Name: "merlin", Alpha: 8.15e-5, Beta: 0.003976},
 		{Name: "dinadan", Alpha: 0, Beta: 0.009288},
 	}
-	gain, err := OverlapGain(lps, 817101)
+	gain, err := overlapGain(lps, 817101)
 	if err != nil {
 		t.Fatal(err)
 	}

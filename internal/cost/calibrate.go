@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample is one calibration measurement: the observed cost of X items.
@@ -100,68 +99,4 @@ func FitResidual(f Function, samples []Sample) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(samples)))
-}
-
-// TableFromSamples builds a Table cost function by sorting the samples,
-// averaging duplicates, and interpolating the gaps linearly up to the
-// largest measured X. The result is marked increasing only if the
-// averaged measurements are monotone.
-func TableFromSamples(samples []Sample) (Table, error) {
-	if len(samples) == 0 {
-		return Table{}, errors.New("cost: no samples")
-	}
-	maxX := 0
-	sums := map[int]float64{}
-	counts := map[int]int{}
-	for _, s := range samples {
-		if s.X < 0 {
-			return Table{}, fmt.Errorf("cost: negative item count %d", s.X)
-		}
-		if math.IsNaN(s.Seconds) || math.IsInf(s.Seconds, 0) || s.Seconds < 0 {
-			return Table{}, fmt.Errorf("cost: sample (%d, %g) is invalid", s.X, s.Seconds)
-		}
-		sums[s.X] += s.Seconds
-		counts[s.X]++
-		if s.X > maxX {
-			maxX = s.X
-		}
-	}
-	if maxX == 0 {
-		return Table{}, errors.New("cost: all samples at X = 0")
-	}
-	xs := make([]int, 0, len(sums))
-	for x := range sums {
-		xs = append(xs, x)
-	}
-	sort.Ints(xs)
-
-	values := make([]float64, maxX+1)
-	// Known points (averaged).
-	known := make(map[int]float64, len(xs))
-	for _, x := range xs {
-		known[x] = sums[x] / float64(counts[x])
-	}
-	known[0] = 0 // cost of zero items is zero by definition
-
-	// Interpolate between consecutive known points.
-	prevX, prevY := 0, 0.0
-	for _, x := range xs {
-		if x == 0 {
-			continue
-		}
-		y := known[x]
-		for i := prevX; i <= x; i++ {
-			values[i] = interpolate(Breakpoint{X: prevX, Y: prevY}, Breakpoint{X: x, Y: y}, i)
-		}
-		prevX, prevY = x, y
-	}
-
-	increasing := true
-	for i := 1; i < len(values); i++ {
-		if values[i] < values[i-1] {
-			increasing = false
-			break
-		}
-	}
-	return Table{Values: values, Increasing: increasing}, nil
 }

@@ -359,67 +359,3 @@ func (c Classified) Class() Class { return c.C }
 // Zero is the identically-zero cost function. It models a free resource,
 // e.g. the root processor's communication to itself.
 var Zero Function = Linear{PerItem: 0}
-
-// CheckNonNegative probes f on 0..n and returns an error at the first
-// negative, NaN or infinite value, or if f(0) != 0.
-func CheckNonNegative(f Function, n int) error {
-	if v := f.Eval(0); v != 0 {
-		return fmt.Errorf("cost: f(0) = %g, want 0", v)
-	}
-	for x := 0; x <= n; x++ {
-		v := f.Eval(x)
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("cost: f(%d) = %g", x, v)
-		}
-	}
-	return nil
-}
-
-// CheckIncreasing probes f on 0..n and returns an error at the first
-// strict decrease.
-func CheckIncreasing(f Function, n int) error {
-	prev := f.Eval(0)
-	for x := 1; x <= n; x++ {
-		v := f.Eval(x)
-		if v < prev {
-			return fmt.Errorf("cost: f(%d) = %g < f(%d) = %g", x, v, x-1, prev)
-		}
-		prev = v
-	}
-	return nil
-}
-
-// CheckClass empirically verifies on 0..n that f behaves according to
-// class c: non-negativity for General, monotonicity for Increasing, and
-// exact second-difference flatness (within tol) for AffineClass and
-// LinearClass. LinearClass additionally requires f(1) to be the exact
-// slope of f on [0, n].
-func CheckClass(f Function, c Class, n int, tol float64) error {
-	if err := CheckNonNegative(f, n); err != nil {
-		return err
-	}
-	if c >= Increasing {
-		if err := CheckIncreasing(f, n); err != nil {
-			return err
-		}
-	}
-	if c >= AffineClass && n >= 3 {
-		// Second differences of an affine function vanish for x >= 1.
-		for x := 1; x+2 <= n; x++ {
-			d2 := f.Eval(x+2) - 2*f.Eval(x+1) + f.Eval(x)
-			if math.Abs(d2) > tol {
-				return fmt.Errorf("cost: second difference at %d is %g, not affine within %g", x, d2, tol)
-			}
-		}
-	}
-	if c >= LinearClass && n >= 1 {
-		slope := f.Eval(1)
-		for x := 1; x <= n; x++ {
-			want := slope * float64(x)
-			if math.Abs(f.Eval(x)-want) > tol*math.Max(1, want) {
-				return fmt.Errorf("cost: f(%d) = %g, linear model predicts %g", x, f.Eval(x), want)
-			}
-		}
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -386,53 +387,6 @@ func TestFitResidual(t *testing.T) {
 	}
 }
 
-func TestTableFromSamples(t *testing.T) {
-	samples := []Sample{{X: 2, Seconds: 4}, {X: 4, Seconds: 8}, {X: 4, Seconds: 12}}
-	tab, err := TableFromSamples(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Values) != 5 {
-		t.Fatalf("table length = %d, want 5", len(tab.Values))
-	}
-	// X=4 averages to 10; X=2 stays 4; X=1 interpolates to 2, X=3 to 7.
-	want := []float64{0, 2, 4, 7, 10}
-	for i, w := range want {
-		if !almostEqual(tab.Values[i], w, 1e-12) {
-			t.Errorf("table[%d] = %g, want %g", i, tab.Values[i], w)
-		}
-	}
-	if !tab.Increasing {
-		t.Error("monotone table not marked increasing")
-	}
-}
-
-func TestTableFromSamplesRejectsBadInput(t *testing.T) {
-	if _, err := TableFromSamples(nil); err == nil {
-		t.Error("empty sample set accepted")
-	}
-	if _, err := TableFromSamples([]Sample{{X: -1, Seconds: 1}}); err == nil {
-		t.Error("negative X accepted")
-	}
-	if _, err := TableFromSamples([]Sample{{X: 0, Seconds: 0}}); err == nil {
-		t.Error("only-zero samples accepted")
-	}
-	if _, err := TableFromSamples([]Sample{{X: 1, Seconds: math.Inf(1)}}); err == nil {
-		t.Error("infinite duration accepted")
-	}
-}
-
-func TestTableFromSamplesNonMonotone(t *testing.T) {
-	samples := []Sample{{X: 1, Seconds: 5}, {X: 2, Seconds: 3}}
-	tab, err := TableFromSamples(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Increasing {
-		t.Error("non-monotone measurements marked increasing")
-	}
-}
-
 // Property: FitAffine on exactly affine data recovers the model for any
 // non-negative coefficients.
 func TestFitAffineExactProperty(t *testing.T) {
@@ -456,4 +410,68 @@ func TestFitAffineExactProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// CheckClass empirically verifies on 0..n that f behaves according to
+// class c: non-negativity for General, monotonicity for Increasing, and
+// exact second-difference flatness (within tol) for AffineClass and
+// LinearClass. LinearClass additionally requires f(1) to be the exact
+// slope of f on [0, n].
+func CheckClass(f Function, c Class, n int, tol float64) error {
+	if err := CheckNonNegative(f, n); err != nil {
+		return err
+	}
+	if c >= Increasing {
+		if err := CheckIncreasing(f, n); err != nil {
+			return err
+		}
+	}
+	if c >= AffineClass && n >= 3 {
+		// Second differences of an affine function vanish for x >= 1.
+		for x := 1; x+2 <= n; x++ {
+			d2 := f.Eval(x+2) - 2*f.Eval(x+1) + f.Eval(x)
+			if math.Abs(d2) > tol {
+				return fmt.Errorf("cost: second difference at %d is %g, not affine within %g", x, d2, tol)
+			}
+		}
+	}
+	if c >= LinearClass && n >= 1 {
+		slope := f.Eval(1)
+		for x := 1; x <= n; x++ {
+			want := slope * float64(x)
+			if math.Abs(f.Eval(x)-want) > tol*math.Max(1, want) {
+				return fmt.Errorf("cost: f(%d) = %g, linear model predicts %g", x, f.Eval(x), want)
+			}
+		}
+	}
+	return nil
+}
+
+// CheckNonNegative probes f on 0..n and returns an error at the first
+// negative, NaN or infinite value, or if f(0) != 0.
+func CheckNonNegative(f Function, n int) error {
+	if v := f.Eval(0); v != 0 {
+		return fmt.Errorf("cost: f(0) = %g, want 0", v)
+	}
+	for x := 0; x <= n; x++ {
+		v := f.Eval(x)
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return fmt.Errorf("cost: f(%d) = %g", x, v)
+		}
+	}
+	return nil
+}
+
+// CheckIncreasing probes f on 0..n and returns an error at the first
+// strict decrease.
+func CheckIncreasing(f Function, n int) error {
+	prev := f.Eval(0)
+	for x := 1; x <= n; x++ {
+		v := f.Eval(x)
+		if v < prev {
+			return fmt.Errorf("cost: f(%d) = %g < f(%d) = %g", x, v, x-1, prev)
+		}
+		prev = v
+	}
+	return nil
 }

@@ -91,17 +91,3 @@ func TestFitAffineConstantData(t *testing.T) {
 		t.Errorf("constant-data fit predicts %g at 500, want ~2", fit.Eval(500))
 	}
 }
-
-func TestTableFromSamplesSingleSize(t *testing.T) {
-	tab, err := TableFromSamples([]Sample{{X: 4, Seconds: 8}, {X: 4, Seconds: 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.Eval(4); got != 9 {
-		t.Errorf("averaged table Eval(4) = %g, want 9", got)
-	}
-	// Interpolation from the implicit origin.
-	if got := tab.Eval(2); got != 4.5 {
-		t.Errorf("interpolated Eval(2) = %g, want 4.5", got)
-	}
-}

@@ -122,11 +122,6 @@ type Policy struct {
 	Election float64
 }
 
-// DefaultPolicy returns the recommended detection/recovery settings.
-func DefaultPolicy() Policy {
-	return Policy{Timeout: 1, MaxRetries: 4, Backoff: Backoff{Base: 0.25, Factor: 2, Cap: 8}, Election: 2}
-}
-
 // WithDefaults fills unset fields with their defaults.
 func (p Policy) WithDefaults() Policy {
 	if math.IsNaN(p.Timeout) || p.Timeout <= 0 {

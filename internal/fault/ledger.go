@@ -192,18 +192,6 @@ func (l *Ledger) ReplicaSeq(rank int) int {
 	return seq
 }
 
-// Fresh reports whether the rank's copy is current.
-func (l *Ledger) Fresh(rank int) bool { return l.ReplicaSeq(rank) == len(l.entries) }
-
-// ElectRoot returns the deterministic failover winner among the
-// survivors: the lowest-ranked survivor whose ledger copy is freshest
-// (highest replica sequence number; an empty ledger makes every
-// survivor trivially fresh, so the lowest rank wins). It returns false
-// only when there are no survivors.
-func (l *Ledger) ElectRoot(survivors []int) (int, bool) {
-	return l.ElectRootEligible(survivors, nil)
-}
-
 // ElectRootEligible is ElectRoot restricted to eligible survivors: a
 // survivor for which eligible returns false — typically a replica that
 // is itself on a partitioned site, unreachable at election time — is
@@ -246,16 +234,6 @@ func (l *Ledger) Holders() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Delivered returns the total number of items currently held across
-// all ranks.
-func (l *Ledger) Delivered() int {
-	n := 0
-	for _, held := range l.holdings {
-		n += RangeLen(held)
-	}
-	return n
 }
 
 // Entries returns a copy of the checkpoint log.

@@ -238,3 +238,15 @@ func intsEq(a, b []int) bool {
 	}
 	return true
 }
+
+// ElectRoot returns the deterministic failover winner among the
+// survivors: the lowest-ranked survivor whose ledger copy is freshest
+// (highest replica sequence number; an empty ledger makes every
+// survivor trivially fresh, so the lowest rank wins). It returns false
+// only when there are no survivors.
+func (l *Ledger) ElectRoot(survivors []int) (int, bool) {
+	return l.ElectRootEligible(survivors, nil)
+}
+
+// Fresh reports whether the rank's copy is current.
+func (l *Ledger) Fresh(rank int) bool { return l.ReplicaSeq(rank) == len(l.entries) }

@@ -223,27 +223,6 @@ func (np *NetPlan) CutDuring(a, b int, start, end float64) bool {
 	return false
 }
 
-// NextReachable returns the earliest time >= at at which a and b are
-// mutually reachable — the heal instant when they are currently cut.
-// The result is +Inf only for degenerate plans with abutting windows
-// covering all future time (the compiler never emits those).
-func (np *NetPlan) NextReachable(a, b int, at float64) float64 {
-	if np == nil || a == b {
-		return at
-	}
-	t := at
-	for changed := true; changed; {
-		changed = false
-		for _, w := range np.cuts[mkPair(a, b)] {
-			if t >= w.Start && t < w.End {
-				t = w.End
-				changed = true
-			}
-		}
-	}
-	return t
-}
-
 // Slowdown returns the transfer-duration multiplier for a transfer
 // between a and b starting at time at: the product of the active
 // degrade factors, 1 when none applies.

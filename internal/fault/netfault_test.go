@@ -76,12 +76,6 @@ func TestNetPlanQueries(t *testing.T) {
 	if !np.CutDuring(0, 2, 0, 1.5) || np.CutDuring(0, 2, 3, 4.5) || !np.CutDuring(0, 2, 4, 5) {
 		t.Error("CutDuring overlap logic wrong")
 	}
-	if got := np.NextReachable(0, 2, 2); got != 3 {
-		t.Errorf("NextReachable(0,2,2) = %g, want 3 (the heal instant)", got)
-	}
-	if got := np.NextReachable(0, 2, 0.5); got != 0.5 {
-		t.Errorf("NextReachable while reachable = %g, want 0.5", got)
-	}
 	if got := np.Slowdown(1, 2, 3); got != 3 {
 		t.Errorf("Slowdown(1,2,3) = %g, want 3", got)
 	}
@@ -101,19 +95,22 @@ func TestNetPlanNilSafe(t *testing.T) {
 	if !np.Reachable(0, 1, 0) || np.CutDuring(0, 1, 0, 10) || np.Slowdown(0, 1, 0) != 1 {
 		t.Error("nil NetPlan must report a perfect network")
 	}
-	if np.NextReachable(0, 1, 2) != 2 || !np.Healed(0) || np.HasFaults() {
+	if !np.Healed(0) || np.HasFaults() {
 		t.Error("nil NetPlan derived queries wrong")
 	}
 }
 
 func TestNetPlanAbuttingCuts(t *testing.T) {
 	// Two abutting cut windows (a flap phase ending where a partition
-	// begins): NextReachable must hop across both.
+	// begins) leave no reachable instant between them.
 	np := NewNetPlan()
 	np.AddCut(0, 1, Window{Start: 1, End: 2})
 	np.AddCut(0, 1, Window{Start: 2, End: 4})
-	if got := np.NextReachable(0, 1, 1.5); got != 4 {
-		t.Errorf("NextReachable across abutting cuts = %g, want 4", got)
+	if np.Reachable(0, 1, 1.5) || np.Reachable(0, 1, 2) || np.Reachable(0, 1, 3.9) {
+		t.Error("reachable inside abutting cuts")
+	}
+	if !np.CutDuring(0, 1, 1.5, 3.5) || !np.Reachable(0, 1, 4) || np.Healed(3.9) || !np.Healed(4) {
+		t.Error("abutting cuts must heal together at 4")
 	}
 }
 

@@ -22,13 +22,3 @@ func All() []*Analyzer {
 		UnlockPath,
 	}
 }
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -316,9 +316,3 @@ func RunAnalyzersAudit(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Dir
 	sort.Slice(audits, func(i, j int) bool { return audits[i].Pos < audits[j].Pos })
 	return kept, audits, nil
 }
-
-// Format renders a diagnostic the way `go vet` does:
-// file:line:col: message (analyzer).
-func Format(fset *token.FileSet, d Diagnostic) string {
-	return fmt.Sprintf("%s: %s (%s)", fset.Position(d.Pos), d.Message, d.Analyzer)
-}

@@ -48,9 +48,6 @@ func EmptyInterval() Interval { return Interval{Empty: true} }
 // ConstInterval is the point interval [c, c].
 func ConstInterval(c int64) Interval { return Interval{Lo: c, Hi: c} }
 
-// IsTop reports whether the interval carries no information.
-func (iv Interval) IsTop() bool { return !iv.Empty && iv.LoInf && iv.HiInf }
-
 // DefinitelyNegative reports whether every value in the interval is
 // below zero.
 func (iv Interval) DefinitelyNegative() bool { return !iv.Empty && !iv.HiInf && iv.Hi < 0 }

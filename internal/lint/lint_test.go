@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"fmt"
+	"go/token"
 	"os"
 	"slices"
 	"strings"
@@ -356,4 +358,20 @@ func TestAnalyzerOrderIndependent(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no findings on any fixture: the comparison is vacuous")
 	}
+}
+
+// ByName returns the analyzer with the given name, or nil.
+func ByName(name string) *Analyzer {
+	for _, a := range All() {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
+// Format renders a diagnostic the way `go vet` does:
+// file:line:col: message (analyzer).
+func Format(fset *token.FileSet, d Diagnostic) string {
+	return fmt.Sprintf("%s: %s (%s)", fset.Position(d.Pos), d.Message, d.Analyzer)
 }

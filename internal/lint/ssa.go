@@ -27,11 +27,10 @@ import (
 // every use maps to ValUnknown, which the fact layers treat as top.
 // This only ever silences analyzers, never miscounts a proof.
 
-// An SSAValue is one immutable value of a function-local variable.
-type SSAValue interface {
-	// Var is the source-level variable the value instantiates.
-	Var() *types.Var
-}
+// An SSAValue is one immutable value of a function-local variable:
+// one of ValParam, ValDef, ValPhi or ValUnknown, each carrying the
+// source-level variable it instantiates in Obj.
+type SSAValue interface{ ssaValue() }
 
 // ValParam is the value a parameter, receiver or named result holds on
 // entry.
@@ -65,10 +64,10 @@ type ValPhi struct {
 // closure-shared variable, and of uses the renamer cannot resolve.
 type ValUnknown struct{ Obj *types.Var }
 
-func (v *ValParam) Var() *types.Var   { return v.Obj }
-func (v *ValDef) Var() *types.Var     { return v.Obj }
-func (v *ValPhi) Var() *types.Var     { return v.Obj }
-func (v *ValUnknown) Var() *types.Var { return v.Obj }
+func (*ValParam) ssaValue()   {}
+func (*ValDef) ssaValue()     {}
+func (*ValPhi) ssaValue()     {}
+func (*ValUnknown) ssaValue() {}
 
 // An SSAFunc is the SSA form of one function or function literal.
 type SSAFunc struct {

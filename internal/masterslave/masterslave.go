@@ -167,25 +167,3 @@ func Run(cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-
-// Sweep runs the scheduler across several chunk sizes and returns the
-// best result and its chunk size.
-func Sweep(cfg Config, chunkSizes []int) (best Result, bestChunk int, err error) {
-	if len(chunkSizes) == 0 {
-		return Result{}, 0, errors.New("masterslave: no chunk sizes")
-	}
-	first := true
-	for _, cs := range chunkSizes {
-		c := cfg
-		c.ChunkSize = cs
-		r, err := Run(c)
-		if err != nil {
-			return Result{}, 0, err
-		}
-		if first || r.Makespan < best.Makespan {
-			best, bestChunk = r, cs
-			first = false
-		}
-	}
-	return best, bestChunk, nil
-}

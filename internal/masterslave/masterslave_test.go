@@ -120,17 +120,17 @@ func TestStaticBeatsDynamicOnCalibratedGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dynamic, _, err := Sweep(Config{
-		Procs:           procs,
-		Items:           n,
-		RequestOverhead: 0.01, // 10 ms per request round-trip
-	}, []int{100, 500, 2000, 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if static.Makespan >= dynamic.Makespan {
-		t.Errorf("static %g not better than dynamic %g on a calibrated grid",
-			static.Makespan, dynamic.Makespan)
+	// The static scatter must beat the dynamic scheme at every chunk
+	// size, 10 ms per request round-trip.
+	for _, chunk := range []int{100, 500, 2000, 10000} {
+		dynamic, err := Run(Config{Procs: procs, Items: n, ChunkSize: chunk, RequestOverhead: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if static.Makespan >= dynamic.Makespan {
+			t.Errorf("static %g not better than dynamic %g (chunk %d) on a calibrated grid",
+				static.Makespan, dynamic.Makespan, chunk)
+		}
 	}
 }
 
@@ -169,28 +169,6 @@ func TestDynamicAdaptsToUnknownLoadPeak(t *testing.T) {
 	if dynamic.Makespan >= tl.Makespan {
 		t.Errorf("dynamic %g not better than blind static %g under an unexpected load peak",
 			dynamic.Makespan, tl.Makespan)
-	}
-}
-
-func TestSweepPicksBestChunk(t *testing.T) {
-	cfg := Config{Procs: workers3(), Items: 500, RequestOverhead: 0.2}
-	best, chunk, err := Sweep(cfg, []int{1, 10, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range []int{1, 10, 100} {
-		c := cfg
-		c.ChunkSize = cs
-		r, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Makespan < best.Makespan-1e-9 {
-			t.Errorf("sweep missed chunk %d (%g < %g at chunk %d)", cs, r.Makespan, best.Makespan, chunk)
-		}
-	}
-	if _, _, err := Sweep(cfg, nil); err == nil {
-		t.Error("empty sweep accepted")
 	}
 }
 

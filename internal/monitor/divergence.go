@@ -173,9 +173,3 @@ func (d *Divergence) Degraded() bool { return d.degraded || d.forced }
 // Forced reports whether degraded mode is pinned by structural
 // evidence rather than the sample vote.
 func (d *Divergence) Forced() bool { return d.forced }
-
-// Trips returns how many times the detector entered degraded mode.
-func (d *Divergence) Trips() int { return d.trips }
-
-// Samples returns how many observations the detector has seen.
-func (d *Divergence) Samples() int { return d.samples }

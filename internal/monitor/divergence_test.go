@@ -138,3 +138,9 @@ func TestDivergenceDefaults(t *testing.T) {
 		t.Errorf("fresh detector has %d samples", d.Samples())
 	}
 }
+
+// Samples returns how many observations the detector has seen.
+func (d *Divergence) Samples() int { return d.samples }
+
+// Trips returns how many times the detector entered degraded mode.
+func (d *Divergence) Trips() int { return d.trips }

@@ -293,18 +293,6 @@ func (m *Monitor) Forecast(resource string) (value float64, method string, err e
 	return v, m.forecasters[best].Name(), nil
 }
 
-// Resources returns the monitored resource names, sorted.
-func (m *Monitor) Resources() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.resources))
-	for name := range m.resources {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // CPUResource and BWResource name the conventional series for a
 // machine: CPU availability fraction and link bandwidth fraction, both
 // in (0, 1].

@@ -3,6 +3,7 @@ package monitor
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -309,4 +310,16 @@ func TestMonitorConcurrentSafety(t *testing.T) {
 	if err != nil || math.Abs(v-0.5) > 1e-9 {
 		t.Errorf("forecast = %g, %v", v, err)
 	}
+}
+
+// Resources returns the monitored resource names, sorted.
+func (m *Monitor) Resources() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	names := make([]string, 0, len(m.resources))
+	for name := range m.resources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -326,10 +326,15 @@ func (c *Comm) advance(d float64, phase Phase) { c.advanceLabeled(d, phase, "") 
 // labeled span. Timeouts tie up the port and count as communication
 // time; backoffs count as idle time.
 func (c *Comm) advanceLabeled(d float64, phase Phase, label string) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.book(d, c.clock+d, phase, label)
 	}
-	c.stats.Spans = append(c.stats.Spans, Span{Phase: phase, Start: c.clock, End: c.clock + d, Label: label})
+}
+
+// book records a span of d seconds from the clock to end and moves the
+// clock to end.
+func (c *Comm) book(d, end float64, phase Phase, label string) {
+	c.stats.Spans = append(c.stats.Spans, Span{Phase: phase, Start: c.clock, End: end, Label: label})
 	switch phase {
 	case PhaseComm, PhaseTimeout:
 		c.stats.CommTime += d
@@ -338,16 +343,23 @@ func (c *Comm) advanceLabeled(d float64, phase Phase, label string) {
 	default:
 		c.stats.IdleTime += d
 	}
-	c.clock += d
+	c.clock = end
 }
 
 // playSpans replays precomputed absolute-time spans onto the rank's
-// clock and statistics, idling across any gaps. Used by collectives
-// whose timing is too rich for a single (commStart, outClock) pair.
+// clock and statistics, idling across any gaps. Each span ends, and
+// starts unless the clock is already past it, at exactly the instants
+// booked, not an ulp away as clock + (t - clock) could land. Used by
+// collectives whose timing is too rich for a single (commStart,
+// outClock) pair.
 func (c *Comm) playSpans(spans []Span) {
 	for _, s := range spans {
-		c.advanceTo(s.Start, PhaseIdle)
-		c.advanceLabeled(s.End-c.clock, s.Phase, s.Label)
+		if d := s.Start - c.clock; d > 0 {
+			c.book(d, s.Start, PhaseIdle, "")
+		}
+		if d := s.End - c.clock; d > 0 {
+			c.book(d, s.End, s.Phase, s.Label)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package platform
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -145,30 +144,11 @@ type Route struct {
 	Latency float64
 }
 
-// Hops returns the number of links on the route.
-func (r Route) Hops() int {
-	if len(r.Path) == 0 {
-		return 0
-	}
-	return len(r.Path) - 1
-}
-
 // UsesLink reports whether the route traverses the undirected link
 // a-b.
 func (r Route) UsesLink(a, b string) bool {
 	for i := 0; i+1 < len(r.Path); i++ {
 		if (r.Path[i] == a && r.Path[i+1] == b) || (r.Path[i] == b && r.Path[i+1] == a) {
-			return true
-		}
-	}
-	return false
-}
-
-// UsesNode reports whether the route passes through the node
-// (including its endpoints).
-func (r Route) UsesNode(n string) bool {
-	for _, p := range r.Path {
-		if p == n {
 			return true
 		}
 	}
@@ -409,90 +389,4 @@ func (g Graph) RankAdjacency(rankNodes []string) [][]int {
 		}
 	}
 	return adj
-}
-
-// TwoSiteGraph lifts a RandomTwoSite-style platform into its routed
-// form: a "local" node and a "remote" node joined by one WAN link, the
-// shape of the paper's Strasbourg–Montpellier testbed.
-func TwoSiteGraph(rng *rand.Rand, localMachines, remoteMachines int) Graph {
-	p := RandomTwoSite(rng, localMachines, remoteMachines)
-	wan := Link{A: "local", B: "remote", Alpha: 2e-5, Latency: 5e-3, Capacity: 1}
-	g := Graph{
-		Name:  "graph-" + p.Name,
-		Nodes: []Node{{Name: "local"}, {Name: "remote"}},
-		Links: []Link{wan},
-		Root:  p.Root,
-	}
-	for _, m := range p.Machines {
-		idx := 0
-		if m.Site == "remote" {
-			idx = 1
-			// The WAN crossing moves into the shared link; the machine
-			// keeps only a LAN-scale attachment cost.
-			m.Alpha = 1e-5
-		}
-		g.Nodes[idx].Machines = append(g.Nodes[idx].Machines, m)
-	}
-	return g
-}
-
-// RandomGraph generates a synthetic routed platform with the given
-// number of sites: a ring-with-chords backbone (always connected) and
-// 1–3 machines per site, with the data on the first site. Costs follow
-// the Random spreads, with inter-site links one to two orders of
-// magnitude slower than local attachments.
-func RandomGraph(rng *rand.Rand, sites int) Graph {
-	if sites < 1 {
-		sites = 1
-	}
-	g := Graph{Name: fmt.Sprintf("randomgraph-%d", sites)}
-	for s := 0; s < sites; s++ {
-		n := Node{Name: fmt.Sprintf("site%02d", s)}
-		machines := 1 + rng.Intn(3)
-		for m := 0; m < machines; m++ {
-			n.Machines = append(n.Machines, Machine{
-				Name:  fmt.Sprintf("s%02dm%02d", s, m),
-				CPUs:  1 + rng.Intn(2),
-				Beta:  0.002 + rng.Float64()*0.02,
-				Alpha: 1e-5 * (1 + rng.Float64()),
-				Site:  n.Name,
-			})
-		}
-		g.Nodes = append(g.Nodes, n)
-	}
-	g.Root = g.Nodes[0].Machines[0].Name
-	g.Nodes[0].Machines[0].Alpha = 0
-	for s := 0; s < sites-1; s++ {
-		g.Links = append(g.Links, Link{
-			A:        g.Nodes[s].Name,
-			B:        g.Nodes[s+1].Name,
-			Alpha:    1e-4 * (1 + rng.Float64()*9),
-			Latency:  1e-3 * (1 + rng.Float64()*9),
-			Capacity: 1 + rng.Intn(2),
-		})
-	}
-	if sites > 2 {
-		// Close the ring and sprinkle chords for route diversity.
-		g.Links = append(g.Links, Link{
-			A:        g.Nodes[sites-1].Name,
-			B:        g.Nodes[0].Name,
-			Alpha:    1e-4 * (1 + rng.Float64()*9),
-			Latency:  1e-3 * (1 + rng.Float64()*9),
-			Capacity: 1 + rng.Intn(2),
-		})
-		for c := 0; c < sites/3; c++ {
-			a, b := rng.Intn(sites), rng.Intn(sites)
-			if a == b || a == (b+1)%sites || b == (a+1)%sites {
-				continue
-			}
-			g.Links = append(g.Links, Link{
-				A:        g.Nodes[a].Name,
-				B:        g.Nodes[b].Name,
-				Alpha:    1e-4 * (1 + rng.Float64()*9),
-				Latency:  1e-3 * (1 + rng.Float64()*9),
-				Capacity: 1 + rng.Intn(2),
-			})
-		}
-	}
-	return g
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -107,15 +106,6 @@ func (p Platform) Machine(name string) (Machine, bool) {
 		}
 	}
 	return Machine{}, false
-}
-
-// TotalCPUs returns the number of processors in the platform.
-func (p Platform) TotalCPUs() int {
-	total := 0
-	for _, m := range p.Machines {
-		total += m.CPUs
-	}
-	return total
 }
 
 // commFunction builds the machine's communication cost function: zero
@@ -260,22 +250,6 @@ func Random(rng *rand.Rand, machines int) Platform {
 	p.Machines[0].Alpha = 0
 	p.Root = p.Machines[0].Name
 	return p
-}
-
-// SortMachinesByBandwidth reorders the machine list by descending link
-// bandwidth (ascending alpha), root last — a convenience for printing
-// platforms in the order the experiments use.
-func (p *Platform) SortMachinesByBandwidth() {
-	sort.SliceStable(p.Machines, func(i, j int) bool {
-		mi, mj := p.Machines[i], p.Machines[j]
-		if mi.Name == p.Root {
-			return false
-		}
-		if mj.Name == p.Root {
-			return true
-		}
-		return mi.Alpha < mj.Alpha
-	})
 }
 
 // RandomTwoSite generates a synthetic two-site grid shaped like the

@@ -259,17 +259,6 @@ func TestCommLatencyGivesAffineLinks(t *testing.T) {
 	}
 }
 
-func TestSortMachinesByBandwidth(t *testing.T) {
-	p := Table1()
-	p.SortMachinesByBandwidth()
-	if p.Machines[0].Name != "caseb" {
-		t.Errorf("first machine = %s, want caseb", p.Machines[0].Name)
-	}
-	if p.Machines[len(p.Machines)-1].Name != "dinadan" {
-		t.Errorf("last machine = %s, want dinadan (root)", p.Machines[len(p.Machines)-1].Name)
-	}
-}
-
 func TestOrderingString(t *testing.T) {
 	if OrderAsListed.String() != "as-listed" ||
 		OrderDescendingBandwidth.String() != "descending-bandwidth" ||
@@ -314,4 +303,13 @@ func TestRandomTwoSiteDegenerate(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("degenerate two-site platform invalid: %v", err)
 	}
+}
+
+// TotalCPUs returns the number of processors in the platform.
+func (p Platform) TotalCPUs() int {
+	total := 0
+	for _, m := range p.Machines {
+		total += m.CPUs
+	}
+	return total
 }

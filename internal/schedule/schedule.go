@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // Segment is a half-open time interval [Start, End) in seconds.
@@ -118,12 +119,7 @@ func (t Timeline) LatestFinish() float64 { return t.Makespan }
 
 // Imbalance returns (latest-earliest)/latest, the paper's
 // load-imbalance measure.
-func (t Timeline) Imbalance() float64 {
-	if t.Makespan == 0 {
-		return 0
-	}
-	return (t.LatestFinish() - t.EarliestFinish()) / t.LatestFinish()
-}
+func (t Timeline) Imbalance() float64 { return stats.Imbalance(t.FinishTimes()) }
 
 // StairArea integrates each processor's idle time before its reception
 // begins — the "surface of the bottom area delimited by the dashed
@@ -133,17 +129,6 @@ func (t Timeline) StairArea() float64 {
 	total := 0.0
 	for _, p := range t.Procs {
 		total += p.Idle()
-	}
-	return total
-}
-
-// TotalCommTime sums every processor's receive duration; because the
-// root's port is serialized, this is also the time the root spends
-// sending.
-func (t Timeline) TotalCommTime() float64 {
-	total := 0.0
-	for _, p := range t.Procs {
-		total += p.CommTime()
 	}
 	return total
 }

@@ -93,9 +93,6 @@ func hasPrefix(s, prefix string) bool {
 	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }
 
-// Model returns the tracer's (refined) model.
-func (t *Tracer) Model() EarthModel { return t.model }
-
 // Layers returns the number of shells in the refined model.
 func (t *Tracer) Layers() int { return len(t.model.Layers) }
 

@@ -1,9 +1,47 @@
 package seismic
 
 import (
-	"strings"
+	"math"
 	"testing"
 )
+
+// TTPoint is one sample of a travel-time curve.
+type TTPoint struct {
+	// DistanceDeg is the epicentral distance in degrees.
+	DistanceDeg float64
+	// Seconds is the modeled travel time.
+	Seconds float64
+	// Kind records how the sample was traced (turning, direct, or
+	// fallback inside the core shadow).
+	Kind RayKind
+}
+
+// TravelTimeCurve samples the model's travel-time curve T(delta) for a
+// wave type and source depth, from just above 0 degrees out to maxDeg,
+// with the given number of samples — the classic seismological
+// travel-time table (e.g. Jeffreys-Bullen) computed from this model.
+// It is the standard way to eyeball a velocity model's sanity and is
+// used by the tests to pin the tracer's physics.
+func (t *Tracer) TravelTimeCurve(wave WaveType, depthKm, maxDeg float64, samples int) []TTPoint {
+	if samples < 2 {
+		samples = 2
+	}
+	if maxDeg <= 0 {
+		maxDeg = 100
+	}
+	curve := make([]TTPoint, samples)
+	for i := range curve {
+		deg := maxDeg * float64(i+1) / float64(samples)
+		ev := Event{
+			SrcDepthKm: depthKm,
+			CapLon:     deg * math.Pi / 180,
+			Wave:       wave,
+		}
+		ray := t.Trace(ev)
+		curve[i] = TTPoint{DistanceDeg: deg, Seconds: ray.TravelTime, Kind: ray.Kind}
+	}
+	return curve
+}
 
 func TestTravelTimeCurveMonotoneBeforeShadow(t *testing.T) {
 	tr := newTracer(t)
@@ -100,13 +138,17 @@ func TestTravelTimeCurveDefaults(t *testing.T) {
 	}
 }
 
-func TestFormatCurve(t *testing.T) {
-	tr := newTracer(t)
-	out := FormatCurve(tr.TravelTimeCurve(WaveP, 0, 40, 4))
-	if !strings.Contains(out, "deg") || !strings.Contains(out, "turning") {
-		t.Errorf("formatted curve missing fields:\n%s", out)
+// ShadowStart returns the epicentral distance (degrees) at which the
+// model's mantle-turning rays run out and the core shadow begins: the
+// first sampled distance whose ray falls back. It returns maxDeg+step
+// if no fallback occurs within the sampled range.
+func (t *Tracer) ShadowStart(wave WaveType, maxDeg float64, samples int) float64 {
+	curve := t.TravelTimeCurve(wave, 0, maxDeg, samples)
+	for _, pt := range curve {
+		if pt.Kind == RayFallback {
+			return pt.DistanceDeg
+		}
 	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 5 {
-		t.Errorf("formatted curve has wrong row count:\n%s", out)
-	}
+	step := maxDeg / float64(samples)
+	return maxDeg + step
 }

@@ -56,18 +56,12 @@ type Engine struct {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() int { return e.steps }
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past is an error surfaced at Run time.
 func (e *Engine) At(t float64, fn func()) {
 	e.seq++
 	heap.Push(&e.queue, &event{at: t, seq: e.seq, fn: fn})
 }
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d float64, fn func()) { e.At(e.now+d, fn) }
 
 // Run executes events in time order until the queue is empty. It
 // returns an error if an event was scheduled before the current time

@@ -121,3 +121,9 @@ func TestRunNoisePreservesOrdering(t *testing.T) {
 		}
 	}
 }
+
+// Steps returns the number of events executed so far.
+func (e *Engine) Steps() int { return e.steps }
+
+// After schedules fn to run d seconds from now.
+func (e *Engine) After(d float64, fn func()) { e.At(e.now+d, fn) }

@@ -8,336 +8,18 @@ import (
 	"repro/internal/platform"
 )
 
-// This file extends the discrete-event simulator from the star model
-// (one private link per processor) to routed multi-hop graphs: flows
-// traverse the shortest route computed by platform.Graph, shared links
-// carry a bounded number of concurrent flows, and link-level fault
-// windows (degrades, flaps, partitions) slow or stall every flow
-// routed over them.
-//
-// The contention model is circuit-switched, in the tradition of
-// wormhole-routed grids: a flow acquires one slot on every link of its
-// route before it starts moving, holds them until completion, and
-// progresses at the minimum instantaneous rate over its route. Flows
-// that cannot acquire all slots queue in arrival order (FIFO, ties by
-// submission index). Routing is static — a degraded link slows the
-// flows routed across it rather than triggering a reroute, matching
-// the static routing tables of the paper's era.
-//
-// It also hosts the fault compiler BuildNetPlan: simgrid is the one
+// This file hosts the fault compiler BuildNetPlan: simgrid is the one
 // package that may see both platform (topology) and fault (windows)
 // without an import cycle, so this is where site-level network faults
-// are lowered to the rank-pair NetPlan the MPI runtime consumes.
+// on a routed platform.Graph are lowered to the rank-pair NetPlan the
+// MPI runtime consumes.
 
-// LinkKey canonicalizes an undirected link name for window maps.
-func LinkKey(a, b string) string {
+// linkKey canonicalizes an undirected node pair for route maps.
+func linkKey(a, b string) string {
 	if b < a {
 		a, b = b, a
 	}
 	return a + "|" + b
-}
-
-// Flow is one end-to-end transfer request over the graph.
-type Flow struct {
-	// From and To are node names.
-	From, To string
-	// Items is the number of data items to move.
-	Items int
-	// Start is the submission time in virtual seconds.
-	Start float64
-}
-
-// FlowResult reports one simulated flow.
-type FlowResult struct {
-	Flow
-	// AcquiredAt is when the flow obtained all its link slots (equals
-	// Start when there was no contention).
-	AcquiredAt float64
-	// End is the completion time; +Inf if a link on the route is down
-	// forever.
-	End float64
-	// Hops is the number of links traversed (0 for co-located
-	// endpoints).
-	Hops int
-}
-
-// NetworkConfig describes one multi-hop simulation.
-type NetworkConfig struct {
-	// Graph is the routed platform.
-	Graph platform.Graph
-	// Flows are the transfers to simulate.
-	Flows []Flow
-	// LinkWindows holds rate windows per link (key LinkKey): factor 0
-	// stalls flows on the link, factor 0.5 halves their rate. Use
-	// NetFaultWindows to derive them from a fault list.
-	LinkWindows map[string][]RateWindow
-}
-
-// flowState tracks one flow through the simulation.
-type flowState struct {
-	res   *FlowResult
-	links []*Resource // route links, in traversal order
-	work  float64     // seconds of full-speed transfer
-}
-
-// SimulateNetwork runs the circuit-switched contention model and
-// returns one result per flow, in submission order.
-func SimulateNetwork(cfg NetworkConfig) ([]FlowResult, error) {
-	if err := cfg.Graph.Validate(); err != nil {
-		return nil, err
-	}
-	// Per-link shared state: a slot counter and a rate resource.
-	type linkState struct {
-		res      *Resource
-		capacity int
-		active   int
-	}
-	links := map[string]*linkState{}
-	for _, l := range cfg.Graph.Links {
-		key := LinkKey(l.A, l.B)
-		if ex, ok := links[key]; ok {
-			// Parallel links: keep the larger capacity (the router
-			// bonds them); rate windows apply to the bundle.
-			if l.Capacity == 0 || ex.capacity == 0 {
-				ex.capacity = 0
-			} else if l.Capacity > ex.capacity {
-				ex.capacity = l.Capacity
-			}
-			continue
-		}
-		ls := &linkState{res: &Resource{Name: key}, capacity: l.Capacity}
-		for _, w := range cfg.LinkWindows[key] {
-			if err := ls.res.AddWindow(w); err != nil {
-				return nil, err
-			}
-		}
-		links[key] = ls
-	}
-
-	// Precompute routes from every distinct source node.
-	routesFrom := map[string]map[string]platform.Route{}
-	routes := func(src string) (map[string]platform.Route, error) {
-		if r, ok := routesFrom[src]; ok {
-			return r, nil
-		}
-		r, err := cfg.Graph.RoutesFrom(src)
-		if err != nil {
-			return nil, err
-		}
-		routesFrom[src] = r
-		return r, nil
-	}
-
-	results := make([]FlowResult, len(cfg.Flows))
-	states := make([]*flowState, 0, len(cfg.Flows))
-	for i, f := range cfg.Flows {
-		if f.Items < 0 {
-			return nil, fmt.Errorf("simgrid: flow %d has negative items", i)
-		}
-		rts, err := routes(f.From)
-		if err != nil {
-			return nil, err
-		}
-		route, ok := rts[f.To]
-		if !ok {
-			return nil, fmt.Errorf("simgrid: no route from %s to %s", f.From, f.To)
-		}
-		results[i] = FlowResult{Flow: f, Hops: route.Hops()}
-		st := &flowState{
-			res:  &results[i],
-			work: route.Latency + float64(f.Items)*route.Alpha,
-		}
-		for h := 0; h+1 < len(route.Path); h++ {
-			st.links = append(st.links, links[LinkKey(route.Path[h], route.Path[h+1])].res)
-		}
-		states = append(states, st)
-	}
-
-	// Event loop: admit in FIFO order at submissions and completions.
-	slots := func(st *flowState) []*linkState {
-		out := make([]*linkState, 0, len(st.links))
-		for _, lr := range st.links {
-			out = append(out, links[lr.Name])
-		}
-		return out
-	}
-	admissible := func(st *flowState) bool {
-		for _, ls := range slots(st) {
-			if ls.capacity > 0 && ls.active >= ls.capacity {
-				return false
-			}
-		}
-		return true
-	}
-	pending := make([]int, len(states)) // indices, FIFO by (Start, index)
-	for i := range pending {
-		pending[i] = i
-	}
-	sort.SliceStable(pending, func(a, b int) bool {
-		return states[pending[a]].res.Start < states[pending[b]].res.Start
-	})
-	type running struct {
-		idx int
-		end float64
-	}
-	var active []running
-	now := 0.0
-	for len(pending) > 0 || len(active) > 0 {
-		// Admit every head-of-queue flow that has arrived and fits.
-		progressed := true
-		for progressed {
-			progressed = false
-			for qi, idx := range pending {
-				st := states[idx]
-				if st.res.Start > now {
-					break // FIFO: later arrivals wait behind this one
-				}
-				if !admissible(st) {
-					continue // blocked on slots; try the next arrival
-				}
-				for _, ls := range slots(st) {
-					ls.active++
-				}
-				st.res.AcquiredAt = now
-				end := routeFinish(st.links, now, st.work)
-				st.res.End = end
-				active = append(active, running{idx: idx, end: end})
-				pending = append(pending[:qi], pending[qi+1:]...)
-				progressed = true
-				break
-			}
-		}
-		// Advance to the next event: earliest completion or arrival.
-		next := inf()
-		nextIdx := -1
-		for ai, r := range active {
-			if r.end < next || (r.end == next && (nextIdx < 0 || r.idx < active[nextIdx].idx)) {
-				next = r.end
-				nextIdx = ai
-			}
-		}
-		arrival := inf()
-		for _, idx := range pending {
-			if s := states[idx].res.Start; s > now && s < arrival {
-				arrival = s
-			}
-		}
-		switch {
-		case nextIdx >= 0 && next <= arrival:
-			if next >= inf() {
-				// Stalled forever (permanent down window): everything
-				// still queued behind it is stuck too.
-				for _, idx := range pending {
-					states[idx].res.AcquiredAt = inf()
-					states[idx].res.End = inf()
-				}
-				return results, nil
-			}
-			now = next
-			done := active[nextIdx]
-			active = append(active[:nextIdx], active[nextIdx+1:]...)
-			for _, ls := range slots(states[done.idx]) {
-				ls.active--
-			}
-		case arrival < inf():
-			now = arrival
-		default:
-			return results, nil
-		}
-	}
-	return results, nil
-}
-
-// routeFinish computes when work seconds of full-speed transfer,
-// started at start, completes when progressing at the minimum rate
-// over the route's links. Co-located endpoints (no links) finish
-// immediately after their work at rate 1.
-func routeFinish(route []*Resource, start, work float64) float64 {
-	if len(route) == 0 {
-		return start + work
-	}
-	t := start
-	remaining := work
-	for remaining > 0 {
-		rate, until := inf(), inf()
-		for _, r := range route {
-			rr, ru := r.rateAt(t)
-			if rr < rate {
-				rate = rr
-			}
-			if ru < until {
-				until = ru
-			}
-		}
-		if rate == 0 {
-			if until >= inf() {
-				return inf()
-			}
-			t = until
-			continue
-		}
-		span := until - t
-		capacity := span * rate
-		if capacity >= remaining {
-			return t + remaining/rate
-		}
-		remaining -= capacity
-		t = until
-	}
-	return t
-}
-
-// ScatterFlows builds the flow list of a rooted scatter over the
-// graph: one flow per non-root rank, all submitted at time zero (the
-// multi-port variant the contention model exists to study; the
-// single-port runtime in internal/mpi serializes instead). rankNodes
-// is the Graph.ProcessorNodes map, root last; dist assigns items per
-// rank in the same order.
-func ScatterFlows(g platform.Graph, rankNodes []string, dist []int) ([]Flow, error) {
-	if len(rankNodes) != len(dist) {
-		return nil, fmt.Errorf("simgrid: %d rank nodes but %d shares", len(rankNodes), len(dist))
-	}
-	if len(rankNodes) == 0 {
-		return nil, fmt.Errorf("simgrid: no ranks")
-	}
-	rootNode := rankNodes[len(rankNodes)-1]
-	flows := make([]Flow, 0, len(rankNodes)-1)
-	for r := 0; r+1 < len(rankNodes); r++ {
-		flows = append(flows, Flow{From: rootNode, To: rankNodes[r], Items: dist[r]})
-	}
-	return flows, nil
-}
-
-// NetFaultWindows lowers link-level faults to per-link rate windows
-// for the contention simulator: a degrade runs the link at 1/Factor,
-// a flap stops it during every down phase, and a partition stops every
-// link touching the site. Overlapping windows on one link are an error
-// surfaced by SimulateNetwork's AddWindow.
-func NetFaultWindows(g platform.Graph, faults []fault.NetFault) (map[string][]RateWindow, error) {
-	out := map[string][]RateWindow{}
-	for _, f := range faults {
-		if err := f.Validate(); err != nil {
-			return nil, err
-		}
-		switch f.Kind {
-		case fault.LinkDegrade:
-			key := LinkKey(f.EdgeA, f.EdgeB)
-			out[key] = append(out[key], RateWindow{Start: f.Start, End: f.End, Factor: 1 / f.Factor})
-		case fault.LinkFlap:
-			key := LinkKey(f.EdgeA, f.EdgeB)
-			for _, w := range f.DownWindows() {
-				out[key] = append(out[key], RateWindow{Start: w.Start, End: w.End, Factor: 0})
-			}
-		case fault.Partition:
-			for _, l := range g.Links {
-				if l.A == f.Site || l.B == f.Site {
-					key := LinkKey(l.A, l.B)
-					out[key] = append(out[key], RateWindow{Start: f.Start, End: f.End, Factor: 0})
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // BuildNetPlan lowers site-level network faults to the rank-pair
@@ -376,12 +58,12 @@ func BuildNetPlan(g platform.Graph, rankNodes []string, faults []fault.NetFault)
 		}
 		for dst := range hosts {
 			if r, ok := rts[dst]; ok {
-				routeOf[LinkKey(src, dst)] = r
+				routeOf[linkKey(src, dst)] = r
 			}
 		}
 	}
 	pairRoute := func(a, b int) (platform.Route, bool) {
-		r, ok := routeOf[LinkKey(rankNodes[a], rankNodes[b])]
+		r, ok := routeOf[linkKey(rankNodes[a], rankNodes[b])]
 		return r, ok
 	}
 

@@ -1,7 +1,6 @@
 package simgrid
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/fault"
@@ -23,187 +22,6 @@ func netChain() platform.Graph {
 			{A: "siteB", B: "siteC", Alpha: 0.01, Latency: 0.5, Capacity: 1},
 		},
 		Root: "rootm",
-	}
-}
-
-func TestSimulateNetworkNoContention(t *testing.T) {
-	g := netChain()
-	res, err := SimulateNetwork(NetworkConfig{
-		Graph: g,
-		Flows: []Flow{{From: "siteA", To: "siteC", Items: 100}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two hops: latency 1.0 total, alpha 0.02/item over 100 items = 2.0.
-	want := 3.0
-	if math.Abs(res[0].End-want) > 1e-9 || res[0].AcquiredAt != 0 || res[0].Hops != 2 {
-		t.Errorf("flow = %+v, want end %g at hops 2", res[0], want)
-	}
-	// Co-located endpoints: no links, instant latency-free transfer.
-	res, err = SimulateNetwork(NetworkConfig{
-		Graph: g,
-		Flows: []Flow{{From: "siteA", To: "siteA", Items: 5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].End != 0 || res[0].Hops != 0 {
-		t.Errorf("co-located flow = %+v", res[0])
-	}
-}
-
-func TestSimulateNetworkContention(t *testing.T) {
-	g := netChain()
-	// Both flows need the capacity-1 A-B link: the second queues until
-	// the first completes.
-	res, err := SimulateNetwork(NetworkConfig{
-		Graph: g,
-		Flows: []Flow{
-			{From: "siteA", To: "siteB", Items: 100}, // 0.5 + 1.0 = 1.5
-			{From: "siteA", To: "siteB", Items: 50},  // 0.5 + 0.5 = 1.0
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].AcquiredAt != 0 || math.Abs(res[0].End-1.5) > 1e-9 {
-		t.Errorf("first flow = %+v", res[0])
-	}
-	if math.Abs(res[1].AcquiredAt-1.5) > 1e-9 || math.Abs(res[1].End-2.5) > 1e-9 {
-		t.Errorf("queued flow = %+v, want acquire 1.5 end 2.5", res[1])
-	}
-	// Raising the capacity removes the queueing.
-	g.Links[0].Capacity = 2
-	res, err = SimulateNetwork(NetworkConfig{Graph: g, Flows: []Flow{
-		{From: "siteA", To: "siteB", Items: 100},
-		{From: "siteA", To: "siteB", Items: 50},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[1].AcquiredAt != 0 || math.Abs(res[1].End-1.0) > 1e-9 {
-		t.Errorf("parallel flow = %+v, want acquire 0 end 1.0", res[1])
-	}
-}
-
-func TestSimulateNetworkMultiHopHoldsBothLinks(t *testing.T) {
-	g := netChain()
-	// A long A->C flow holds both links; an A->B flow queues behind it
-	// even though only the first link is shared.
-	res, err := SimulateNetwork(NetworkConfig{
-		Graph: g,
-		Flows: []Flow{
-			{From: "siteA", To: "siteC", Items: 100}, // ends at 3.0
-			{From: "siteB", To: "siteC", Items: 50},  // shares B-C
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res[1].AcquiredAt-3.0) > 1e-9 {
-		t.Errorf("B->C flow acquired at %g, want 3.0 (behind the circuit)", res[1].AcquiredAt)
-	}
-}
-
-func TestSimulateNetworkDegradeAndFlapWindows(t *testing.T) {
-	g := netChain()
-	faults := []fault.NetFault{{
-		Kind: fault.LinkDegrade, EdgeA: "siteA", EdgeB: "siteB",
-		Start: 0, End: 10, Factor: 2,
-	}}
-	lw, err := NetFaultWindows(g, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SimulateNetwork(NetworkConfig{
-		Graph: g, LinkWindows: lw,
-		Flows: []Flow{{From: "siteA", To: "siteB", Items: 100}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The whole 1.5s transfer runs at half rate inside the window.
-	if math.Abs(res[0].End-3.0) > 1e-9 {
-		t.Errorf("degraded flow end = %g, want 3.0", res[0].End)
-	}
-
-	// A flap that is down for [0, 1) stalls the flow until the link
-	// comes back.
-	flap := []fault.NetFault{{
-		Kind: fault.LinkFlap, EdgeA: "siteA", EdgeB: "siteB",
-		Start: 0, End: 2, Period: 2, Duty: 0.5,
-	}}
-	lw, err = NetFaultWindows(g, flap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = SimulateNetwork(NetworkConfig{
-		Graph: g, LinkWindows: lw,
-		Flows: []Flow{{From: "siteA", To: "siteB", Items: 100}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res[0].End-2.5) > 1e-9 {
-		t.Errorf("flapped flow end = %g, want 2.5 (1.0 down + 1.5 work)", res[0].End)
-	}
-}
-
-func TestSimulateNetworkPartitionStallsAndPermanentDownIsInf(t *testing.T) {
-	g := netChain()
-	lw, err := NetFaultWindows(g, []fault.NetFault{{
-		Kind: fault.Partition, Site: "siteB", Start: 0, End: 4,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both links touch siteB, so both are down until the heal at t=4.
-	res, err := SimulateNetwork(NetworkConfig{
-		Graph: g, LinkWindows: lw,
-		Flows: []Flow{{From: "siteA", To: "siteC", Items: 100}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res[0].End-7.0) > 1e-9 {
-		t.Errorf("partitioned flow end = %g, want 7.0 (heal at 4 + 3.0 work)", res[0].End)
-	}
-	// A permanent outage never completes, and queued flows behind it
-	// are stuck too.
-	res, err = SimulateNetwork(NetworkConfig{
-		Graph: g,
-		LinkWindows: map[string][]RateWindow{
-			LinkKey("siteA", "siteB"): {{Start: 0, End: inf(), Factor: 0}},
-		},
-		Flows: []Flow{
-			{From: "siteA", To: "siteB", Items: 1},
-			{From: "siteA", To: "siteB", Items: 1, Start: 1},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(res[0].End, 1) || !math.IsInf(res[1].End, 1) {
-		t.Errorf("permanent outage ends = %g, %g; want +Inf", res[0].End, res[1].End)
-	}
-}
-
-func TestScatterFlows(t *testing.T) {
-	g := netChain()
-	nodes, err := g.ProcessorNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows, err := ScatterFlows(g, nodes, []int{10, 20, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flows) != 2 || flows[0].From != "siteA" || flows[0].To != "siteB" || flows[1].Items != 20 {
-		t.Errorf("flows = %+v", flows)
-	}
-	if _, err := ScatterFlows(g, nodes, []int{1}); err == nil {
-		t.Error("mismatched dist accepted")
 	}
 }
 

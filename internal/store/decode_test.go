@@ -58,7 +58,9 @@ func decodePayload(payload []byte) (Entry, error) {
 	return e, nil
 }
 
-// oracleValidate is the entry check decodePayload ran, kept verbatim.
+// oracleValidate is the entry check decodePayload ran, kept verbatim
+// but for the overflow guard checkPlan gained with it: a negative item
+// count, or a share beyond what is left of it, is refused.
 func oracleValidate(e Entry) error {
 	if e.Sig == "" || strings.ContainsAny(e.Sig, " \t\n\r") {
 		return fmt.Errorf("store: unusable signature %q", e.Sig)
@@ -69,10 +71,16 @@ func oracleValidate(e Entry) error {
 	if math.IsNaN(e.Makespan) || math.IsInf(e.Makespan, 0) || e.Makespan < 0 {
 		return fmt.Errorf("store: entry for %q has makespan %v", e.Sig, e.Makespan)
 	}
+	if e.Items < 0 {
+		return fmt.Errorf("store: entry for %q has item count %d", e.Sig, e.Items)
+	}
 	sum := 0
 	for _, d := range e.Dist {
 		if d < 0 {
 			return fmt.Errorf("store: entry for %q has negative share %d", e.Sig, d)
+		}
+		if d > e.Items-sum {
+			return fmt.Errorf("store: entry for %q has shares beyond %d items", e.Sig, e.Items)
 		}
 		sum += d
 	}
@@ -100,7 +108,8 @@ func equalEntry(a, b Entry) bool {
 // newline, a fifth line, a dist line with no shares or no space after
 // "dist", white space in the signature, Unicode white space between
 // shares, a negative share, a wrong sum, decimal, hex-float, signed and
-// special makespans, and signed or zero-padded integers.
+// special makespans, signed or zero-padded integers, and shares whose
+// int sum wraps around to the item count.
 func FuzzDecodePayload(f *testing.F) {
 	f.Add(encodePayload(testEntry(3)))
 	f.Add([]byte("sig a\nitems 3\nmakespan 0x1p+00\ndist 1 2\n"))

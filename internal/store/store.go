@@ -94,7 +94,9 @@ func validSig(sig string) bool {
 
 // checkPlan holds everything but the signature to what the codec
 // round-trips: a non-empty distribution of non-negative shares summing
-// to items, and a finite, non-negative makespan.
+// to a non-negative items, and a finite, non-negative makespan. A share
+// larger than what is left of items is refused before it is added, so
+// the running sum stays in [0, items] and cannot wrap.
 func checkPlan(items int, makespan float64, dist []int) error {
 	if len(dist) == 0 {
 		return errors.New("has an empty distribution")
@@ -102,10 +104,16 @@ func checkPlan(items int, makespan float64, dist []int) error {
 	if math.IsNaN(makespan) || math.IsInf(makespan, 0) || makespan < 0 {
 		return fmt.Errorf("has makespan %v", makespan)
 	}
+	if items < 0 {
+		return fmt.Errorf("has item count %d", items)
+	}
 	sum := 0
 	for _, d := range dist {
 		if d < 0 {
 			return fmt.Errorf("has negative share %d", d)
+		}
+		if d > items-sum {
+			return fmt.Errorf("has shares beyond %d items", items)
 		}
 		sum += d
 	}

@@ -235,6 +235,58 @@ func TestStoreAppendDedupAndConflict(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsOverflowingShares pins two plans whose shares wrap
+// an int sum around to the item count: two shares of MaxInt64 for -2
+// items, and five shares of 2^62 for 2^62 items. Append, both payload
+// decoders and recovery must all refuse them.
+func TestStoreRejectsOverflowingShares(t *testing.T) {
+	const big = 1 << 62
+	cases := []Entry{
+		{Sig: "wrap", Items: -2, Dist: []int{math.MaxInt64, math.MaxInt64}},
+		{Sig: "wrap", Items: big, Dist: []int{big, big, big, big, big}},
+	}
+	good := testEntry(1)
+	for i, e := range cases {
+		path := filepath.Join(t.TempDir(), "plans.wal")
+		s, _ := openT(t, path)
+		if err := s.Append(good); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(e); err == nil {
+			t.Errorf("case %d: Append accepted %+v", i, e)
+		}
+		s.Close()
+
+		payload := encodePayload(e)
+		if _, err := decodePayload(payload); err == nil {
+			t.Errorf("case %d: the text decoder accepted %q", i, payload)
+		}
+		var rec record
+		if err := decodeRecord(payload, &rec); err == nil {
+			t.Errorf("case %d: decodeRecord accepted %q", i, payload)
+		}
+
+		// Recovery keeps the good record and truncates the bad one.
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := frame(e)
+		if _, err := f.Write(bad); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		s2, info := openT(t, path)
+		if info.Records != 1 || info.TornBytes != int64(len(bad)) {
+			t.Errorf("case %d: recovery = %+v, want 1 record and %d torn bytes", i, info, len(bad))
+		}
+		if _, ok := s2.Get(e.Sig, e.Items); ok {
+			t.Errorf("case %d: recovery indexed %+v", i, e)
+		}
+		s2.Close()
+	}
+}
+
 func TestStoreAppendValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plans.wal")
 	s, _ := openT(t, path)
