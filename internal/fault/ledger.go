@@ -157,7 +157,7 @@ func (l *Ledger) Deliver(rank int, r Range, at float64) Checkpoint {
 // Reclaim appends checkpoints recording that the rank died and its
 // holdings re-entered the pool; it returns the reclaimed ranges. The
 // rank's replica of the ledger metadata is untouched — a dead rank is
-// simply never a candidate in ElectRoot.
+// simply never a candidate in ElectRootEligible.
 func (l *Ledger) Reclaim(rank int, at float64) []Range {
 	held := l.holdings[rank]
 	delete(l.holdings, rank)
@@ -192,7 +192,9 @@ func (l *Ledger) ReplicaSeq(rank int) int {
 	return seq
 }
 
-// ElectRootEligible is ElectRoot restricted to eligible survivors: a
+// ElectRootEligible returns the deterministic failover winner among the
+// eligible survivors: the one whose ledger replica is freshest, ties
+// going to the lowest rank; ok is false when there are no survivors. A
 // survivor for which eligible returns false — typically a replica that
 // is itself on a partitioned site, unreachable at election time — is
 // skipped deterministically instead of being treated as freshest. A

@@ -75,8 +75,6 @@ type Divergence struct {
 	clean    int  // consecutive clean samples
 	degraded bool // vote-driven state
 	forced   bool // structural state (partition), pinned until Heal
-	trips    int
-	samples  int
 }
 
 // NewDivergence builds a detector with cfg (zero fields defaulted).
@@ -109,7 +107,6 @@ func (d *Divergence) ObserveFailure() (degraded bool) {
 }
 
 func (d *Divergence) observe(diverges bool) (degraded bool) {
-	d.samples++
 	d.recent[d.head] = diverges
 	d.head = (d.head + 1) % len(d.recent)
 	if d.size < len(d.recent) {
@@ -130,7 +127,6 @@ func (d *Divergence) observe(diverges bool) (degraded bool) {
 		}
 		if votes >= d.cfg.Trip {
 			d.degraded = true
-			d.trips++
 		}
 	} else if d.clean >= d.cfg.Clear {
 		d.degraded = false
@@ -151,9 +147,6 @@ func (d *Divergence) reset() {
 // evidence — a partition that isolates the root or cuts off a site —
 // regardless of the sample vote.
 func (d *Divergence) ForceDegraded() {
-	if !d.forced {
-		d.trips++
-	}
 	d.forced = true
 }
 

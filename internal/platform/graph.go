@@ -14,14 +14,13 @@ import (
 // several machines share those intermediate links.
 //
 // A Graph names the network nodes (sites), attaches machines to them,
-// and lists undirected links with per-item cost, fixed latency, and a
-// concurrency capacity. Routing is deterministic shortest-path by
-// accumulated per-item cost (ties: fewer hops, then lexicographic
-// path), so every rank's effective communication cost from the root is
-// the sum over its route — which Flatten folds back into the familiar
-// star Platform for the solvers, while the route structure itself
-// feeds the simgrid contention model and the fault compiler
-// (simgrid.BuildNetPlan).
+// and lists undirected links with per-item cost and fixed latency.
+// Routing is deterministic shortest-path by accumulated per-item cost
+// (ties: fewer hops, then lexicographic path), so every rank's
+// effective communication cost from the root is the sum over its
+// route — which Flatten folds back into the familiar star Platform for
+// the solvers, while the route structure itself feeds the fault
+// compiler (simgrid.BuildNetPlan).
 
 // Link is one undirected network edge between two nodes.
 type Link struct {
@@ -32,10 +31,6 @@ type Link struct {
 	Alpha float64 `json:"alpha"`
 	// Latency is the fixed per-message cost in seconds.
 	Latency float64 `json:"latency,omitempty"`
-	// Capacity is how many concurrent transfers the link carries at
-	// full rate; beyond it the rate divides fairly. Zero means
-	// unlimited (no contention).
-	Capacity int `json:"capacity,omitempty"`
 }
 
 // Node is one network location (a site, a router, a LAN) with the
@@ -99,7 +94,7 @@ func (g Graph) Validate() error {
 		if l.A == l.B {
 			return fmt.Errorf("platform: link %s-%s is a self loop", l.A, l.B)
 		}
-		if l.Alpha < 0 || l.Latency < 0 || l.Capacity < 0 {
+		if l.Alpha < 0 || l.Latency < 0 {
 			return fmt.Errorf("platform: link %s-%s has negative parameters", l.A, l.B)
 		}
 	}

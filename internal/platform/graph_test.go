@@ -18,8 +18,8 @@ func chainGraph() Graph {
 			{Name: "siteC", Machines: []Machine{{Name: "mc", CPUs: 2, Beta: 0.02, Alpha: 2e-5}}},
 		},
 		Links: []Link{
-			{A: "siteA", B: "siteB", Alpha: 1e-4, Latency: 1e-3, Capacity: 1},
-			{A: "siteB", B: "siteC", Alpha: 2e-4, Latency: 2e-3, Capacity: 1},
+			{A: "siteA", B: "siteB", Alpha: 1e-4, Latency: 1e-3},
+			{A: "siteB", B: "siteC", Alpha: 2e-4, Latency: 2e-3},
 		},
 		Root: "rootm",
 	}
@@ -276,7 +276,7 @@ func (r Route) UsesNode(n string) bool {
 // shape of the paper's Strasbourg–Montpellier testbed.
 func TwoSiteGraph(rng *rand.Rand, localMachines, remoteMachines int) Graph {
 	p := RandomTwoSite(rng, localMachines, remoteMachines)
-	wan := Link{A: "local", B: "remote", Alpha: 2e-5, Latency: 5e-3, Capacity: 1}
+	wan := Link{A: "local", B: "remote", Alpha: 2e-5, Latency: 5e-3}
 	g := Graph{
 		Name:  "graph-" + p.Name,
 		Nodes: []Node{{Name: "local"}, {Name: "remote"}},
@@ -324,21 +324,19 @@ func RandomGraph(rng *rand.Rand, sites int) Graph {
 	g.Nodes[0].Machines[0].Alpha = 0
 	for s := 0; s < sites-1; s++ {
 		g.Links = append(g.Links, Link{
-			A:        g.Nodes[s].Name,
-			B:        g.Nodes[s+1].Name,
-			Alpha:    1e-4 * (1 + rng.Float64()*9),
-			Latency:  1e-3 * (1 + rng.Float64()*9),
-			Capacity: 1 + rng.Intn(2),
+			A:       g.Nodes[s].Name,
+			B:       g.Nodes[s+1].Name,
+			Alpha:   1e-4 * (1 + rng.Float64()*9),
+			Latency: 1e-3 * (1 + rng.Float64()*9),
 		})
 	}
 	if sites > 2 {
 		// Close the ring and sprinkle chords for route diversity.
 		g.Links = append(g.Links, Link{
-			A:        g.Nodes[sites-1].Name,
-			B:        g.Nodes[0].Name,
-			Alpha:    1e-4 * (1 + rng.Float64()*9),
-			Latency:  1e-3 * (1 + rng.Float64()*9),
-			Capacity: 1 + rng.Intn(2),
+			A:       g.Nodes[sites-1].Name,
+			B:       g.Nodes[0].Name,
+			Alpha:   1e-4 * (1 + rng.Float64()*9),
+			Latency: 1e-3 * (1 + rng.Float64()*9),
 		})
 		for c := 0; c < sites/3; c++ {
 			a, b := rng.Intn(sites), rng.Intn(sites)
@@ -346,11 +344,10 @@ func RandomGraph(rng *rand.Rand, sites int) Graph {
 				continue
 			}
 			g.Links = append(g.Links, Link{
-				A:        g.Nodes[a].Name,
-				B:        g.Nodes[b].Name,
-				Alpha:    1e-4 * (1 + rng.Float64()*9),
-				Latency:  1e-3 * (1 + rng.Float64()*9),
-				Capacity: 1 + rng.Intn(2),
+				A:       g.Nodes[a].Name,
+				B:       g.Nodes[b].Name,
+				Alpha:   1e-4 * (1 + rng.Float64()*9),
+				Latency: 1e-3 * (1 + rng.Float64()*9),
 			})
 		}
 	}

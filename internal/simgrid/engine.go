@@ -50,7 +50,6 @@ type Engine struct {
 	now   float64
 	queue eventQueue
 	seq   int
-	steps int
 }
 
 // Now returns the current virtual time in seconds.
@@ -73,7 +72,6 @@ func (e *Engine) Run() error {
 			return fmt.Errorf("simgrid: event scheduled at %g, but time is already %g", ev.at, e.now)
 		}
 		e.now = ev.at
-		e.steps++
 		ev.fn()
 	}
 	return nil

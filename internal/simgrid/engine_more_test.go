@@ -78,8 +78,8 @@ func TestEngineEmptyRun(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Now() != 0 || eng.Steps() != 0 {
-		t.Errorf("empty run advanced to %g after %d steps", eng.Now(), eng.Steps())
+	if eng.Now() != 0 {
+		t.Errorf("empty run advanced to %g", eng.Now())
 	}
 }
 
@@ -121,9 +121,6 @@ func TestRunNoisePreservesOrdering(t *testing.T) {
 		}
 	}
 }
-
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() int { return e.steps }
 
 // After schedules fn to run d seconds from now.
 func (e *Engine) After(d float64, fn func()) { e.At(e.now+d, fn) }

@@ -18,8 +18,8 @@ func netChain() platform.Graph {
 			{Name: "siteC", Machines: []platform.Machine{{Name: "mc", CPUs: 1, Beta: 0.01, Alpha: 1e-5}}},
 		},
 		Links: []platform.Link{
-			{A: "siteA", B: "siteB", Alpha: 0.01, Latency: 0.5, Capacity: 1},
-			{A: "siteB", B: "siteC", Alpha: 0.01, Latency: 0.5, Capacity: 1},
+			{A: "siteA", B: "siteB", Alpha: 0.01, Latency: 0.5},
+			{A: "siteB", B: "siteC", Alpha: 0.01, Latency: 0.5},
 		},
 		Root: "rootm",
 	}

@@ -26,9 +26,6 @@ func TestEngineRunsEventsInOrder(t *testing.T) {
 	if eng.Now() != 3 {
 		t.Errorf("final time = %g, want 3", eng.Now())
 	}
-	if eng.Steps() != 3 {
-		t.Errorf("steps = %d, want 3", eng.Steps())
-	}
 }
 
 func TestEngineSimultaneousEventsFIFO(t *testing.T) {
