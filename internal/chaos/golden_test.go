@@ -188,6 +188,47 @@ func TestRootCrashInLostAttemptCutsTimeout(t *testing.T) {
 	}
 }
 
+// TestDeliveredTransferOutlivesTimeout pins DESIGN §7's rule that
+// Policy.Timeout bounds only lost attempts: in a run with no crashes
+// and no drops, testConfig's transfers take 5 s or more against its
+// 1 s timeout, and every one is delivered whole. Neither the scatter
+// nor the gather may count a timeout or a retry, and each transfer the
+// root books (send→ for the scatter, recv← for the gather) must be
+// longer than the timeout.
+func TestDeliveredTransferOutlivesTimeout(t *testing.T) {
+	cfg := testConfig(7, 4, 24)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Scatters) != 1 || len(res.Gathers) != 1 {
+		t.Fatalf("scatters, gathers = %d, %d; want 1, 1", len(res.Scatters), len(res.Gathers))
+	}
+	for name, sv := range map[string]mpi.Supervision{"scatter": res.Scatters[0].Supervision, "gather": res.Gathers[0].Supervision} {
+		if sv.Timeouts != 0 || sv.Retries != 0 {
+			t.Errorf("%s: Timeouts, Retries = %d, %d; want 0, 0", name, sv.Timeouts, sv.Retries)
+		}
+	}
+	for _, prefix := range []string{"send→", "recv←"} {
+		n := 0
+		for _, s := range res.Stats[cfg.Root].Spans {
+			if strings.HasPrefix(s.Label, "timeout") {
+				t.Errorf("crash-free run booked %+v", s)
+			}
+			if !strings.HasPrefix(s.Label, prefix) {
+				continue
+			}
+			n++
+			if s.Phase != mpi.PhaseComm || s.End-s.Start <= cfg.Policy.Timeout {
+				t.Errorf("delivered transfer %+v: want a comm span longer than the %g s timeout", s, cfg.Policy.Timeout)
+			}
+		}
+		if n != len(cfg.Procs)-1 {
+			t.Errorf("root booked %d %s transfers, want %d", n, prefix, len(cfg.Procs)-1)
+		}
+	}
+}
+
 func goldenCases(t *testing.T) []goldenCase {
 	var cases []goldenCase
 	// Table 1 grid under the crash / drop / slow mixes, with and

@@ -115,7 +115,7 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte("sig a\nitems 3\nmakespan 0x1p+00\ndist 1 2\n"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		want, wantErr := decodePayload(payload)
-		s := &Store{plans: make(map[string]map[int]plan)}
+		s := &Store{plans: make(map[string]*sigPlans)}
 		var rec record
 		buf := slices.Clone(payload)
 		ok := s.replay(buf, &rec)
@@ -135,12 +135,13 @@ func FuzzDecodePayload(f *testing.F) {
 		if len(s.plans) != 1 || s.live != 1 {
 			t.Fatalf("index holds %d signatures, %d entries; want 1, 1", len(s.plans), s.live)
 		}
-		for sig, byItems := range s.plans {
-			p, found := byItems[want.Items]
-			if len(byItems) != 1 || !found {
-				t.Fatalf("index for %q holds %d item counts, none for %d", sig, len(byItems), want.Items)
+		for sig, p := range s.plans {
+			off, found := p.at[want.Items]
+			if len(p.at) != 1 || !found {
+				t.Fatalf("index for %q holds %d item counts, none for %d", sig, len(p.at), want.Items)
 			}
-			got := Entry{Sig: sig, Items: want.Items, Makespan: p.makespan, Dist: p.dist}
+			makespan, dist := p.plan(off)
+			got := Entry{Sig: sig, Items: want.Items, Makespan: makespan, Dist: dist}
 			if !equalEntry(got, want) {
 				t.Fatalf("decoded %+v, oracle %+v", got, want)
 			}

@@ -1,10 +1,16 @@
 package store
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -75,10 +81,7 @@ func FuzzWALRecover(f *testing.F) {
 			// Re-append an earlier entry: identical, a no-op; with one
 			// item moved between its first two shares, a conflict.
 			// Neither may write a frame.
-			before, err := s.Size()
-			if err != nil {
-				t.Fatal(err)
-			}
+			before := walFile(t, path)
 			again := committed[rng.Intn(i+1)]
 			if err := s.Append(again); err != nil {
 				t.Fatalf("identical re-append of %s#%d: %v", again.Sig, again.Items, err)
@@ -94,8 +97,8 @@ func FuzzWALRecover(f *testing.F) {
 			if err := s.Append(conflict); err == nil {
 				t.Fatalf("conflicting append for %s#%d accepted", again.Sig, again.Items)
 			}
-			if after, err := s.Size(); err != nil || after != before {
-				t.Fatalf("re-appends moved the log from %d to %d bytes (%v)", before, after, err)
+			if after := walFile(t, path); !bytes.Equal(after, before) {
+				t.Fatalf("re-appends changed the log from %d to %d bytes", len(before), len(after))
 			}
 		}
 		if err := s.Close(); err != nil {
@@ -168,4 +171,275 @@ func checkPrefix(t *testing.T, s *Store, committed []Entry, info RecoveryInfo) {
 			t.Fatalf("recovered entry %d = %+v, want bit-identical %+v", i, got, want)
 		}
 	}
+}
+
+// The key space FuzzStoreIndex draws from: a few signatures, item
+// counts from 0 to MaxInt, shares from 0 to MaxInt, and makespans with
+// awkward bits.
+var (
+	indexSigs      = []string{"s0", "lin(0x1p-3)|aff(0x1p-4,0x1.8p-2)", "s#2"}
+	indexItems     = []int{0, 5, 300, 1 << 20, math.MaxInt}
+	indexShares    = []int{0, 1, 127, 128, 1 << 14, math.MaxInt - 1, math.MaxInt}
+	indexMakespans = []float64{0, 0.5, 403.97522960000003, math.MaxFloat64, 5e-324}
+)
+
+// indexModel is FuzzStoreIndex's model of the index: the live entry of
+// each (signature, item count).
+type indexModel map[string]map[int]Entry
+
+func (m indexModel) put(e Entry) {
+	if m[e.Sig] == nil {
+		m[e.Sig] = make(map[int]Entry)
+	}
+	m[e.Sig][e.Items] = e
+}
+
+func (m indexModel) get(sig string, items int) (Entry, bool) {
+	e, ok := m[sig][items]
+	return e, ok
+}
+
+// entries returns the model's entries in the order of sig, then items.
+func (m indexModel) entries() []Entry {
+	var all []Entry
+	for _, byItems := range m {
+		for _, e := range byItems {
+			all = append(all, e)
+		}
+	}
+	slices.SortFunc(all, func(a, b Entry) int {
+		return cmp.Or(strings.Compare(a.Sig, b.Sig), cmp.Compare(a.Items, b.Items))
+	})
+	return all
+}
+
+// oracleRecover is what recovery must index from a log body (the bytes
+// after the version header): every frame up to the first one whose
+// header, length, CRC or payload is bad, as decodePayload reads it,
+// the last record of a key winning. It returns the model and the
+// number of records replayed.
+func oracleRecover(wal []byte) (indexModel, int) {
+	m := make(indexModel)
+	records := 0
+	for {
+		nl := bytes.IndexByte(wal, '\n')
+		if nl < 0 {
+			return m, records
+		}
+		plen, crc, ok := parseFrameHeader(wal[:nl+1])
+		if !ok || len(wal)-nl-1 < plen {
+			return m, records
+		}
+		payload := wal[nl+1 : nl+1+plen]
+		if crc32.Checksum(payload, castagnoli) != crc {
+			return m, records
+		}
+		e, err := decodePayload(payload)
+		if err != nil {
+			return m, records
+		}
+		m.put(e)
+		records++
+		wal = wal[nl+1+plen:]
+	}
+}
+
+// drawEntry draws a valid entry from the key space: a signature, an
+// item count, one to five shares summing to it and a makespan.
+func drawEntry(next func() byte) Entry {
+	e := Entry{
+		Sig:   indexSigs[int(next())%len(indexSigs)],
+		Items: indexItems[int(next())%len(indexItems)],
+	}
+	left := e.Items
+	for range int(next()) % 5 {
+		d := min(left, indexShares[int(next())%len(indexShares)])
+		e.Dist = append(e.Dist, d)
+		left -= d
+	}
+	e.Dist = append(e.Dist, left)
+	e.Makespan = indexMakespans[int(next())%len(indexMakespans)]
+	return e
+}
+
+// conflicting returns a valid entry for e's key that differs from it:
+// another makespan, a share count one higher, or one item moved
+// between the first two shares.
+func conflicting(e Entry, how byte) Entry {
+	c := e
+	c.Dist = slices.Clone(e.Dist)
+	switch {
+	case how%3 == 0:
+		c.Makespan = e.Makespan / 2
+		if c.Makespan == e.Makespan {
+			c.Makespan = 1
+		}
+	case how%3 == 1 && len(c.Dist) >= 2 && c.Dist[0] > 0:
+		c.Dist[0]--
+		c.Dist[1]++
+	default:
+		c.Dist = append(c.Dist, 0)
+	}
+	return c
+}
+
+// walBody frames entries as a log body, for FuzzStoreIndex's seeds.
+func walBody(entries ...Entry) []byte {
+	var b []byte
+	for _, e := range entries {
+		b = append(b, frame(e)...)
+	}
+	return b
+}
+
+// FuzzStoreIndex holds the index to a plain map model. It recovers an
+// arbitrary log body, then runs a program of operations drawn from ops
+// bytes: appends of entries drawn from a small key space (new keys, and
+// drawn keys that are already live: identical or conflicting), identical
+// re-appends and conflicting appends of live entries, and reopens, with
+// or without a Compact first. Share counts vary within one signature,
+// and shares run from 0 to MaxInt. After recovery and after every
+// operation, Get must return exactly the model's entry for every key
+// (and nothing for a key the model lacks), and Len the model's size; an
+// identical or conflicting append must not write. At the end a reopen,
+// and a Compact followed by a reopen, must recover the model again.
+//
+// The seeds' log bodies repeat keys with encodings of different
+// lengths (a superseding record longer, shorter or as long as the
+// one it replaces), so recovery leaves dead arena bytes behind them.
+func FuzzStoreIndex(f *testing.F) {
+	sig := indexSigs[0]
+	f.Add([]byte(nil), []byte{0, 0, 1, 0, 0, 2, 0, 1, 0, 2, 3, 3, 1, 2, 4, 3, 2, 0, 4, 1, 5, 4, 4, 6, 0, 7})
+	f.Add(walBody(
+		Entry{Sig: sig, Items: 300, Makespan: 1, Dist: []int{300}},
+		Entry{Sig: sig, Items: 5, Makespan: 0.5, Dist: []int{5}},
+		Entry{Sig: sig, Items: 300, Makespan: 2, Dist: []int{100, 100, 100}},
+		Entry{Sig: sig, Items: 0, Makespan: 3, Dist: []int{0, 0}},
+		Entry{Sig: sig, Items: 0, Makespan: 3, Dist: []int{0}},
+	), []byte{1, 0, 2, 1, 7, 0, 0, 2, 1, 1, 0, 3})
+	f.Add(walBody(
+		Entry{Sig: sig, Items: 5, Makespan: 0.5, Dist: []int{1, 4}},
+		Entry{Sig: sig, Items: 5, Makespan: 0.25, Dist: []int{4, 1}},
+		Entry{Sig: indexSigs[1], Items: math.MaxInt, Makespan: 0, Dist: []int{math.MaxInt}},
+		Entry{Sig: indexSigs[1], Items: math.MaxInt, Makespan: 5e-324, Dist: []int{0, math.MaxInt - 1, 1}},
+		Entry{Sig: indexSigs[1], Items: 0, Makespan: 0, Dist: []int{0, 0, 0, 0}},
+	), []byte{2, 3, 7, 0, 1, 4, 3, 6, 1, 5, 3})
+	f.Add(walBody(
+		Entry{Sig: "other", Items: 1 << 20, Makespan: 7, Dist: []int{1 << 14, 1<<20 - 1<<14}},
+		Entry{Sig: "other", Items: 1 << 20, Makespan: 7, Dist: []int{1 << 20}},
+		Entry{Sig: sig, Items: 128, Makespan: 1, Dist: []int{127, 1}},
+		Entry{Sig: sig, Items: 128, Makespan: 1, Dist: []int{128}},
+	), []byte{3, 1, 0, 4, 0, 1, 2, 1, 1, 0, 3, 2})
+	f.Fuzz(func(t *testing.T, wal, ops []byte) {
+		path := filepath.Join(t.TempDir(), "plans.wal")
+		if err := os.WriteFile(path, append([]byte(header), wal...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		model, records := oracleRecover(wal)
+		s, info, err := Open(path)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer func() { s.Close() }()
+		if info.Records != records || info.Entries != len(model.entries()) {
+			t.Fatalf("recovery = %+v, want %d records, %d entries", info, records, len(model.entries()))
+		}
+		check := func(step string) {
+			t.Helper()
+			want := model.entries()
+			if s.Len() != len(want) {
+				t.Fatalf("%s: Len = %d, want %d", step, s.Len(), len(want))
+			}
+			for _, e := range want {
+				if got, ok := s.Get(e.Sig, e.Items); !ok || !equalEntry(got, e) {
+					t.Fatalf("%s: Get(%s, %d) = %+v, %v; want %+v", step, e.Sig, e.Items, got, ok, e)
+				}
+			}
+			for _, sig := range indexSigs {
+				for _, items := range indexItems {
+					if _, live := model.get(sig, items); !live {
+						if got, ok := s.Get(sig, items); ok {
+							t.Fatalf("%s: Get(%s, %d) = %+v for a key never appended", step, sig, items, got)
+						}
+					}
+				}
+			}
+		}
+		// reopen closes and reopens the store, after a Compact that must
+		// leave the index as it was when compact is set.
+		reopen := func(compact bool) {
+			t.Helper()
+			if compact {
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				check("Compact")
+			}
+			recs := s.Records()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, info, err = Open(path); err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			n := len(model.entries())
+			if info.Records != recs || info.Entries != n || info.TornBytes != 0 || (compact && recs != n) {
+				t.Fatalf("reopen (compact %v) = %+v, want %d records, %d entries", compact, info, recs, n)
+			}
+		}
+		check("recovery")
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		// appendExpect appends e and checks the outcome the model
+		// predicts: a new key is written, a live one is not, and only an
+		// identical one is accepted.
+		appendExpect := func(e Entry) {
+			t.Helper()
+			before := walFile(t, path)
+			cur, live := model.get(e.Sig, e.Items)
+			err := s.Append(e)
+			switch {
+			case !live && err != nil:
+				t.Fatalf("append of new %s#%d: %v", e.Sig, e.Items, err)
+			case live && equalEntry(cur, e) && err != nil:
+				t.Fatalf("identical re-append of %s#%d: %v", e.Sig, e.Items, err)
+			case live && !equalEntry(cur, e) && err == nil:
+				t.Fatalf("conflicting append %+v over %+v accepted", e, cur)
+			}
+			if !live {
+				model.put(e)
+			} else if after := walFile(t, path); !bytes.Equal(after, before) {
+				t.Fatalf("a re-append of live %s#%d changed the log from %d to %d bytes", e.Sig, e.Items, len(before), len(after))
+			}
+		}
+		for step := 0; len(ops) > 0 && step < 64; step++ {
+			op := next()
+			live := model.entries()
+			switch op % 4 {
+			case 0:
+				appendExpect(drawEntry(next))
+			case 1:
+				if len(live) > 0 {
+					appendExpect(live[int(next())%len(live)])
+				}
+			case 2:
+				if len(live) > 0 {
+					appendExpect(conflicting(live[int(next())%len(live)], next()))
+				}
+			case 3:
+				reopen(op&4 != 0)
+			}
+			check(fmt.Sprintf("step %d (op %d)", step, op%4))
+		}
+		reopen(false)
+		check("final reopen")
+		reopen(true)
+		check("reopen after Compact")
+	})
 }

@@ -37,6 +37,7 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -144,24 +145,69 @@ type RecoveryInfo struct {
 // unpredictably.
 //
 // The in-memory index is keyed by signature first: plans holds each
-// signature once, as a key, over a map from item count to that entry's
-// makespan and distribution. A signature joins the fingerprints of all
-// of a platform's processors (~414 bytes at p = 8), and the daemon
-// stores many item counts per platform, so an entry costs its map slot
-// and its shares, not another copy of its signature.
+// signature once, as a key, over that signature's entries. A signature
+// joins the fingerprints of all of a platform's processors (~414 bytes
+// at p = 8), and the daemon stores many item counts per platform, so
+// an entry costs its offset's map slot and its bytes in the
+// signature's arena (see sigPlans), not another copy of its signature.
+//
+// Every frame is written at end, the offset just past the last
+// committed record, not at the file's own offset: bytes a failed write
+// left past end are overwritten by the next append and truncated by
+// recovery, never trusted.
 type Store struct {
 	mu      sync.Mutex
-	path    string                  //scatterlint:guardedby immutable
-	f       *os.File                //scatterlint:guardedby mu
-	plans   map[string]map[int]plan //scatterlint:guardedby mu
-	live    int                     //scatterlint:guardedby mu
-	records int                     //scatterlint:guardedby mu
+	path    string               //scatterlint:guardedby immutable
+	f       *os.File             //scatterlint:guardedby mu
+	end     int64                //scatterlint:guardedby mu
+	plans   map[string]*sigPlans //scatterlint:guardedby mu
+	live    int                  //scatterlint:guardedby mu
+	records int                  //scatterlint:guardedby mu
 }
 
-// plan is an indexed entry without its key.
-type plan struct {
-	makespan float64
-	dist     []int
+// sigPlans holds one signature's entries in one byte arena; at maps an
+// item count to the offset of its entry there. An entry is its
+// makespan's 8 little-endian bits, its share count as a uvarint and
+// its shares as uvarints. A record that supersedes another in the WAL
+// is appended and leaves the old bytes dead until the next Open.
+type sigPlans struct {
+	at    map[int]int
+	arena []byte
+}
+
+// appendPlan appends the arena encoding of a plan to b.
+func appendPlan(b []byte, makespan float64, dist []int) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(makespan))
+	b = binary.AppendUvarint(b, uint64(len(dist)))
+	for _, d := range dist {
+		b = binary.AppendUvarint(b, uint64(d))
+	}
+	return b
+}
+
+// plan decodes the entry at off: its makespan and a new slice of its
+// shares.
+func (p *sigPlans) plan(off int) (float64, []int) {
+	b := p.arena[off:]
+	makespan := math.Float64frombits(binary.LittleEndian.Uint64(b))
+	n, k := binary.Uvarint(b[8:])
+	b = b[8+k:]
+	dist := make([]int, n)
+	for i := range dist {
+		d, k := binary.Uvarint(b)
+		dist[i] = int(d)
+		b = b[k:]
+	}
+	return makespan, dist
+}
+
+// put encodes a plan for items at the arena's end and reports whether
+// it replaced one, whose bytes are left dead.
+func (p *sigPlans) put(items int, makespan float64, dist []int) (replaced bool) {
+	_, replaced = p.at[items]
+	p.at[items] = len(p.arena)
+	p.arena = appendPlan(p.arena, makespan, dist)
+	return replaced
 }
 
 // Open reads (or creates) the WAL at path, replays every committed
@@ -173,7 +219,7 @@ func Open(path string) (*Store, RecoveryInfo, error) {
 	if err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("store: open %s: %w", path, err)
 	}
-	s := &Store{path: path, f: f, plans: make(map[string]map[int]plan)}
+	s := &Store{path: path, f: f, plans: make(map[string]*sigPlans)}
 	info, err := s.recover()
 	if err != nil {
 		f.Close()
@@ -256,9 +302,7 @@ func (s *Store) recover() (RecoveryInfo, error) {
 			return info, fmt.Errorf("store: sync %s: %w", s.path, err)
 		}
 	}
-	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
-		return info, fmt.Errorf("store: seek %s: %w", s.path, err)
-	}
+	s.end = good
 	return info, nil
 }
 
@@ -288,24 +332,24 @@ func parseFrameHeader(line []byte) (plen int, crc uint32, ok bool) {
 // replay decodes one record payload into the index and reports whether
 // it was a valid record. A signature already indexed is looked up from
 // the payload's bytes and its key kept; a new one is copied out and
-// checked (validSig) once, as it enters the index.
+// checked (validSig) once, as it enters the index. The plan is encoded
+// straight into the signature's arena.
 func (s *Store) replay(payload []byte, rec *record) bool {
 	if decodeRecord(payload, rec) != nil {
 		return false
 	}
-	byItems, ok := s.plans[string(rec.sig)]
+	p, ok := s.plans[string(rec.sig)]
 	if !ok {
 		sig := string(rec.sig)
 		if !validSig(sig) {
 			return false
 		}
-		byItems = make(map[int]plan)
-		s.plans[sig] = byItems
+		p = &sigPlans{at: make(map[int]int)}
+		s.plans[sig] = p
 	}
-	if _, dup := byItems[rec.items]; !dup {
+	if !p.put(rec.items, rec.makespan, rec.dist) {
 		s.live++
 	}
-	byItems[rec.items] = plan{makespan: rec.makespan, dist: slices.Clone(rec.dist)}
 	return true
 }
 
@@ -428,11 +472,12 @@ func frame(e Entry) []byte {
 	return append([]byte(hdr), payload...)
 }
 
-// Append durably records an entry: one frame write followed by an
-// fsync, so an acknowledged append survives a crash. Re-appending an
-// entry identical to the live one for its key is a no-op; a different
-// distribution for an existing key is an error — solves are
-// deterministic, so a conflicting result means a corrupted caller.
+// Append durably records an entry: one frame written at the committed
+// end, followed by an fsync, so an acknowledged append survives a
+// crash. Re-appending an entry identical to the live one for its key
+// is a no-op; a different distribution for an existing key is an
+// error — solves are deterministic, so a conflicting result means a
+// corrupted caller.
 func (s *Store) Append(e Entry) error {
 	if err := e.validate(); err != nil {
 		return err
@@ -442,43 +487,51 @@ func (s *Store) Append(e Entry) error {
 	if s.f == nil {
 		return fmt.Errorf("store: %s is closed", s.path)
 	}
-	byItems := s.plans[e.Sig]
-	if cur, ok := byItems[e.Items]; ok {
-		if cur.makespan == e.Makespan && slices.Equal(cur.dist, e.Dist) {
-			return nil
+	p := s.plans[e.Sig]
+	if p != nil {
+		if off, ok := p.at[e.Items]; ok {
+			makespan, dist := p.plan(off)
+			if makespan == e.Makespan && slices.Equal(dist, e.Dist) {
+				return nil
+			}
+			return fmt.Errorf("store: conflicting result for %s#%d: have %v, got %v", e.Sig, e.Items, dist, e.Dist)
 		}
-		return fmt.Errorf("store: conflicting result for %s#%d: have %v, got %v", e.Sig, e.Items, cur.dist, e.Dist)
 	}
-	if _, err := s.f.Write(frame(e)); err != nil {
+	fr := frame(e)
+	if _, err := s.f.WriteAt(fr, s.end); err != nil {
 		return fmt.Errorf("store: append to %s: %w", s.path, err)
 	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("store: sync %s: %w", s.path, err)
 	}
-	if byItems == nil {
+	s.end += int64(len(fr))
+	if p == nil {
 		// The caller's string may be part of something larger; the
 		// index keeps a copy of its own.
-		byItems = make(map[int]plan)
-		s.plans[strings.Clone(e.Sig)] = byItems
+		p = &sigPlans{at: make(map[int]int)}
+		s.plans[strings.Clone(e.Sig)] = p
 	}
-	// Copy the distribution so later caller mutations cannot alias
-	// into the index.
-	byItems[e.Items] = plan{makespan: e.Makespan, dist: slices.Clone(e.Dist)}
+	p.put(e.Items, e.Makespan, e.Dist)
 	s.live++
 	s.records++
 	return nil
 }
 
 // Get returns the persisted entry for (sig, items). The returned
-// distribution is a copy; callers may keep it.
+// distribution is decoded afresh; callers may keep it.
 func (s *Store) Get(sig string, items int) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.plans[sig][items]
+	p := s.plans[sig]
+	if p == nil {
+		return Entry{}, false
+	}
+	off, ok := p.at[items]
 	if !ok {
 		return Entry{}, false
 	}
-	return Entry{Sig: sig, Items: items, Makespan: p.makespan, Dist: slices.Clone(p.dist)}, true
+	makespan, dist := p.plan(off)
+	return Entry{Sig: sig, Items: items, Makespan: makespan, Dist: dist}, true
 }
 
 // Len returns the number of live entries.
@@ -500,18 +553,15 @@ func (s *Store) Records() int {
 // Path returns the WAL file path.
 func (s *Store) Path() string { return s.path }
 
-// Size returns the WAL's current byte size.
+// Size returns the WAL's committed byte size: the header and every
+// committed record.
 func (s *Store) Size() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return 0, fmt.Errorf("store: %s is closed", s.path)
 	}
-	st, err := s.f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("store: stat %s: %w", s.path, err)
-	}
-	return st.Size(), nil
+	return s.end, nil
 }
 
 // Compact atomically rewrites the WAL to exactly the live entries, in
@@ -530,9 +580,10 @@ func (s *Store) Compact() error {
 		num string // "#" and the item count: e.Sig+num is the sort key
 	}
 	all := make([]keyed, 0, s.live)
-	for sig, byItems := range s.plans {
-		for items, p := range byItems {
-			all = append(all, keyed{Entry{Sig: sig, Items: items, Makespan: p.makespan, Dist: p.dist}, "#" + strconv.Itoa(items)})
+	for sig, p := range s.plans {
+		for items, off := range p.at {
+			makespan, dist := p.plan(off)
+			all = append(all, keyed{Entry{Sig: sig, Items: items, Makespan: makespan, Dist: dist}, "#" + strconv.Itoa(items)})
 		}
 	}
 	slices.SortFunc(all, func(a, b keyed) int { return cmpJoined(a.e.Sig, a.num, b.e.Sig, b.num) })
@@ -568,8 +619,9 @@ func cmpJoined(a0, a1, b0, b1 string) int {
 }
 
 // rewrite replaces the WAL file with header + the given frames, via
-// temp file, fsync, and rename. Callers hold s.mu (or own the store
-// exclusively, during Open).
+// temp file, fsync, and rename, and moves the committed end to the new
+// file's size. Callers hold s.mu (or own the store exclusively, during
+// Open).
 func (s *Store) rewrite(entries []Entry) error {
 	dir, base := filepath.Split(s.path)
 	tmp, err := os.CreateTemp(dir, base+".compact-*")
@@ -604,11 +656,12 @@ func (s *Store) rewrite(entries []Entry) error {
 	if err != nil {
 		return fmt.Errorf("store: reopen %s: %w", s.path, err)
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("store: seek %s: %w", s.path, err)
 	}
-	s.f = f
+	s.f, s.end = f, end
 	if old != nil {
 		old.Close()
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -35,6 +36,17 @@ func openT(t *testing.T, path string) (*Store, RecoveryInfo) {
 		t.Fatalf("Open(%s): %v", path, err)
 	}
 	return s, info
+}
+
+// walFile returns the WAL's bytes as they are on disk, so a check that
+// an operation wrote nothing reads the file, not the store's own count.
+func walFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -218,13 +230,12 @@ func TestStoreAppendDedupAndConflict(t *testing.T) {
 	if err := s.Append(e); err != nil {
 		t.Fatal(err)
 	}
-	size1, _ := s.Size()
+	before := walFile(t, path)
 	if err := s.Append(e); err != nil {
 		t.Fatalf("identical re-append: %v", err)
 	}
-	size2, _ := s.Size()
-	if size1 != size2 {
-		t.Fatalf("identical re-append grew the log: %d -> %d", size1, size2)
+	if after := walFile(t, path); !bytes.Equal(after, before) {
+		t.Fatalf("identical re-append changed the log: %d -> %d bytes", len(before), len(after))
 	}
 	bad := testEntry(0)
 	bad.Dist = append([]int(nil), bad.Dist...)
@@ -232,6 +243,9 @@ func TestStoreAppendDedupAndConflict(t *testing.T) {
 	bad.Dist[1]--
 	if err := s.Append(bad); err == nil {
 		t.Fatal("conflicting distribution for an existing key must be rejected")
+	}
+	if after := walFile(t, path); !bytes.Equal(after, before) {
+		t.Fatalf("conflicting append changed the log: %d -> %d bytes", len(before), len(after))
 	}
 }
 
@@ -470,18 +484,92 @@ func TestStoreRecoversParentWAL(t *testing.T) {
 // TestStoreHeapPerEntry recovers a WAL of the serve benchmarks' shape
 // — 20 platforms of 8 processors, 1,000 item counts each, signatures
 // of ~414 bytes — and bounds the heap the open store retains per
-// entry. Each signature is held once, so an entry costs its index slot
-// and its shares.
+// entry. Each signature is held once, over one byte arena of its
+// entries, so an entry costs its offset's map slot and its ~25 encoded
+// bytes: ~66 B, where a map slot holding a plan with its own []int of
+// shares cost ~163 B. The superseded case writes every key twice, the
+// first record with one share holding all the items: recovery leaves
+// the first record's bytes dead in the arena, and after Compact a
+// reopened store must be back within the bound.
 func TestStoreHeapPerEntry(t *testing.T) {
-	const sigs, counts, p = 20, 1000, 8
+	const sigs, counts, p, bound = 20, 1000, 8, 96
+	for _, superseded := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "plans.wal")
+		if err := os.WriteFile(path, heapWAL(sigs, counts, p, superseded), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		open := func() (*Store, RecoveryInfo) {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			return openT(t, path)
+		}
+		perEntry := func() float64 {
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(sigs*counts)
+		}
+		s, info := open()
+		if info.Entries != sigs*counts {
+			t.Fatalf("superseded=%v: recovered %d entries, want %d", superseded, info.Entries, sigs*counts)
+		}
+		stage := "open store"
+		if superseded {
+			if info.Records != 2*sigs*counts {
+				t.Fatalf("recovered %d records, want %d", info.Records, 2*sigs*counts)
+			}
+			t.Logf("open store with superseded records retains %.0f B per entry", perEntry())
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if s, info = open(); info.Records != sigs*counts {
+				t.Fatalf("reopened after Compact: %d records, want %d", info.Records, sigs*counts)
+			}
+			stage = "store reopened after Compact"
+		}
+		got := perEntry()
+		t.Logf("%s retains %.0f B per entry", stage, got)
+		if got > bound {
+			t.Errorf("%s retains %.0f B per entry, want <= %d", stage, got, bound)
+		}
+		for _, items := range []int{p, p * counts} {
+			want := make([]int, p)
+			for j := range want {
+				want[j] = items / p
+			}
+			if e, ok := s.Get(heapSig(sigs-1, p), items); !ok || !slices.Equal(e.Dist, want) {
+				t.Errorf("%s: Get(%d) = %v, %v; want %v", stage, items, e.Dist, ok, want)
+			}
+		}
+		s.Close()
+	}
+}
+
+// heapSig is TestStoreHeapPerEntry's signature for platform g: 414
+// bytes of fingerprints.
+func heapSig(g, p int) string {
+	var sb strings.Builder
+	for sb.Len() < 414 {
+		fmt.Fprintf(&sb, "lin(0x1.%04xp-10)|aff(0x1.%03xp-4,0x1p-%d);", 0x1000+g*p+sb.Len(), g, sb.Len()%17)
+	}
+	return sb.String()[:414]
+}
+
+// heapWAL writes TestStoreHeapPerEntry's log: for each of sigs
+// signatures, item counts p·i for i in [1, counts], each split evenly
+// over p shares. With superseded, each such record follows one for
+// the same key with all the items on the first share.
+func heapWAL(sigs, counts, p int, superseded bool) []byte {
 	data := []byte(header)
 	for g := 0; g < sigs; g++ {
-		var sb strings.Builder
-		for sb.Len() < 414 {
-			fmt.Fprintf(&sb, "lin(0x1.%04xp-10)|aff(0x1.%03xp-4,0x1p-%d);", 0x1000+g*p+sb.Len(), g, sb.Len()%17)
-		}
-		sig := sb.String()[:414]
+		sig := heapSig(g, p)
 		for i := 1; i <= counts; i++ {
+			if superseded {
+				first := make([]int, p)
+				first[0] = p * i
+				data = append(data, frame(Entry{Sig: sig, Items: p * i, Makespan: float64(i), Dist: first})...)
+			}
 			dist := make([]int, p)
 			for j := range dist {
 				dist[j] = i
@@ -489,25 +577,61 @@ func TestStoreHeapPerEntry(t *testing.T) {
 			data = append(data, frame(Entry{Sig: sig, Items: p * i, Makespan: float64(i) / 3, Dist: dist})...)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "plans.wal")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	data = nil
+	return data
+}
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	s, info := openT(t, path)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	defer s.Close()
-	if info.Entries != sigs*counts {
-		t.Fatalf("recovered %d entries, want %d", info.Entries, sigs*counts)
-	}
-	perEntry := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(info.Entries)
-	t.Logf("open store retains %.0f B per entry", perEntry)
-	if perEntry > 256 {
-		t.Fatalf("open store retains %.0f B per entry, want <= 256", perEntry)
+// TestStoreAppendAfterTornWrite: a write that fails part way (a short
+// write on a full disk) leaves half a frame past the committed end and
+// moves the file's offset past it. The next append must still be
+// written at the committed end, or recovery stops at the half frame
+// and truncates the acknowledged record away. The garbage is written
+// at the file's end through the store's own file handle, as the failed
+// write would be, which leaves the handle's offset past it (a handle of
+// its own would have its own offset, which no append reads). Both
+// a half frame shorter than the next frame and one longer than it are
+// tried; a longer one leaves a tail past the new frame, which
+// recovery truncates.
+func TestStoreAppendAfterTornWrite(t *testing.T) {
+	long := testEntry(2)
+	long.Sig = strings.Repeat("x", 400)
+	for _, garbage := range [][]byte{frame(testEntry(1))[:85], frame(long)[:300]} {
+		path := filepath.Join(t.TempDir(), "plans.wal")
+		s, _ := openT(t, path)
+		if err := s.Append(testEntry(0)); err != nil {
+			t.Fatal(err)
+		}
+		committed, err := s.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.f.Write(garbage); err != nil {
+			t.Fatal(err)
+		}
+		next := testEntry(5)
+		if err := s.Append(next); err != nil {
+			t.Fatalf("append after a torn write: %v", err)
+		}
+		size, err := s.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+
+		s2, info := openT(t, path)
+		if info.Records != 2 || info.Entries != 2 {
+			t.Fatalf("%d bytes of garbage: recovery = %+v, want 2 records", len(garbage), info)
+		}
+		for _, want := range []Entry{testEntry(0), next} {
+			if got, ok := s2.Get(want.Sig, want.Items); !ok || !equalEntry(got, want) {
+				t.Fatalf("%d bytes of garbage: acknowledged %s#%d lost: got %+v, %v", len(garbage), want.Sig, want.Items, got, ok)
+			}
+		}
+		s2.Close()
+		if want := committed + int64(len(frame(next))); size != want {
+			t.Fatalf("%d bytes of garbage: Size after the append = %d, want the committed %d", len(garbage), size, want)
+		}
 	}
 }
