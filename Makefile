@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race perfbench-test bench bench-fault bench-recovery bench-solver bench-solver-smoke bench-degraded bench-virtual-check bench-lint bench-serve figures fmt lint lint-audit ci-lint check ci
+.PHONY: all build vet test race perfbench-test bench bench-recovery bench-solver bench-solver-smoke bench-degraded bench-virtual-check bench-lint bench-serve figures fmt lint lint-audit ci-lint check ci
 
 all: build
 
@@ -22,28 +22,28 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-# Every root benchmark once, without rewriting committed files: the two
-# that record BENCH_fault.json and BENCH_lint.json run only through
-# their own targets, bench-fault and bench-lint.
+# Every root benchmark once, without rewriting committed files: the one
+# that records BENCH_lint.json runs only through its own target,
+# bench-lint.
 bench:
-	$(GO) test -run '^$$' -bench . -skip 'BenchmarkFaultScatter|BenchmarkLint' -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -skip 'BenchmarkLint' -benchtime 1x .
 
-# Regenerate BENCH_fault.json (fault-tolerant scatter makespans under
-# no faults / one transient drop / one permanent crash).
-bench-fault:
-	$(GO) test -run '^$$' -bench BenchmarkFaultScatter -benchtime 1x .
+# The committed BENCH_*.json documents below, BENCH_lint.json aside, are
+# each written by one scatterbench experiment: `-exp ID -json FILE`.
 
-# Regenerate BENCH_recovery.json (failover recovery overhead of the
-# chaos pipeline vs its fault-free baseline on the Table 1 grid).
+# Regenerate BENCH_recovery.json (the chaos pipeline on the Table 1
+# grid against its fault-free baseline: a transient link drop with its
+# retries and timeouts, a worker crash, and early and late root
+# crashes with their failovers).
 bench-recovery:
-	$(GO) run ./cmd/scatterbench -recovery BENCH_recovery.json
+	$(GO) run ./cmd/scatterbench -exp recovery -json BENCH_recovery.json
 
 # Regenerate BENCH_solver.json (incremental solver engine vs the
 # from-scratch DP at the paper's full 817,101-item scale: cold solves,
 # the worker-pool scaling curve, the certified exact solve, warm crash
 # re-solves, plan-cache hits). Takes a few minutes.
 bench-solver:
-	$(GO) run ./cmd/scatterbench -solver BENCH_solver.json
+	$(GO) run ./cmd/scatterbench -exp solver -items 817101 -json BENCH_solver.json
 
 # Smoke variant for CI: the same measurement matrix (scaling curve and
 # bit-identity checks — the certified solve's included, which must
@@ -52,26 +52,29 @@ bench-solver:
 # fails fast on shared runners. Output is discarded on purpose: only
 # the committed BENCH_solver.json carries published numbers.
 bench-solver-smoke:
-	$(GO) run ./cmd/scatterbench -solver /tmp/BENCH_solver_smoke.json -items 120000
+	$(GO) run ./cmd/scatterbench -exp solver -items 120000 -json /tmp/BENCH_solver_smoke.json
 
 # Regenerate BENCH_degraded.json (degraded-network recovery on routed
 # ring platforms: exact-DP re-solves vs the diffusion fallback under a
 # site partition plus degraded trunk links, at three graph sizes).
 bench-degraded:
-	$(GO) run ./cmd/scatterbench -degraded BENCH_degraded.json
+	$(GO) run ./cmd/scatterbench -exp degraded -json BENCH_degraded.json
 
-# Fail if a virtual-time benchmark document no longer matches the code:
-# BENCH_fault.json, BENCH_recovery.json and BENCH_degraded.json are
+# Fail if a virtual-time artifact no longer matches the code:
+# BENCH_recovery.json, BENCH_degraded.json and the seven SVGs under
+# figures/ (the paper's Figures 1-4 and faultdemo's three) are
 # deterministic in virtual time, so regenerating them must leave the
 # committed files byte-identical.
-bench-virtual-check: bench-fault bench-recovery bench-degraded
-	git diff --exit-code BENCH_fault.json BENCH_recovery.json BENCH_degraded.json
+bench-virtual-check: bench-recovery bench-degraded figures
+	for f in fig1 fig2 fig3 fig4; do $(GO) run ./cmd/scatterbench -exp $$f -svg figures > /dev/null || exit 1; done
+	git diff --exit-code BENCH_recovery.json BENCH_degraded.json figures
 
-# Regenerate BENCH_serve.json (scatterd under a seeded 120k-request
-# load: throughput, latency percentiles, store/cache hit rates, shed
-# rate, and cold-vs-warm crash-restart economics).
+# Regenerate BENCH_serve.json (scatterd crash-restart economics: a cold
+# daemon's sweep over every distinct key against a warm daemon's over
+# the recovered, torn WAL, every answer checked against Algorithm 2).
+# Load figures live in perfbench's serve-hot and serve-churn workloads.
 bench-serve:
-	$(GO) run ./cmd/scatterbench -serve BENCH_serve.json
+	$(GO) run ./cmd/scatterbench -exp serve -json BENCH_serve.json
 
 # Regenerate BENCH_lint.json (scatterlint runtime over this module:
 # the loader, each analyzer on its own, the full suite, and the full
@@ -80,7 +83,8 @@ bench-serve:
 bench-lint:
 	$(GO) test -run '^$$' -bench BenchmarkLint -benchtime 1x .
 
-# Regenerate figures/fault.svg alongside the demo's console report.
+# Regenerate figures/fault.svg, failover.svg and degraded.svg alongside
+# the demo's console report.
 figures:
 	$(GO) run ./examples/faultdemo
 

@@ -1,4 +1,5 @@
-// Command scatterbench regenerates the paper's tables and figures.
+// Command scatterbench regenerates the paper's tables and figures and
+// the repository's committed BENCH_*.json documents.
 //
 // Usage:
 //
@@ -6,30 +7,26 @@
 //	scatterbench -exp fig3           # one experiment
 //	scatterbench -list               # list experiment IDs
 //	scatterbench -exp all -md out.md # also write a Markdown summary
-//	scatterbench -recovery BENCH_recovery.json
-//	                                 # recovery benchmark only: write the
-//	                                 # failover-overhead JSON and exit
-//	scatterbench -solver BENCH_solver.json
-//	                                 # solver benchmark only: write the
-//	                                 # incremental-engine JSON (scaling
-//	                                 # curve + certified solve) and
-//	                                 # exit; -workers and -items narrow
-//	                                 # the run
-//	scatterbench -degraded BENCH_degraded.json
-//	                                 # degraded-network benchmark only:
-//	                                 # write the exact-vs-diffusion JSON
-//	                                 # and exit
+//	scatterbench -exp fig3 -svg figures
+//	                                 # also write each figure as <ID>.svg
+//	scatterbench -exp recovery -json BENCH_recovery.json
+//	                                 # also write the document the
+//	                                 # experiment publishes (recovery,
+//	                                 # degraded, serve, solver)
+//	scatterbench -exp solver -items 817101 -workers 4
+//	                                 # the solver experiment at a given
+//	                                 # scale and pool size
 //	scatterbench -exp algocost -cpuprofile cpu.out -memprofile mem.out
 //	                                 # profile any run with runtime/pprof
 //
-// Experiment IDs: table1, fig1, fig2, fig3, fig4, algocost, quality,
-// ordering, bound, root, solver. Note that algocost times the exact
-// dynamic program at the paper's full scale (817,101 items) and takes
-// about a minute, and that -solver runs the same DP several times at
-// that scale.
+// Experiment IDs are printed by -list. Note that algocost times the
+// exact dynamic program at the paper's full scale (817,101 items) and
+// takes about a minute, and that the solver experiment at that scale
+// runs the same DP several times.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -46,12 +43,9 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		md         = flag.String("md", "", "also write a Markdown summary to this file")
 		svgDir     = flag.String("svg", "", "write figure SVGs into this directory")
-		recovery   = flag.String("recovery", "", "run only the recovery benchmark and write its JSON to this file")
-		solver     = flag.String("solver", "", "run only the solver benchmark and write its JSON to this file")
-		workers    = flag.Int("workers", 0, "with -solver: fix the scaling curve to this pool size (0 = sweep 1,2,4,8,GOMAXPROCS)")
-		items      = flag.Int("items", 0, "with -solver: scatter size (0 = the paper's 817,101)")
-		serveBench = flag.String("serve", "", "run only the daemon load benchmark and write its JSON to this file")
-		degraded   = flag.String("degraded", "", "run only the degraded-network benchmark and write its JSON to this file")
+		jsonFile   = flag.String("json", "", "write the document the experiment publishes to this file (one experiment only)")
+		workers    = flag.Int("workers", 0, "with -exp solver: fix the scaling curve to this pool size (0 = sweep 1,2,4,8,GOMAXPROCS)")
+		items      = flag.Int("items", 0, "with -exp solver: scatter size (0 = 100,000; the paper's full scale is 817,101)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -96,70 +90,23 @@ func main() {
 		return
 	}
 
-	if *recovery != "" {
-		buf, err := experiment.RecoveryJSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scatterbench: recovery: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*recovery, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "scatterbench: write %s: %v\n", *recovery, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *recovery)
-		return
-	}
-
-	if *degraded != "" {
-		buf, err := experiment.DegradedJSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scatterbench: degraded: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*degraded, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "scatterbench: write %s: %v\n", *degraded, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *degraded)
-		return
-	}
-
-	if *serveBench != "" {
-		buf, err := experiment.ServeJSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scatterbench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*serveBench, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "scatterbench: write %s: %v\n", *serveBench, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *serveBench)
-		return
-	}
-
-	if *solver != "" {
-		buf, err := experiment.SolverJSON(experiment.SolverOptions{Items: *items, Workers: *workers})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scatterbench: solver: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*solver, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "scatterbench: write %s: %v\n", *solver, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *solver)
-		return
-	}
-
 	var reports []experiment.Report
 	if *exp == "all" {
+		if *jsonFile != "" {
+			fmt.Fprintln(os.Stderr, "scatterbench: -json writes one experiment's document; name it with -exp")
+			os.Exit(2)
+		}
 		reports = experiment.RunAll()
 	} else {
 		runner, ok := experiment.Get(*exp)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "scatterbench: unknown experiment %q (use -list)\n", *exp)
 			os.Exit(2)
+		}
+		if *exp == "solver" {
+			runner = func() (experiment.Report, error) {
+				return experiment.Solver(experiment.SolverOptions{Items: *items, Workers: *workers})
+			}
 		}
 		rep, err := runner()
 		if err != nil {
@@ -171,6 +118,22 @@ func main() {
 
 	for _, rep := range reports {
 		fmt.Println(rep.String())
+	}
+
+	if *jsonFile != "" {
+		if reports[0].Doc == nil {
+			fmt.Fprintf(os.Stderr, "scatterbench: experiment %q publishes no document\n", *exp)
+			os.Exit(2)
+		}
+		buf, err := json.MarshalIndent(reports[0].Doc, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonFile, append(buf, '\n'), 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "scatterbench: write %s: %v\n", *jsonFile, err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonFile)
 	}
 
 	if *svgDir != "" {

@@ -113,29 +113,7 @@ func main() {
 		return fault.DegradeProcessors(mon, sub)
 	})
 
-	data := make([]int32, n)
-	for i := range data {
-		data[i] = int32(i)
-	}
-	chunks := make([][]int32, len(procs))
-	reports := make([]*mpi.ScatterReport, len(procs))
-	stats, err := mpi.Run(world, func(c *mpi.Comm) error {
-		var in []int32
-		if c.IsRoot() {
-			in = data
-		}
-		buf, rep, err := mpi.FaultTolerantScatterv(c, in, counts)
-		chunks[c.Rank()], reports[c.Rank()] = buf, rep
-		if err != nil {
-			return nil // the crashed rank leaves; survivors carry on
-		}
-		c.ChargeItems(len(buf))
-		return nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep := reports[root]
+	stats, chunks, rep := runScatter(world, n, counts, false)
 
 	fmt.Printf("scatter finished in %d rounds with %d timeouts and %d retries\n",
 		rep.Rounds, rep.Timeouts, rep.Retries)
@@ -148,22 +126,9 @@ func main() {
 
 	// Exactly-once audit: every one of the n items landed on exactly
 	// one surviving rank.
-	seen := make([]bool, n)
-	delivered := 0
-	for _, chunk := range chunks {
-		for _, v := range chunk {
-			if seen[v] {
-				log.Fatalf("item %d delivered twice", v)
-			}
-			seen[v] = true
-			delivered++
-		}
-	}
-	if delivered != n {
-		log.Fatalf("delivered %d of %d items", delivered, n)
-	}
+	auditOnce(chunks, n)
 	fmt.Printf("\nexactly-once check: all %d items delivered once (sum of shares %d)\n",
-		delivered, rep.Final.Sum())
+		n, rep.Final.Sum())
 
 	// Cost of surviving the failures, against the paper's bounds.
 	achieved := mpi.Makespan(stats)
@@ -313,29 +278,7 @@ func degradedDemo() {
 	div := monitor.NewDivergence(monitor.DivergenceConfig{Window: 4, Trip: 2, Clear: 3})
 	world.SetDivergence(div)
 
-	data := make([]int32, n)
-	for i := range data {
-		data[i] = int32(i)
-	}
-	chunks := make([][]int32, len(procs))
-	reports := make([]*mpi.ScatterReport, len(procs))
-	stats, err := mpi.Run(world, func(c *mpi.Comm) error {
-		var in []int32
-		if c.IsRoot() {
-			in = data
-		}
-		buf, rep, err := mpi.FaultTolerantScatterv(c, in, counts)
-		chunks[c.Rank()], reports[c.Rank()] = buf, rep
-		if err != nil {
-			return nil // the crashed rank leaves; survivors carry on
-		}
-		c.ChargeItems(len(buf))
-		return nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep := reports[root]
+	stats, chunks, rep := runScatter(world, n, counts, false)
 
 	fmt.Printf("\nscatter finished in %d rounds with %d timeouts and %d retries\n",
 		rep.Rounds, rep.Timeouts, rep.Retries)
@@ -355,22 +298,9 @@ func degradedDemo() {
 
 	// Exactly-once audit: despite the partition, the heal, the stale
 	// model, and the crash, every item landed on exactly one rank.
-	seen := make([]bool, n)
-	delivered := 0
-	for _, chunk := range chunks {
-		for _, v := range chunk {
-			if seen[v] {
-				log.Fatalf("item %d delivered twice", v)
-			}
-			seen[v] = true
-			delivered++
-		}
-	}
-	if delivered != n {
-		log.Fatalf("delivered %d of %d items", delivered, n)
-	}
+	auditOnce(chunks, n)
 	fmt.Printf("\nexactly-once check: all %d items delivered once (sum of shares %d)\n",
-		delivered, rep.Final.Sum())
+		n, rep.Final.Sum())
 
 	fmt.Printf("\nper-rank timeline (! timeout, ~ backoff, R rebalance incl. diffuse→ sends, x crashed):\n")
 	fmt.Print(trace.RankGantt(stats, 96))
@@ -411,39 +341,7 @@ func failoverDemo(procs []core.Processor, root int, counts []int, tlPlan schedul
 	}
 	world.SetFaultPlan(plan, pol)
 
-	data := make([]int32, n)
-	for i := range data {
-		data[i] = int32(i)
-	}
-	sreports := make([]*mpi.ScatterReport, len(procs))
-	gathered := make([][]int32, len(procs))
-	stats, err := mpi.Run(world, func(c *mpi.Comm) error {
-		comm := c
-		defer func() { c.Merge(comm) }()
-		var in []int32
-		if comm.IsRoot() {
-			in = data
-		}
-		buf, rep, err := mpi.FaultTolerantScatterv(comm, in, counts)
-		sreports[c.Rank()] = rep
-		if err != nil {
-			return nil // the crashed root leaves; survivors carry on
-		}
-		comm = rep.Survivors
-		comm.ChargeItems(len(buf))
-		out, grep, err := mpi.FaultTolerantGatherv(comm, buf)
-		if err != nil {
-			return nil
-		}
-		comm = grep.Survivors
-		gathered[c.Rank()] = out
-		return nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	rep := sreports[root] // the report is shared across the world's ranks
+	stats, gathered, rep := runScatter(world, n, counts, true)
 	fmt.Print("root path:")
 	for _, r := range rep.RootPath {
 		fmt.Printf(" %s", procs[r].Name)
@@ -464,17 +362,7 @@ func failoverDemo(procs []core.Processor, root int, counts []int, tlPlan schedul
 	// Exactly-once audit on the gathered output at the promoted root:
 	// despite losing the data holder mid-scatter, every item was
 	// computed and collected exactly once.
-	out := gathered[newRoot]
-	seen := make([]bool, n)
-	for _, v := range out {
-		if seen[v] {
-			log.Fatalf("item %d gathered twice", v)
-		}
-		seen[v] = true
-	}
-	if len(out) != n {
-		log.Fatalf("gathered %d of %d items", len(out), n)
-	}
+	auditOnce(gathered[newRoot:newRoot+1], n)
 	fmt.Printf("\nexactly-once check: all %d items gathered once at %s\n",
 		n, procs[newRoot].Name)
 
@@ -486,6 +374,72 @@ func failoverDemo(procs []core.Processor, root int, counts []int, tlPlan schedul
 		log.Fatal(err)
 	}
 	fmt.Println("\nwrote figures/failover.svg")
+}
+
+// runScatter runs the fault-tolerant scatter of the items 0..n-1 over
+// world, counts[r] to rank r. With gather set, the survivors then
+// gather their shares back at the final root. It returns the per-rank
+// timelines, what each rank ends up holding (its scatter share, or
+// with gather what it gathered) and the scatter report, which the
+// world's ranks share.
+func runScatter(world *mpi.World, n int, counts []int, gather bool) ([]mpi.RankStats, [][]int32, *mpi.ScatterReport) {
+	data := make([]int32, n)
+	for i := range data {
+		data[i] = int32(i)
+	}
+	held := make([][]int32, world.Size())
+	reports := make([]*mpi.ScatterReport, world.Size())
+	stats, err := mpi.Run(world, func(c *mpi.Comm) error {
+		comm := c
+		defer func() { c.Merge(comm) }()
+		var in []int32
+		if comm.IsRoot() {
+			in = data
+		}
+		buf, rep, err := mpi.FaultTolerantScatterv(comm, in, counts)
+		reports[c.Rank()] = rep
+		if !gather {
+			held[c.Rank()] = buf
+		}
+		if err != nil {
+			return nil // a crashed rank leaves; survivors carry on
+		}
+		comm = rep.Survivors
+		comm.ChargeItems(len(buf))
+		if !gather {
+			return nil
+		}
+		out, grep, err := mpi.FaultTolerantGatherv(comm, buf)
+		if err != nil {
+			return nil
+		}
+		comm = grep.Survivors
+		held[c.Rank()] = out
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return stats, held, reports[world.Root()]
+}
+
+// auditOnce stops the demo unless each of the items 0..n-1 appears
+// exactly once across held.
+func auditOnce(held [][]int32, n int) {
+	seen := make([]bool, n)
+	count := 0
+	for _, chunk := range held {
+		for _, v := range chunk {
+			if seen[v] {
+				log.Fatalf("item %d arrived twice", v)
+			}
+			seen[v] = true
+			count++
+		}
+	}
+	if count != n {
+		log.Fatalf("%d of %d items arrived", count, n)
+	}
 }
 
 // rankOf finds a processor by name.

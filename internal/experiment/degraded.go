@@ -8,11 +8,10 @@ package experiment
 // re-solves fall back to diffusion over the live adjacency. The rows
 // compare the two pipelines' makespans and, per size, the raw solver
 // gap between one exact solve and one diffusion pass on the same
-// flattened platform. `scatterbench -degraded FILE` writes the same
-// numbers as BENCH_degraded.json.
+// flattened platform. `scatterbench -exp degraded -json FILE` writes
+// the same numbers as BENCH_degraded.json.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -216,19 +215,6 @@ func runDegraded() (degradedDoc, error) {
 	return doc, nil
 }
 
-// DegradedJSON renders BENCH_degraded.json (scatterbench -degraded).
-func DegradedJSON() ([]byte, error) {
-	doc, err := runDegraded()
-	if err != nil {
-		return nil, err
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
-}
-
 // Degraded is the registered experiment: the exact-vs-diffusion table
 // on degraded networks. The paper assumes a healthy network — the
 // Paper column is 0 throughout, and the rows document the extension.
@@ -259,6 +245,7 @@ func Degraded() (Report, error) {
 		ID:    "degraded",
 		Title: "degraded-network recovery: exact DP vs diffusion fallback (extension)",
 		Body:  sb.String(),
+		Doc:   doc,
 	}
 	worst := 0.0
 	for _, r := range doc.Rows {

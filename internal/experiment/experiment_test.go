@@ -324,9 +324,14 @@ func TestRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fault-free", "worker-crash", "root-crash-early", "root-crash-late"} {
+	for _, want := range []string{"fault-free", "transient-drop", "worker-crash", "root-crash-early", "root-crash-late"} {
 		if !strings.Contains(rep.Body, want) {
 			t.Errorf("recovery body missing scenario %q", want)
+		}
+	}
+	for _, row := range rep.Doc.(recoveryDoc).Scenarios {
+		if row.Name == "transient-drop" && row.Retries < 1 {
+			t.Errorf("transient drop recovered without a retry: %+v", row)
 		}
 	}
 	early := comparison(t, rep, "root crash early")
@@ -421,6 +426,24 @@ func TestHierarchicalScatter(t *testing.T) {
 	if zero.Measured > 0.5 {
 		t.Errorf("hierarchy 'wins' %g s at zero latency; the flat scatter should be fine there",
 			zero.Measured)
+	}
+}
+
+func TestServeScaledDown(t *testing.T) {
+	// runServe fails on any answer that is not bit-identical to its
+	// Algorithm 2 solve, in either sweep.
+	doc, err := runServe(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.DistinctKeys != 8 {
+		t.Errorf("distinct keys %d, want 8 (2 platforms x 4 item counts)", doc.DistinctKeys)
+	}
+	if !doc.WarmRestartAllStore {
+		t.Error("warm sweep answered some key outside the recovered store")
+	}
+	if doc.RecoveredPlans != doc.DistinctKeys {
+		t.Errorf("recovered %d plans from the torn WAL, want %d", doc.RecoveredPlans, doc.DistinctKeys)
 	}
 }
 

@@ -6,11 +6,10 @@ package experiment
 // makespan to the fault-free baseline. The paper assumes a reliable
 // root holding the data (Section 3.4); this experiment measures what
 // dropping that assumption costs under the ledger-checkpointed
-// recovery protocol of DESIGN.md §9. `scatterbench -recovery FILE`
-// writes the same numbers as BENCH_recovery.json.
+// recovery protocol of DESIGN.md §9. `scatterbench -exp recovery
+// -json FILE` writes the same numbers as BENCH_recovery.json.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -23,9 +22,9 @@ func init() {
 	register("recovery", Recovery)
 }
 
-// recoveryItems keeps the virtual workload at the fault benchmark's
-// scale: large enough that the scatter's serve window is a real target
-// for mid-transfer crashes, small enough to regenerate in seconds.
+// recoveryItems keeps the virtual workload large enough that the
+// scatter's serve window is a real target for mid-transfer faults,
+// small enough to regenerate in seconds.
 const recoveryItems = 100000
 
 // recoveryResult is one row of BENCH_recovery.json.
@@ -35,9 +34,13 @@ type recoveryResult struct {
 	OverheadPct float64 `json:"overhead_pct"`
 	Failovers   int     `json:"failovers"`
 	Recomputes  int     `json:"recomputes"`
-	Scatters    int     `json:"scatters"`
-	Gathers     int     `json:"gathers"`
-	Note        string  `json:"note"`
+	// Retries and Timeouts total the transfer retries and abandoned
+	// attempts over the run's scatters.
+	Retries  int    `json:"retries"`
+	Timeouts int    `json:"timeouts"`
+	Scatters int    `json:"scatters"`
+	Gathers  int    `json:"gathers"`
+	Note     string `json:"note"`
 }
 
 // recoveryDoc is the BENCH_recovery.json document.
@@ -65,6 +68,13 @@ func recoveryScenarios() []recoveryScenario {
 			note: "baseline; the recovery machinery must cost nothing",
 			faults: func(float64, int) []fault.Fault {
 				return nil
+			},
+		},
+		{
+			name: "transient-drop",
+			note: "one worker's link drops its first sends; the scatter times out, backs off and retries until the link returns",
+			faults: func(_ float64, _ int) []fault.Fault {
+				return []fault.Fault{{Kind: fault.LinkDrop, Rank: 2, Start: 0, End: 1.5}}
 			},
 		},
 		{
@@ -137,7 +147,7 @@ func runRecovery() (recoveryDoc, error) {
 		if base > 0 {
 			overhead = 100 * (res.Makespan - base) / base
 		}
-		doc.Scenarios = append(doc.Scenarios, recoveryResult{
+		row := recoveryResult{
 			Name:        sc.name,
 			Makespan:    res.Makespan,
 			OverheadPct: overhead,
@@ -146,22 +156,14 @@ func runRecovery() (recoveryDoc, error) {
 			Scatters:    len(res.Scatters),
 			Gathers:     len(res.Gathers),
 			Note:        sc.note,
-		})
+		}
+		for _, rep := range res.Scatters {
+			row.Retries += rep.Retries
+			row.Timeouts += rep.Timeouts
+		}
+		doc.Scenarios = append(doc.Scenarios, row)
 	}
 	return doc, nil
-}
-
-// RecoveryJSON renders BENCH_recovery.json (scatterbench -recovery).
-func RecoveryJSON() ([]byte, error) {
-	doc, err := runRecovery()
-	if err != nil {
-		return nil, err
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
 }
 
 // Recovery is the registered experiment: the recovery-overhead table
@@ -176,10 +178,11 @@ func Recovery() (Report, error) {
 	var sb strings.Builder
 	sb.WriteString("Chaos pipeline (scatter → compute → gather) on the Table 1 grid,\n")
 	fmt.Fprintf(&sb, "%d items, scripted crashes, ledger-checkpointed recovery:\n\n", doc.Items)
-	fmt.Fprintf(&sb, "%-18s %14s %10s %10s %11s\n", "scenario", "makespan (s)", "overhead", "failovers", "recomputes")
+	fmt.Fprintf(&sb, "%-18s %14s %10s %10s %11s %8s %9s\n",
+		"scenario", "makespan (s)", "overhead", "failovers", "recomputes", "retries", "timeouts")
 	for _, row := range doc.Scenarios {
-		fmt.Fprintf(&sb, "%-18s %14.4f %9.2f%% %10d %11d\n",
-			row.Name, row.Makespan, row.OverheadPct, row.Failovers, row.Recomputes)
+		fmt.Fprintf(&sb, "%-18s %14.4f %9.2f%% %10d %11d %8d %9d\n",
+			row.Name, row.Makespan, row.OverheadPct, row.Failovers, row.Recomputes, row.Retries, row.Timeouts)
 	}
 	sb.WriteString("\n")
 	for _, row := range doc.Scenarios {
@@ -194,7 +197,11 @@ func Recovery() (Report, error) {
 		ID:    "recovery",
 		Title: "failover recovery overhead (extension: the paper assumes a reliable root)",
 		Body:  sb.String(),
+		Doc:   doc,
 		Comparisons: []Comparison{
+			{Metric: "recovery overhead, transient link drop", Paper: 0,
+				Measured: byName["transient-drop"].OverheadPct, Unit: "%",
+				Note: "extension: timeouts and retries, no rebalance"},
 			{Metric: "recovery overhead, worker crash", Paper: 0,
 				Measured: byName["worker-crash"].OverheadPct, Unit: "%",
 				Note: "extension: no paper counterpart"},

@@ -52,6 +52,9 @@ type Report struct {
 	// SVG, when non-empty, is a rendering of the experiment's figure
 	// (scatterbench -svg writes it to <ID>.svg).
 	SVG string
+	// Doc, when non-nil, is the document the experiment publishes:
+	// scatterbench -json marshals it into a committed BENCH_*.json.
+	Doc any
 }
 
 // String renders the full report.

@@ -6,11 +6,10 @@ package experiment
 // curve, the certified exact solve, warm re-solves after a crash
 // (pure-suffix and partial row reuse), and plan-cache hits. Every
 // answer is checked bit-identical to the fresh solver.
-// `scatterbench -solver FILE` writes the same numbers as
-// BENCH_solver.json.
+// `scatterbench -exp solver -items 817101 -json FILE` writes the same
+// numbers as BENCH_solver.json.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -22,7 +21,7 @@ import (
 )
 
 func init() {
-	register("solver", Solver)
+	register("solver", func() (Report, error) { return Solver(SolverOptions{}) })
 }
 
 // solverRow is one measurement of BENCH_solver.json.
@@ -69,9 +68,10 @@ type solverDoc struct {
 }
 
 // SolverOptions parameterizes the benchmark; zero values select the
-// committed-document defaults.
+// interactive registry run.
 type SolverOptions struct {
-	// Items is the scatter size; 0 means the paper's full 817,101.
+	// Items is the scatter size; 0 means solverReportItems. The
+	// committed BENCH_solver.json runs the paper's full 817,101.
 	Items int
 	// Workers restricts the scaling curve to a single pool size
 	// (workers=1 is still measured as the baseline); 0 sweeps
@@ -147,7 +147,7 @@ func scalingWorkers(override int) []int {
 func runSolver(opts SolverOptions) (solverDoc, error) {
 	items := opts.Items
 	if items <= 0 {
-		items = platform.Table1Rays
+		items = solverReportItems
 	}
 	maxprocs := runtime.GOMAXPROCS(0)
 	doc := solverDoc{
@@ -316,30 +316,15 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 	return doc, nil
 }
 
-// SolverJSON renders BENCH_solver.json (scatterbench -solver); zero
-// options select the paper's full scale with the default worker
-// sweep.
-func SolverJSON(opts SolverOptions) ([]byte, error) {
+// Solver is the registered experiment, run with zero options. Wall-clock
+// timings are hardware-dependent, so the report's comparisons are the
+// scale-free identity checks plus the measured speedups as extension
+// rows (the paper has no incremental-solver counterpart; Paper is 0
+// throughout). The registry run uses a reduced item count to stay
+// interactive; `make bench-solver` passes the paper's full scale
+// through scatterbench -items.
+func Solver(opts SolverOptions) (Report, error) {
 	doc, err := runSolver(opts)
-	if err != nil {
-		return nil, err
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
-}
-
-// Solver is the registered experiment. Wall-clock timings are
-// hardware-dependent, so the report's comparisons are the scale-free
-// identity checks plus the measured speedups as extension rows (the
-// paper has no incremental-solver counterpart; Paper is 0 throughout).
-// The registry run uses a reduced item count to stay interactive; the
-// committed BENCH_solver.json is regenerated at full scale via
-// `make bench-solver`.
-func Solver() (Report, error) {
-	doc, err := runSolver(SolverOptions{Items: solverReportItems})
 	if err != nil {
 		return Report{}, err
 	}
@@ -362,6 +347,7 @@ func Solver() (Report, error) {
 		ID:    "solver",
 		Title: "incremental solver: certified solves, retained plans, warm re-solves, plan cache (extension)",
 		Body:  sb.String(),
+		Doc:   doc,
 		Comparisons: []Comparison{
 			{Metric: "certified exact solve speedup over cold solve", Paper: 0,
 				Measured: doc.SpeedupCertifiedVsCold, Unit: "x",

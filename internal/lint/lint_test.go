@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/token"
+	"go/types"
 	"os"
 	"slices"
 	"strings"
@@ -271,6 +272,45 @@ func TestLockSetDirectivesAuditUsed(t *testing.T) {
 	}
 	if lockset < 1 {
 		t.Errorf("found %d lock-set directives in internal/mpi, want at least the reasoned collective.go suppression", lockset)
+	}
+}
+
+func TestAPILockTableNamesMutexFields(t *testing.T) {
+	// Every class in the cross-package lock table must name a
+	// sync.Mutex or sync.RWMutex field of a struct type in this module:
+	// a renamed or deleted lock leaves an entry that orders nothing.
+	for api, classes := range apiLockAcquires {
+		for _, class := range classes {
+			s := string(class)
+			dot := strings.LastIndex(s, ".")
+			typeDot := strings.LastIndex(s[:max(dot, 0)], ".")
+			if typeDot < 0 {
+				t.Errorf("%s: class %q is not pkgpath.Type.field", api, s)
+				continue
+			}
+			pkgPath, typeName, field := s[:typeDot], s[typeDot+1:dot], s[dot+1:]
+			pkgs, err := sharedLoader.Load(pkgPath)
+			if err != nil || len(pkgs) != 1 {
+				t.Errorf("%s: class %q: load %s: %v", api, s, pkgPath, err)
+				continue
+			}
+			tn, _ := pkgs[0].Pkg.Scope().Lookup(typeName).(*types.TypeName)
+			if tn == nil {
+				t.Errorf("%s: class %q: no type %s in %s", api, s, typeName, pkgPath)
+				continue
+			}
+			st, _ := tn.Type().Underlying().(*types.Struct)
+			found := false
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Name() == field {
+					ft := f.Type().String()
+					found = ft == "sync.Mutex" || ft == "sync.RWMutex"
+				}
+			}
+			if !found {
+				t.Errorf("%s: class %q names no mutex field of %s", api, s, typeName)
+			}
+		}
 	}
 }
 

@@ -1553,9 +1553,9 @@ var apiLockAcquires = map[string][]lockClass{
 	"repro/internal/monitor.Monitor": {"repro/internal/monitor.Monitor.mu"},
 	"repro/internal/serve.Server": {
 		"repro/internal/serve.Server.mu",
+		"repro/internal/serve.respMemo.mu",
 		"repro/internal/core.Engine.mu",
 		"repro/internal/store.Store.mu",
-		"repro/internal/monitor.Monitor.mu",
 	},
 	"repro/internal/mpi.World": {
 		"repro/internal/mpi.World.mu",
