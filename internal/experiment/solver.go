@@ -276,10 +276,16 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 		Note:             fmt.Sprintf("partial reuse: rows %d.. reused (the junction's costs rebuilt from their choices on this first use), rows 0..%d recomputed", midPos+1, midPos-1)})
 
 	// Engine with plan cache: cold fill, exact-signature hit, and a
-	// warm start for the crashed platform.
-	eng := core.NewEngine(0)
+	// warm start for the crashed platform. timeSolve repeats a fast
+	// call, so each cold rep gets a fresh engine: a repeat on a filled
+	// one would time cache hits. The last rep's engine is kept.
+	var eng *core.Engine
 	var engCold, engHit, engWarm core.Result
-	engColdSecs, err := timeSolve(func() (e error) { engCold, e = eng.Solve(procs, items); return })
+	engColdSecs, err := timeSolve(func() (e error) {
+		eng = core.NewEngine(0)
+		engCold, e = eng.Solve(procs, items)
+		return
+	})
 	if err != nil {
 		return doc, err
 	}
