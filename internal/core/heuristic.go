@@ -296,7 +296,10 @@ func roundingTarget(share *big.Rat, errSign int) (*big.Int, *big.Rat) {
 // shares were computed in floating point. The float shares are
 // converted exactly to rationals and rescaled so they sum to exactly n
 // before rounding; each resulting integer share differs from its input
-// by less than 1 plus the float imprecision.
+// by less than 1 plus the float imprecision. n must be non-negative
+// (every caller validates it): the rescaled shares are then
+// non-negative and sum to n exactly, and the rounding keeps its
+// accumulated error in (-1, 1), so RoundRatShares cannot fail.
 func RoundShares(shares []float64, n int) Distribution {
 	p := len(shares)
 	if p == 0 {
@@ -329,51 +332,7 @@ func RoundShares(shares []float64, n int) Distribution {
 	}
 	d, err := RoundRatShares(rats, n)
 	if err != nil {
-		// Exact rounding can only fail on pathological input; fall
-		// back to a safe floor-and-fix scheme.
-		return floorAndFix(shares, n)
-	}
-	return d
-}
-
-// floorAndFix floors every share and hands the leftover items one by
-// one to the shares with the largest fractional parts.
-func floorAndFix(shares []float64, n int) Distribution {
-	p := len(shares)
-	d := make(Distribution, p)
-	type frac struct {
-		i int
-		f float64
-	}
-	fracs := make([]frac, 0, p)
-	used := 0
-	for i, s := range shares {
-		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
-			s = 0
-		}
-		fl := math.Floor(s)
-		d[i] = int(fl)
-		used += d[i]
-		fracs = append(fracs, frac{i, s - fl})
-	}
-	// Insertion sort by descending fractional part.
-	for i := 1; i < len(fracs); i++ {
-		for j := i; j > 0 && fracs[j].f > fracs[j-1].f; j-- {
-			fracs[j], fracs[j-1] = fracs[j-1], fracs[j]
-		}
-	}
-	left := n - used
-	for k := 0; left > 0; k = (k + 1) % p {
-		d[fracs[k].i]++
-		left--
-	}
-	for i := 0; left < 0 && i < p; {
-		if d[i] > 0 {
-			d[i]--
-			left++
-		} else {
-			i++
-		}
+		panic("core: internal error: " + err.Error())
 	}
 	return d
 }

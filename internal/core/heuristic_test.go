@@ -330,18 +330,6 @@ func TestRoundSharesDegenerate(t *testing.T) {
 	}
 }
 
-func TestFloorAndFix(t *testing.T) {
-	d := floorAndFix([]float64{1.9, 2.8, 0.3}, 5)
-	if d.Sum() != 5 {
-		t.Errorf("sum = %d, want 5", d.Sum())
-	}
-	// Largest fractions get the leftovers: floors are 1,2,0 (sum 3),
-	// two leftovers go to indices 1 (.8) and 0 (.9).
-	if d[0] != 2 || d[1] != 3 || d[2] != 0 {
-		t.Errorf("d = %v, want [2 3 0]", d)
-	}
-}
-
 // TestHeuristicReproducesPaperQuality mirrors the paper's Section 5.2
 // anecdote: on the (linear) Table-1-like platform the heuristic's
 // relative error versus the exact optimum is tiny.

@@ -28,8 +28,8 @@ import (
 // because computation on already-delivered data keeps the CPU busy:
 // processor i's finish time is governed, for each round r, by the
 // arrival of installment r plus the computation of everything it still
-// holds from round r on. We solve it exactly in rationals with the
-// internal/lp simplex and round with the Section 3.3 scheme.
+// holds from round r on. We solve it in float64 with lp.SolveFloat and
+// round with the Section 3.3 scheme.
 
 // MultiRoundResult is an R-round distribution plan.
 type MultiRoundResult struct {

@@ -132,9 +132,11 @@ func TestFig4AscendingShape(t *testing.T) {
 func TestAlgoCostScaledDown(t *testing.T) {
 	// The heuristic's cost barely depends on n while Algorithm 2's
 	// grows with it, so the runtime ordering the paper reports at
-	// 817,101 items only shows once n is large enough: at 20,000 items
-	// the shared row kernel already finishes within the heuristic's
-	// ~30 ms, at 100,000 it takes ~10x longer.
+	// 817,101 items only shows once n is large enough. On a 2-vCPU
+	// host the heuristic takes ~5 ms at p = 16 (~2.5 ms of exact LP,
+	// the rest rounding ~775-bit rationals); Algorithm 2's row kernel
+	// takes about as long at 20,000 items and ~20 ms, ~4x longer, at
+	// 100,000.
 	rep, err := AlgoCostWith([]int{100, 200, 400, 800}, 100000)
 	if err != nil {
 		t.Fatal(err)

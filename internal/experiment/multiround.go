@@ -35,8 +35,8 @@ func MultiRoundStudy() (Report, error) {
 		commBound[i] = lp.Processor()
 	}
 
-	// Moderate n keeps the exact rational LP (rounds*17 variables)
-	// fast while preserving the ratios.
+	// Moderate n keeps the rounding of the float LP's rounds*17 shares
+	// cheap while preserving the ratios.
 	const n = 50000
 	rounds := []int{1, 2, 4, 8}
 

@@ -54,6 +54,9 @@ func Total() int { return alpha.N * 2 }
 
 import "testing"
 
+// TotalForTest exports Total to the external test package.
+var TotalForTest = Total
+
 func TestTotal(t *testing.T) {
 	if Total() != 6 {
 		t.Fatal("want 6")
@@ -69,7 +72,7 @@ import (
 )
 
 func TestTotalExternal(t *testing.T) {
-	if beta.Total() != 6 {
+	if beta.Total() != 6 || beta.TotalForTest() != 6 {
 		t.Fatal("want 6")
 	}
 }

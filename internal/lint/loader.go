@@ -136,13 +136,13 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if l.IncludeTests {
 			files = append(append([]string(nil), files...), lp.TestGoFiles...)
 		}
-		pkg, err := l.checkDir(lp.Dir, lp.ImportPath, files)
+		pkg, err := l.checkDir(lp.Dir, lp.ImportPath, files, nil)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
 		if l.IncludeTests && len(lp.XTestGoFiles) > 0 {
-			xpkg, err := l.checkDir(lp.Dir, lp.ImportPath+" [xtest]", lp.XTestGoFiles)
+			xpkg, err := l.checkDir(lp.Dir, lp.ImportPath+" [xtest]", lp.XTestGoFiles, pkg.Pkg)
 			if err != nil {
 				return nil, err
 			}
@@ -172,11 +172,14 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no .go files in %s", dir)
 	}
-	return l.checkDir(dir, importPath, files)
+	return l.checkDir(dir, importPath, files, nil)
 }
 
 // checkDir parses and type-checks the named files of one directory.
-func (l *Loader) checkDir(dir, importPath string, fileNames []string) (*Package, error) {
+// An external test package passes its package's unit, test files
+// included, as self: it imports that unit under its own path, so it
+// sees what the package's _test.go files declare, as under `go vet`.
+func (l *Loader) checkDir(dir, importPath string, fileNames []string, self *types.Package) (*Package, error) {
 	var files []*ast.File
 	var imports []string
 	for _, name := range fileNames {
@@ -211,10 +214,23 @@ func (l *Loader) checkDir(dir, importPath string, fileNames []string) (*Package,
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: l.imp}
+	imp := l.imp
+	if self != nil {
+		imp = importerFunc(func(path string) (*types.Package, error) {
+			if path == self.Path() {
+				return self, nil
+			}
+			return l.imp.Import(path)
+		})
+	}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(importPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", importPath, err)
 	}
 	return &Package{Path: importPath, Fset: l.fset, Files: files, Pkg: pkg, Info: info}, nil
 }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

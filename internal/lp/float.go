@@ -6,13 +6,16 @@ import (
 	"math"
 )
 
-// This file provides a float64 companion to the exact rational solver:
-// the same two-phase dense simplex, with epsilon tolerances instead of
-// exact arithmetic. The guaranteed heuristic keeps using the exact
-// solver (its guarantee is stated on the exact relaxation optimum);
-// larger models like the multi-installment LP — where big.Rat numerators
-// grow without bound during pivoting — use this one. The float solver
-// is cross-validated against the exact solver in the tests.
+// This file is the package's one pivoting engine: a two-phase dense
+// simplex in float64 with Bland's rule and epsilon tolerances. The
+// multi-installment LP and the certificate use its answer as is; Solve
+// takes its final basis and proves or repairs it in exact arithmetic
+// (exact.go). The reference tableau in the tests pivots by the same
+// rule over the same column order, so wherever the tolerances judge
+// every sign as exact arithmetic would, both stop at the same vertex.
+// A long pivot run can drift from the problem it solves; the final
+// point is checked against the original rows, and the tableau rebuilt
+// from them when it misses.
 
 // FloatConstraint is a Constraint over float64 coefficients.
 type FloatConstraint struct {
@@ -53,15 +56,18 @@ type FloatSolution struct {
 	// an optimal dual point; a caller that needs a proof must check the
 	// point it derives from them.
 	Duals []float64
-	// Pivots counts simplex pivots across both phases.
-	Pivots int
+	// Basis is the final basis, one column per constraint row, set
+	// whatever the status: column j < NumVars is variable j, and
+	// column NumVars+i is row i's own slack, surplus or artificial.
+	Basis []int
 }
 
 const floatEps = 1e-9
 
-// SolveFloat runs the two-phase simplex in float64. Degeneracy is
-// handled with Bland's rule; feasibility is declared when the phase-1
-// objective is within a scale-relative tolerance of zero.
+// SolveFloat runs the two-phase simplex in float64 with Bland's rule
+// (lowest-index entering column, lowest-index leaving variable among
+// tied ratios); feasibility is declared when the phase-1 objective is
+// within a scale-relative tolerance of zero.
 func SolveFloat(p *FloatProblem) (*FloatSolution, error) {
 	if p.NumVars <= 0 {
 		return nil, errors.New("lp: problem has no variables")
@@ -80,10 +86,11 @@ func SolveFloat(p *FloatProblem) (*FloatSolution, error) {
 
 	t := newFloatTableau(p)
 	sol := &FloatSolution{}
+	defer func() { sol.Basis = t.basisColumns(p.NumVars) }()
 
 	if t.numArtificial > 0 {
 		t.installPhase1()
-		if err := t.iterate(&sol.Pivots); err != nil {
+		if err := t.iterate(); err != nil {
 			return nil, err
 		}
 		scale := 1.0
@@ -96,16 +103,22 @@ func SolveFloat(p *FloatProblem) (*FloatSolution, error) {
 			sol.Status = Infeasible
 			return sol, nil
 		}
-		t.driveOutArtificials(&sol.Pivots)
+		t.driveOutArtificials()
 	}
 
 	t.installPhase2(p)
-	if err := t.iterate(&sol.Pivots); err != nil {
-		if errors.Is(err, errUnbounded) {
-			sol.Status = Unbounded
-			return sol, nil
+	for pass := 0; ; pass++ {
+		if err := t.iterate(); err != nil {
+			if errors.Is(err, errUnbounded) {
+				sol.Status = Unbounded
+				return sol, nil
+			}
+			return nil, err
 		}
-		return nil, err
+		if pass == 2 || !t.drifted(p) {
+			break
+		}
+		t.reinvert(p)
 	}
 
 	sol.Status = Optimal
@@ -129,8 +142,11 @@ type floatTableau struct {
 	// unit[i] is the column that started as row i's unit vector (its
 	// slack, or its artificial), and sign[i] is -1 where row i was
 	// negated to make its RHS non-negative.
-	unit          []int
-	sign          []float64
+	unit []int
+	sign []float64
+	// owner[j] is the row whose slack, surplus or artificial column j
+	// is, and -1 for a structural column.
+	owner         []int
 	artificialLo  int
 	banArtificial bool
 }
@@ -167,7 +183,11 @@ func newFloatTableau(p *FloatProblem) *floatTableau {
 		basis:         make([]int, rows),
 		unit:          make([]int, rows),
 		sign:          make([]float64, rows),
+		owner:         make([]int, cols),
 		artificialLo:  cols - artificial,
+	}
+	for j := range t.owner {
+		t.owner[j] = -1
 	}
 	slackCol := p.NumVars
 	artCol := t.artificialLo
@@ -186,22 +206,69 @@ func newFloatTableau(p *FloatProblem) *floatTableau {
 		switch rel {
 		case LE:
 			t.set(i, slackCol, 1)
+			t.owner[slackCol] = i
 			t.basis[i] = slackCol
 			slackCol++
 		case GE:
 			t.set(i, slackCol, -1)
+			t.owner[slackCol] = i
 			slackCol++
 			t.set(i, artCol, 1)
+			t.owner[artCol] = i
 			t.basis[i] = artCol
 			artCol++
 		case EQ:
 			t.set(i, artCol, 1)
+			t.owner[artCol] = i
 			t.basis[i] = artCol
 			artCol++
 		}
 		t.unit[i] = t.basis[i]
 	}
 	return t
+}
+
+// drifted reports whether the tableau's point misses one of p's rows
+// by more than the feasibility tolerance. Each pivot rounds the whole
+// tableau, so a long pivot sequence can leave a point that satisfies
+// the tableau but not the problem.
+func (t *floatTableau) drifted(p *FloatProblem) bool {
+	x := t.extract(p.NumVars)
+	scale := 1.0
+	for _, c := range p.Constraints {
+		scale = math.Max(scale, math.Abs(c.RHS))
+	}
+	tol := floatEps * scale * float64(t.rows+1)
+	for _, c := range p.Constraints {
+		d := -c.RHS
+		for j, a := range c.Coeffs {
+			d += a * x[j]
+		}
+		if c.Rel != GE && d > tol || c.Rel != LE && d < -tol {
+			return true
+		}
+	}
+	return false
+}
+
+// reinvert rebuilds the tableau for the current basis from p's rows,
+// shedding the accumulated rounding error: each basic column is
+// pivoted in afresh, in the row where its entry is largest.
+func (t *floatTableau) reinvert(p *FloatProblem) {
+	fresh := newFloatTableau(p)
+	done := make([]bool, t.rows)
+	for _, col := range t.basis {
+		best := -1
+		for i := range done {
+			if !done[i] && (best < 0 || math.Abs(fresh.at(i, col)) > math.Abs(fresh.at(best, col))) {
+				best = i
+			}
+		}
+		fresh.pivot(best, col)
+		done[best] = true
+	}
+	fresh.installPhase2(p)
+	*t = *fresh
 }
 
 func (t *floatTableau) installPhase1() {
@@ -238,30 +305,17 @@ func (t *floatTableau) canonicalize() {
 	}
 }
 
-func (t *floatTableau) iterate(pivots *int) error {
-	// Dantzig pricing with a Bland fallback after a pivot budget, to
-	// escape potential cycling without giving up speed.
-	blandAfter := 50 * (t.rows + t.cols)
-	for iter := 0; ; iter++ {
+func (t *floatTableau) iterate() error {
+	for {
 		enter := -1
 		limit := t.cols
 		if t.banArtificial {
 			limit = t.artificialLo
 		}
-		if iter < blandAfter {
-			best := -floatEps
-			for j := 0; j < limit; j++ {
-				if t.obj[j] < best {
-					best = t.obj[j]
-					enter = j
-				}
-			}
-		} else {
-			for j := 0; j < limit; j++ {
-				if t.obj[j] < -floatEps {
-					enter = j
-					break
-				}
+		for j := 0; j < limit; j++ {
+			if t.obj[j] < -floatEps {
+				enter = j
+				break
 			}
 		}
 		if enter < 0 {
@@ -287,7 +341,6 @@ func (t *floatTableau) iterate(pivots *int) error {
 			return errUnbounded
 		}
 		t.pivot(leave, enter)
-		*pivots++
 	}
 }
 
@@ -323,7 +376,7 @@ func (t *floatTableau) pivot(leave, enter int) {
 	t.basis[leave] = enter
 }
 
-func (t *floatTableau) driveOutArtificials(pivots *int) {
+func (t *floatTableau) driveOutArtificials() {
 	for i := 0; i < t.rows; i++ {
 		if t.basis[i] < t.artificialLo {
 			continue
@@ -331,7 +384,6 @@ func (t *floatTableau) driveOutArtificials(pivots *int) {
 		for j := 0; j < t.artificialLo; j++ {
 			if math.Abs(t.at(i, j)) > floatEps {
 				t.pivot(i, j)
-				*pivots++
 				break
 			}
 		}
@@ -350,6 +402,20 @@ func (t *floatTableau) duals() []float64 {
 		y[i] = -t.sign[i] * t.obj[col]
 	}
 	return y
+}
+
+// basisColumns renumbers the basis into FloatSolution.Basis's layout:
+// a row's slack or surplus and its artificial both become that row's
+// own column (they are ±e_i, so at most one of them is basic).
+func (t *floatTableau) basisColumns(n int) []int {
+	cols := make([]int, t.rows)
+	for i, j := range t.basis {
+		cols[i] = j
+		if r := t.owner[j]; r >= 0 {
+			cols[i] = n + r
+		}
+	}
+	return cols
 }
 
 func (t *floatTableau) extract(n int) []float64 {

@@ -242,6 +242,62 @@ func TestSolveFloatLargeScatterLP(t *testing.T) {
 	}
 }
 
+// TestSolveFloatFeasibleAfterLongRun solves the multi-round LP of a
+// comm-bound Table 1 (links 200x slower, 8 rounds, 50,000 items), where
+// Bland's rule takes enough pivots for the tableau's rounding error to
+// build up: without rebuilding the tableau from the original rows, the
+// point it ends at misses the last row by ~1.6 s and its T, 96.0923 s,
+// undercuts the exact optimum, 96.3207253 s. The point returned must
+// satisfy every row to a tolerance and reach that optimum.
+func TestSolveFloatFeasibleAfterLongRun(t *testing.T) {
+	const p, rounds, n = 16, 8, 50000
+	nv := rounds*p + 1
+	alphas := []float64{1e-5, 1.12e-5, 1.7e-5, 2.1e-5, 2.1e-5, 3.53e-5, 3.53e-5, 3.53e-5,
+		3.53e-5, 3.53e-5, 3.53e-5, 3.53e-5, 3.53e-5, 8.15e-5, 8.15e-5, 0}
+	betas := []float64{0.004629, 0.009365, 0.004885, 0.016156, 0.016156, 0.009677, 0.009677,
+		0.009677, 0.009677, 0.009677, 0.009677, 0.009677, 0.009677, 0.003976, 0.003976, 0.009288}
+	prob := &FloatProblem{NumVars: nv, Objective: make([]float64, nv)}
+	prob.Objective[nv-1] = 1
+	eq := FloatConstraint{Rel: EQ, RHS: n, Coeffs: make([]float64, nv)}
+	for v := 0; v < rounds*p; v++ {
+		eq.Coeffs[v] = 1
+	}
+	prob.Constraints = append(prob.Constraints, eq)
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < p; i++ {
+			c := FloatConstraint{Rel: LE, Coeffs: make([]float64, nv)}
+			for s := 0; s <= r; s++ {
+				last := p
+				if s == r {
+					last = i + 1
+				}
+				for j := 0; j < last; j++ {
+					c.Coeffs[s*p+j] += 200 * alphas[j]
+				}
+			}
+			for s := r; s < rounds; s++ {
+				c.Coeffs[s*p+i] += betas[i]
+			}
+			c.Coeffs[nv-1] = -1
+			prob.Constraints = append(prob.Constraints, c)
+		}
+	}
+	sol := solveFloatOK(t, prob)
+	const tol = 1e-6
+	for i, c := range prob.Constraints {
+		d := -c.RHS
+		for j, a := range c.Coeffs {
+			d += a * sol.X[j]
+		}
+		if c.Rel != GE && d > tol*n || c.Rel != LE && d < -tol*n {
+			t.Errorf("row %d (%v) misses its right-hand side by %g", i, c.Rel, d)
+		}
+	}
+	if math.Abs(sol.Objective-96.3207253) > 1e-6 {
+		t.Errorf("objective = %.10g, want the exact optimum 96.3207253", sol.Objective)
+	}
+}
+
 // TestSolveFloatDuals holds the multipliers read off the final tableau
 // to the dual of each random LP: strong duality against the exact
 // solver's optimum, the reduced costs non-negative, and each

@@ -311,36 +311,6 @@ func TestSolveRandomFeasibilityAndOptimality(t *testing.T) {
 	}
 }
 
-func TestProblemString(t *testing.T) {
-	p := &Problem{
-		NumVars:   2,
-		Objective: []*big.Rat{ri(1), nil},
-		Constraints: []Constraint{
-			{Coeffs: []*big.Rat{ri(1), ri(2)}, Rel: LE, RHS: ri(3)},
-			{Coeffs: []*big.Rat{nil, nil}, Rel: GE, RHS: ri(0)},
-		},
-	}
-	s := p.String()
-	for _, want := range []string{"minimize", "x0", "<= 3", ">= 0"} {
-		if !contains(s, want) {
-			t.Errorf("Problem.String() = %q, missing %q", s, want)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && index(s, sub) >= 0
-}
-
-func index(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
 func TestRelationString(t *testing.T) {
 	if LE.String() != "<=" || GE.String() != ">=" || EQ.String() != "=" {
 		t.Error("relation strings wrong")
