@@ -20,6 +20,7 @@ import (
 // whole.
 var testOnlyExports = map[string]string{
 	"internal/core.BruteForce":         "the exhaustive oracle the root scatter_test.go holds every solver to, across packages",
+	"internal/core.D":                  "Theorem 1's D(P1..Pp) as the paper defines it; the solvers compute it as chainD with a zero starting sum",
 	"internal/fault.RandomNet":         "chaos's golden digests depend on its exact schedules, across packages",
 	"internal/fault.DecodeLedger":      "the other half of the ledger codec; the ledgerorder analyzer names it",
 	"internal/mpi.Scatter":             "MPI runtime API: the uniform scatter scattervize rewrites and collectiveorder checks",

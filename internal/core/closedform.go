@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cost"
 )
@@ -62,13 +63,15 @@ func ExtractLinear(procs []Processor) ([]LinearProcessor, error) {
 // recurrence Ti = Ti-1, which gives n_i*(alpha_i+beta_i) =
 // beta_{i-1}*n_{i-1}. A processor with alpha+beta = 0 is infinitely
 // fast and makes D zero.
-func D(lps []LinearProcessor) float64 {
-	if len(lps) == 0 {
-		return 0
-	}
-	sum := 0.0
+func D(lps []LinearProcessor) float64 { return chainD(lps, 0) }
+
+// chainD is D over a processor chain whose sum starts at sum0 instead
+// of 0: sum0 is the term of a processor that follows the chain without
+// the product prefix, such as an overlapping root's 1/beta_p.
+func chainD(chain []LinearProcessor, sum0 float64) float64 {
+	sum := sum0
 	prod := 1.0
-	for _, lp := range lps {
+	for _, lp := range chain {
 		ab := lp.Alpha + lp.Beta
 		if ab == 0 {
 			// Infinitely fast processor: it absorbs everything in no
@@ -103,67 +106,78 @@ type LinearSolution struct {
 // applying Theorem 2's participation criterion and Theorem 1's closed
 // form. It runs in O(p²) time (a suffix scan per processor).
 func SolveLinearRational(lps []LinearProcessor, n int) (LinearSolution, error) {
-	p := len(lps)
-	if p == 0 {
-		return LinearSolution{}, errors.New("core: no processors")
+	if err := checkLinear(lps, n); err != nil {
+		return LinearSolution{}, err
+	}
+	sol := newLinearSolution(len(lps))
+	// The last processor (the root) is always kept: its alpha is 0 by
+	// convention, and Theorem 2 only constrains i in [1, p-1].
+	sol.Kept[len(lps)-1] = true
+	sol.Makespan = closedForm(lps, 0, n, sol.Shares, sol.Kept)
+	return sol, nil
+}
+
+// checkLinear validates the input of the linear closed forms.
+func checkLinear(lps []LinearProcessor, n int) error {
+	if len(lps) == 0 {
+		return errors.New("core: no processors")
 	}
 	if n < 0 {
-		return LinearSolution{}, fmt.Errorf("core: negative item count %d", n)
+		return fmt.Errorf("core: negative item count %d", n)
 	}
 	for i, lp := range lps {
 		if lp.Alpha < 0 || lp.Beta < 0 {
-			return LinearSolution{}, fmt.Errorf("core: processor %d (%s) has negative cost constants", i, lp.Name)
+			return fmt.Errorf("core: processor %d (%s) has negative cost constants", i, lp.Name)
 		}
 	}
+	return nil
+}
 
-	sol := LinearSolution{
-		Shares: make([]float64, p),
-		Kept:   make([]bool, p),
-	}
+func newLinearSolution(p int) LinearSolution {
+	return LinearSolution{Shares: make([]float64, p), Kept: make([]bool, p)}
+}
 
+// closedForm applies Theorems 1-2 to chain: it decides participation,
+// writes the kept flags and rational shares, and returns the makespan
+// t = n*D over the kept set. D's sum starts at sum0 (see chainD): 0
+// when the chain ends with the root, or 1/beta_p when an overlapping
+// root follows it. A processor already flagged kept stays kept.
+func closedForm(chain []LinearProcessor, sum0 float64, n int, shares []float64, kept []bool) float64 {
 	// Decide participation back to front: Pi is kept iff
-	// alpha_i <= D(kept processors after i). The last processor (the
-	// root) is always kept: its alpha is 0 by convention, and
-	// Theorem 2 only constrains i in [1, p-1].
-	kept := make([]LinearProcessor, 0, p)
-	keepFlags := make([]bool, p)
-	keepFlags[p-1] = true
-	kept = append(kept, lps[p-1])
-	for i := p - 2; i >= 0; i-- {
-		d := D(kept)
-		if lps[i].Alpha <= d {
-			keepFlags[i] = true
-			// Prepend: kept is ordered like the processor list.
-			kept = append([]LinearProcessor{lps[i]}, kept...)
+	// alpha_i <= D(kept processors after i).
+	suffix := make([]LinearProcessor, 0, len(chain))
+	for i := len(chain) - 1; i >= 0; i-- {
+		if kept[i] || chain[i].Alpha <= chainD(suffix, sum0) {
+			kept[i] = true
+			// Prepend: suffix is ordered like the chain.
+			suffix = slices.Insert(suffix, 0, chain[i])
 		}
 	}
-	copy(sol.Kept, keepFlags)
 
 	// Theorem 1 on the kept set.
-	dAll := D(kept)
-	if dAll == 0 {
+	d := chainD(suffix, sum0)
+	if d == 0 {
 		// An infinitely fast kept processor: give it everything.
-		for i := range lps {
-			if keepFlags[i] && lps[i].Alpha+lps[i].Beta == 0 {
-				sol.Shares[i] = float64(n)
-				return sol, nil
+		for i, lp := range chain {
+			if kept[i] && lp.Alpha+lp.Beta == 0 {
+				shares[i] = float64(n)
+				return 0
 			}
 		}
 		// n == 0 or a degenerate set: all shares stay zero.
-		return sol, nil
+		return 0
 	}
-	t := float64(n) * dAll
-	sol.Makespan = t
+	t := float64(n) * d
 	prod := 1.0
-	for i := range lps {
-		if !keepFlags[i] {
+	for i, lp := range chain {
+		if !kept[i] {
 			continue
 		}
-		ab := lps[i].Alpha + lps[i].Beta
-		sol.Shares[i] = prod / ab * t
-		prod *= lps[i].Beta / ab
+		ab := lp.Alpha + lp.Beta
+		shares[i] = prod / ab * t
+		prod *= lp.Beta / ab
 	}
-	return sol, nil
+	return t
 }
 
 // SolveLinear computes an integer distribution for linear processors:

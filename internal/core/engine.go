@@ -13,7 +13,7 @@ import (
 // PlatformClass returns the weakest analytic class among all cost
 // functions of procs: the class that decides which solver is safe for
 // the platform. It is the single dispatch rule shared by the Engine,
-// the mpi runtime and the chaos harness.
+// the mpi runtime, the chaos harness and scatter.Balance.
 func PlatformClass(procs []Processor) cost.Class {
 	class := cost.LinearClass
 	for _, p := range procs {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
 	"repro/internal/cost"
@@ -9,7 +10,7 @@ import (
 
 // FuzzRoundShares checks the float rounding adapter on arbitrary share
 // vectors: the result always has the right length, is non-negative,
-// and sums to n.
+// sums to n, and equals the big.Rat reference bit for bit.
 func FuzzRoundShares(f *testing.F) {
 	f.Add(float64(2.5), float64(3.5), float64(4.0), 10)
 	f.Add(0.0, 0.0, 0.0, 7)
@@ -30,6 +31,43 @@ func FuzzRoundShares(f *testing.F) {
 			if x < 0 {
 				t.Fatalf("share %d negative: %d", i, x)
 			}
+		}
+		if want := refRoundShares([]float64{a, b, c}, n); !equalDist(dist, want) {
+			t.Fatalf("RoundShares(%g %g %g, %d) = %v, reference %v", a, b, c, n, dist, want)
+		}
+	})
+}
+
+// FuzzRoundRatShares holds RoundRatShares to the big.Rat reference on
+// shares a/da and b/db (denominators 1..2^32) topped up by a third share
+// to the integer n = ceil(a/da + b/db) + extra.
+func FuzzRoundRatShares(f *testing.F) {
+	f.Add(uint32(5), uint32(2), uint32(7), uint32(2), uint8(4))
+	f.Add(uint32(1), uint32(3), uint32(1), uint32(3), uint8(0))
+	f.Add(uint32(0), uint32(0), uint32(0), uint32(0), uint8(0))
+	f.Add(uint32(1), uint32(1), uint32(1), uint32(1), uint8(0))
+	f.Add(uint32(4294967295), uint32(4294967294), uint32(1), uint32(4294967295), uint8(255))
+	f.Fuzz(func(t *testing.T, a, da, b, db uint32, extra uint8) {
+		x := big.NewRat(int64(a), int64(da)+1)
+		y := big.NewRat(int64(b), int64(db)+1)
+		sum := new(big.Rat).Add(x, y)
+		ceil := new(big.Int).Quo(sum.Num(), sum.Denom())
+		if !sum.IsInt() {
+			ceil.Add(ceil, big.NewInt(1))
+		}
+		n := int(ceil.Int64()) + int(extra)
+		z := new(big.Rat).Sub(new(big.Rat).SetInt64(int64(n)), sum)
+		shares := []*big.Rat{x, y, z}
+		got, err := RoundRatShares(shares, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refRoundRatShares(shares, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalDist(got, want) {
+			t.Fatalf("RoundRatShares(%v, %d) = %v, reference %v", shares, n, got, want)
 		}
 	})
 }

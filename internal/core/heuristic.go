@@ -191,11 +191,9 @@ func GuaranteeBound(procs []Processor) float64 {
 // remaining share. Every share moves by strictly less than 1 and the
 // result sums exactly to n.
 func RoundRatShares(shares []*big.Rat, n int) (Distribution, error) {
-	p := len(shares)
-	if p == 0 {
+	if len(shares) == 0 {
 		return nil, errors.New("core: no shares to round")
 	}
-	total := new(big.Rat)
 	for i, s := range shares {
 		if s == nil {
 			return nil, fmt.Errorf("core: share %d is nil", i)
@@ -203,48 +201,74 @@ func RoundRatShares(shares []*big.Rat, n int) (Distribution, error) {
 		if s.Sign() < 0 {
 			return nil, fmt.Errorf("core: share %d is negative (%s)", i, s.RatString())
 		}
-		total.Add(total, s)
 	}
-	if total.Cmp(new(big.Rat).SetInt64(int64(n))) != 0 {
-		return nil, fmt.Errorf("core: shares sum to %s, want %d", total.RatString(), n)
+	nums, den := lp.Integers(shares)
+	total := new(big.Int)
+	for _, x := range nums {
+		total.Add(total, x)
 	}
+	if total.Cmp(new(big.Int).Mul(den, big.NewInt(int64(n)))) != 0 {
+		return nil, fmt.Errorf("core: shares sum to %s, want %d", new(big.Rat).SetFrac(total, den).RatString(), n)
+	}
+	return roundScaled(nums, den, n), nil
+}
 
+// roundScaled is the rounding scheme of RoundRatShares on the shares
+// nums[i]/den, which are non-negative and sum to n over den > 0. One
+// QuoRem per share splits it into its floor and its distances down to
+// that floor and up to the ceiling, all over den, so picking a share
+// and tracking the accumulated error (n'_i - n_i, also over den) take
+// only integer comparisons and additions.
+func roundScaled(nums []*big.Int, den *big.Int, n int) Distribution {
+	p := len(nums)
 	dist := make(Distribution, p)
-	remaining := make([]int, 0, p)
-	for i := range shares {
-		remaining = append(remaining, i)
+	down := make([]*big.Int, p) // share - floor
+	up := make([]*big.Int, p)   // ceiling - share; 0 for an integer share
+	for i, x := range nums {
+		q, r := new(big.Int).QuoRem(x, den, new(big.Int))
+		dist[i] = int(q.Int64()) // at most n
+		down[i], up[i] = r, new(big.Int)
+		if r.Sign() != 0 {
+			up[i].Sub(den, r)
+		}
 	}
-	err := new(big.Rat) // accumulated rounding error n'_i - n_i
+	remaining := make([]int, p)
+	for i := range remaining {
+		remaining[i] = i
+	}
+	acc := new(big.Int) // accumulated rounding error n'_i - n_i
 
 	for len(remaining) > 1 {
 		// Pick the remaining share nearest to its target integer:
-		// nearest integer when err == 0, ceiling when err < 0 (we
-		// under-shot, round someone up), floor when err > 0.
-		bestIdx := -1
-		bestPos := -1
-		var bestDist *big.Rat
-		var bestTarget *big.Int
+		// nearest integer when acc == 0 (the floor on a tie), ceiling
+		// when acc < 0 (we under-shot, round someone up), floor when
+		// acc > 0. The first index wins a tie between shares.
+		bestPos, bestUp := -1, false
+		var best *big.Int
 		for pos, i := range remaining {
-			target, dist := roundingTarget(shares[i], err.Sign())
-			if bestIdx < 0 || dist.Cmp(bestDist) < 0 {
-				bestIdx, bestPos, bestDist, bestTarget = i, pos, dist, target
+			d, roundUp := down[i], false
+			if s := acc.Sign(); s < 0 || s == 0 && up[i].Cmp(down[i]) < 0 {
+				d, roundUp = up[i], true
+			}
+			if bestPos < 0 || d.Cmp(best) < 0 {
+				bestPos, bestUp, best = pos, roundUp, d
 			}
 		}
-		rounded := new(big.Rat).SetInt(bestTarget)
-		diff := new(big.Rat).Sub(rounded, shares[bestIdx])
-		err.Add(err, diff)
-		if !bestTarget.IsInt64() {
-			return nil, fmt.Errorf("core: rounded share %s overflows int64", bestTarget)
-		}
-		dist[bestIdx] = int(bestTarget.Int64())
-		if dist[bestIdx] < 0 {
-			dist[bestIdx] = 0 // cannot happen for non-negative shares; defensive
+		i := remaining[bestPos]
+		if bestUp {
+			acc.Add(acc, up[i])
+			if up[i].Sign() != 0 {
+				dist[i]++
+			}
+		} else {
+			acc.Sub(acc, down[i])
 		}
 		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
 	}
 
-	// Last share absorbs the error: n'_k = n_k - err, which is exactly
-	// n minus the other integer shares.
+	// Last share absorbs the error: n'_k = n_k - acc, which is exactly
+	// n minus the other integer shares. Every step keeps acc in
+	// (-1, 1), so n'_k > n_k - 1 >= -1 is never negative.
 	k := remaining[0]
 	rest := 0
 	for i, v := range dist {
@@ -253,86 +277,50 @@ func RoundRatShares(shares []*big.Rat, n int) (Distribution, error) {
 		}
 	}
 	dist[k] = n - rest
-	if dist[k] < 0 {
-		return nil, fmt.Errorf("core: rounding drove share %d negative (%d)", k, dist[k])
-	}
-	return dist, nil
-}
-
-// roundingTarget returns the integer a share should be rounded to given
-// the sign of the accumulated error, and the distance to that integer.
-// errSign < 0 means previous roundings under-shot, so we round up;
-// errSign > 0 rounds down; errSign == 0 rounds to nearest.
-func roundingTarget(share *big.Rat, errSign int) (*big.Int, *big.Rat) {
-	floor := new(big.Int).Quo(share.Num(), share.Denom())
-	// big.Int Quo truncates toward zero; shares are non-negative so
-	// truncation is the floor.
-	fl := new(big.Rat).SetInt(floor)
-	frac := new(big.Rat).Sub(share, fl)
-	ceil := floor
-	if frac.Sign() != 0 {
-		ceil = new(big.Int).Add(floor, big.NewInt(1))
-	}
-	switch {
-	case errSign < 0:
-		// Round up: distance is ceil - share.
-		d := new(big.Rat).Sub(new(big.Rat).SetInt(ceil), share)
-		return ceil, d
-	case errSign > 0:
-		// Round down: distance is share - floor.
-		return floor, frac
-	default:
-		// Nearest.
-		up := new(big.Rat).Sub(new(big.Rat).SetInt(ceil), share)
-		if frac.Cmp(up) <= 0 {
-			return floor, frac
-		}
-		return ceil, up
-	}
+	return dist
 }
 
 // RoundShares is a float64 adapter around the paper's rounding scheme
 // for callers (like the closed-form linear solver) whose rational
-// shares were computed in floating point. The float shares are
-// converted exactly to rationals and rescaled so they sum to exactly n
-// before rounding; each resulting integer share differs from its input
-// by less than 1 plus the float imprecision. n must be non-negative
-// (every caller validates it): the rescaled shares are then
-// non-negative and sum to n exactly, and the rounding keeps its
-// accumulated error in (-1, 1), so RoundRatShares cannot fail.
+// shares were computed in floating point. NaN, infinite and negative
+// shares count as 0. Each float is exactly m_i*2^e at the smallest
+// exponent e among them, so the shares rescaled to sum to exactly n are
+// the rationals m_i*n / sum_j m_j; each resulting integer share differs
+// from its input by less than 1 plus the float imprecision. n must be
+// non-negative (every caller validates it).
 func RoundShares(shares []float64, n int) Distribution {
 	p := len(shares)
 	if p == 0 {
 		return nil
 	}
-	rats := make([]*big.Rat, p)
-	total := new(big.Rat)
+	mant := make([]int64, p)
+	exp := make([]int, p)
+	minExp := math.MaxInt
 	for i, s := range shares {
-		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
-			s = 0
+		if math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {
+			continue
 		}
-		r := new(big.Rat)
-		r.SetFloat64(s)
-		rats[i] = r
-		total.Add(total, r)
+		frac, e := math.Frexp(s)
+		mant[i], exp[i] = int64(frac*(1<<53)), e-53
+		minExp = min(minExp, exp[i])
 	}
-	want := new(big.Rat).SetInt64(int64(n))
-	if total.Sign() == 0 {
+	if minExp == math.MaxInt {
 		// Degenerate: spread everything on the last processor (the
 		// root), which is always present.
 		d := make(Distribution, p)
 		d[p-1] = n
 		return d
 	}
-	if total.Cmp(want) != 0 {
-		scale := new(big.Rat).Quo(want, total)
-		for i := range rats {
-			rats[i].Mul(rats[i], scale)
+	nums := make([]*big.Int, p)
+	total := new(big.Int)
+	bn := big.NewInt(int64(n))
+	for i, m := range mant {
+		nums[i] = big.NewInt(m)
+		if m != 0 {
+			nums[i].Lsh(nums[i], uint(exp[i]-minExp))
+			total.Add(total, nums[i])
+			nums[i].Mul(nums[i], bn)
 		}
 	}
-	d, err := RoundRatShares(rats, n)
-	if err != nil {
-		panic("core: internal error: " + err.Error())
-	}
-	return d
+	return roundScaled(nums, total, n)
 }

@@ -19,19 +19,19 @@ import (
 //     guaranteed runtime error);
 //  3. inside the solver packages themselves, an integer division or
 //     modulus whose divisor is a function parameter must be dominated
-//     by a guard excluding zero — the Eq. 4 rounding band
-//     (granularity g, processor count p) divides by caller-supplied
-//     values, and an unguarded divide is a latent panic the paper's
-//     preconditions do not cover.
+//     by a guard excluding zero — the uniform baseline (core.Uniform's
+//     n/p and n%p) divides by a caller-supplied processor count, and an
+//     unguarded divide is a latent panic the paper's preconditions do
+//     not cover.
 //
 // A constant argument is the interval [c, c], so one interval rule
 // covers constant and proven counts alike; the message says which.
 var BandCheck = &Analyzer{
 	Name: "bandcheck",
 	Doc: "solver entry points must not receive provably negative item counts " +
-		"or provably nil processor slices, and granularity/processor divides " +
-		"inside the solver packages must be guarded against zero divisors " +
-		"(interval proofs over SSA; Eq. 2 domain and Eq. 4 band)",
+		"or provably nil processor slices, and integer divides by a parameter " +
+		"(such as a processor count) inside the solver packages must be guarded " +
+		"against zero divisors (interval proofs over SSA; Eq. 2 domain)",
 	Run: runBandCheck,
 }
 

@@ -37,20 +37,22 @@ func newExact(p *Problem) *exact {
 	e := &exact{n: p.NumVars, m: len(p.Constraints)}
 	obj := make([]*big.Rat, e.n)
 	copy(obj, p.Objective)
-	e.c = integers(obj)
+	e.c, _ = Integers(obj)
 	for _, c := range p.Constraints {
 		row := make([]*big.Rat, e.n+1)
 		copy(row, c.Coeffs)
 		row[e.n] = c.RHS
-		e.a = append(e.a, integers(row))
+		a, _ := Integers(row)
+		e.a = append(e.a, a)
 		e.rel = append(e.rel, c.Rel)
 	}
 	return e
 }
 
-// integers scales v (nil entries are zero) by the least common
-// multiple of its denominators.
-func integers(v []*big.Rat) []*big.Int {
+// Integers scales v (nil entries are zero) by the least common
+// multiple of its denominators, and returns the scaled integers and
+// that multiple.
+func Integers(v []*big.Rat) ([]*big.Int, *big.Int) {
 	l := big.NewInt(1)
 	var g big.Int
 	for _, r := range v {
@@ -66,7 +68,7 @@ func integers(v []*big.Rat) []*big.Int {
 			out[j].Mul(out[j].Quo(l, r.Denom()), r.Num())
 		}
 	}
-	return out
+	return out, l
 }
 
 // entry returns row r of column j. Callers must not modify it.

@@ -158,7 +158,8 @@ func jittered(procs []core.Processor, seed int64) []core.Processor {
 }
 
 // BenchmarkHeuristicRational times the exact Eq. (3) solve at p = 16
-// and 817,101 items against the reference tableau's.
+// and 817,101 items against the reference tableau's, and the whole
+// §3.3 heuristic (the solve plus its rounding, core.Heuristic).
 func BenchmarkHeuristicRational(b *testing.B) {
 	procs, err := platform.Table1().ProcessorsOrdered(platform.OrderDescendingBandwidth)
 	if err != nil {
@@ -175,6 +176,13 @@ func BenchmarkHeuristicRational(b *testing.B) {
 		b.Run(c.name+"/solve", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.HeuristicRational(aps, platform.Table1Rays); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/heuristic", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Heuristic(c.procs, platform.Table1Rays); err != nil {
 					b.Fatal(err)
 				}
 			}

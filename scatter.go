@@ -107,15 +107,7 @@ func Balance(procs []Processor, n int) (Result, error) {
 	if err := core.ValidateProcessors(procs); err != nil {
 		return Result{}, err
 	}
-	class := cost.LinearClass
-	for _, p := range procs {
-		for _, f := range []cost.Function{p.Comm, p.Comp} {
-			if c := cost.ClassOf(f); c < class {
-				class = c
-			}
-		}
-	}
-	switch class {
+	switch core.PlatformClass(procs) {
 	case cost.LinearClass:
 		return core.SolveLinear(procs, n)
 	case cost.AffineClass:
