@@ -46,13 +46,9 @@ func main() {
 		timeout  = flag.Duration("timeout", 2*time.Minute, "default per-request solve deadline (0 = none)")
 		maxT     = flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested deadlines")
 		maxItems = flag.Int("max-items", 10_000_000, "largest admissible item count")
-		solveW   = flag.Int("solve-workers", 0, "DP row-pool workers per cold solve (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-	eng := core.NewEngineConfig(core.EngineConfig{
-		Capacity: *cache,
-		Workers:  *solveW,
-	})
+	eng := core.NewEngine(*cache)
 	if err := run(*addr, *walPath, *queue, *workers, eng, *timeout, *maxT, *maxItems); err != nil {
 		fmt.Fprintln(os.Stderr, "scatterd:", err)
 		os.Exit(1)

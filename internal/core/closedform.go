@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/cost"
@@ -32,7 +33,7 @@ func (lp LinearProcessor) Processor() Processor {
 
 // ExtractLinear recovers the Alpha/Beta constants from processors whose
 // cost functions are linear (per cost.ClassOf). It fails if any
-// function is not linear.
+// function is not linear or any constant is NaN or infinite.
 func ExtractLinear(procs []Processor) ([]LinearProcessor, error) {
 	out := make([]LinearProcessor, len(procs))
 	for i, p := range procs {
@@ -49,6 +50,9 @@ func ExtractLinear(procs []Processor) ([]LinearProcessor, error) {
 			Name:  p.Name,
 			Alpha: p.Comm.Eval(1),
 			Beta:  p.Comp.Eval(1),
+		}
+		if !finite(out[i].Alpha) || !finite(out[i].Beta) {
+			return nil, fmt.Errorf("core: processor %d (%s) has a cost constant that is NaN or infinite", i, p.Name)
 		}
 	}
 	return out, nil
@@ -129,9 +133,15 @@ func checkLinear(lps []LinearProcessor, n int) error {
 		if lp.Alpha < 0 || lp.Beta < 0 {
 			return fmt.Errorf("core: processor %d (%s) has negative cost constants", i, lp.Name)
 		}
+		if !finite(lp.Alpha) || !finite(lp.Beta) {
+			return fmt.Errorf("core: processor %d (%s) has a cost constant that is NaN or infinite", i, lp.Name)
+		}
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func newLinearSolution(p int) LinearSolution {
 	return LinearSolution{Shares: make([]float64, p), Kept: make([]bool, p)}

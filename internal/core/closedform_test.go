@@ -225,6 +225,32 @@ func TestSolveLinearRationalErrors(t *testing.T) {
 	}
 }
 
+// TestLinearRejectsNonFinite holds both closed-form modes and
+// ExtractLinear to rejecting NaN and infinite cost constants, which
+// they once took in and answered with NaN shares and makespans: plain
+// mode on {alpha 0, beta +Inf} then {beta 1} at 10 items, and
+// {alpha 1, beta 1} then {alpha NaN, beta 1}.
+func TestLinearRejectsNonFinite(t *testing.T) {
+	for _, lps := range [][]LinearProcessor{
+		{{Name: "inf", Alpha: 0, Beta: math.Inf(1)}, {Name: "root", Alpha: 0, Beta: 1}},
+		{{Name: "a", Alpha: 1, Beta: 1}, {Name: "nan", Alpha: math.NaN(), Beta: 1}},
+		{{Name: "neg-inf", Alpha: math.Inf(-1), Beta: 1}, {Name: "root", Alpha: 0, Beta: 1}},
+	} {
+		if sol, err := SolveLinearRational(lps, 10); err == nil {
+			t.Errorf("%v: plain mode answered %+v", lps, sol)
+		}
+		if sol, err := SolveLinearRootOverlap(lps, 10); err == nil {
+			t.Errorf("%v: root-overlap mode answered %+v", lps, sol)
+		}
+		if got, err := ExtractLinear(LinearProcessors(lps)); err == nil {
+			t.Errorf("%v: ExtractLinear returned %+v", lps, got)
+		}
+		if res, err := SolveLinear(LinearProcessors(lps), 10); err == nil {
+			t.Errorf("%v: SolveLinear answered %+v", lps, res)
+		}
+	}
+}
+
 func TestSolveLinearInfinitelyFastProcessor(t *testing.T) {
 	lps := []LinearProcessor{
 		{Name: "free", Alpha: 0, Beta: 0},

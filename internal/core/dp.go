@@ -148,9 +148,10 @@ func Algorithm2(procs []Processor, n int) (Result, error) {
 // the row pool (<= 0 selects GOMAXPROCS; 1 keeps every row on the
 // calling goroutine). Results are bit-identical to Algorithm2 at any
 // worker count: within a row, cells only read the previous row. It
-// runs solveRows without fingerprints, which only a resolve reads.
+// fills the whole table with solveRows and reads the answer with
+// Lookup(n, 0), which finds every block it reads published.
 func Algorithm2Parallel(procs []Processor, n, workers int) (Result, error) {
-	pl, err := solveRows(procs, nil, n, workers)
+	pl, err := solveRows(procs, n, workers)
 	if err != nil {
 		return Result{}, err
 	}

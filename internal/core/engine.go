@@ -54,6 +54,12 @@ type EngineStats struct {
 	// count as cold solves or resolves too. Ineligible platforms take
 	// the exact path without counting here.
 	CertifyFallbacks int
+	// Cells is the number of DP cells the engine's plans computed:
+	// cells the row kernel filled, cells whose costs a fault rebuilt
+	// from published choices, and root cells. A plan computes only the
+	// cells its answers read, so a cache hit or a resolve may add
+	// cells too.
+	Cells int
 }
 
 // SolvePolicy selects how an Engine answers solves that miss its plan
@@ -168,7 +174,6 @@ type Engine struct {
 	stats   EngineStats        //scatterlint:guardedby mu
 	flights map[string]*flight //scatterlint:guardedby mu
 
-	workers   int         //scatterlint:guardedby immutable
 	policy    SolvePolicy //scatterlint:guardedby immutable
 	coarseMin int         //scatterlint:guardedby immutable
 }
@@ -197,9 +202,6 @@ type EngineConfig struct {
 	// Capacity bounds the plan cache (DefaultPlanCacheCapacity when
 	// <= 0).
 	Capacity int
-	// Workers bounds the DP row pool used by large cold and warm
-	// solves; <= 0 selects GOMAXPROCS.
-	Workers int
 	// Policy selects whether cache-missing solves try the certified
 	// solve first.
 	Policy SolvePolicy
@@ -214,8 +216,8 @@ func NewEngine(capacity int) *Engine {
 	return NewEngineConfig(EngineConfig{Capacity: capacity})
 }
 
-// NewEngineConfig returns an Engine with explicit solve policy and
-// worker configuration.
+// NewEngineConfig returns an Engine with an explicit cache capacity and
+// solve policy.
 func NewEngineConfig(cfg EngineConfig) *Engine {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultPlanCacheCapacity
@@ -226,7 +228,6 @@ func NewEngineConfig(cfg EngineConfig) *Engine {
 	return &Engine{
 		cache:     NewPlanCache(cfg.Capacity),
 		flights:   make(map[string]*flight),
-		workers:   cfg.Workers,
 		policy:    cfg.Policy,
 		coarseMin: cfg.CoarseMinItems,
 	}
@@ -268,7 +269,7 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 		if fps == nil {
 			res, err = Algorithm1(procs, n)
 		} else {
-			res, err = Algorithm2Parallel(procs, n, e.workers)
+			res, err = Algorithm2(procs, n)
 		}
 		return res, SolveInfo{Source: SourceFallback}, err
 	}
@@ -277,14 +278,19 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 	e.mu.Lock()
 	if pl := e.cache.Get(sig); pl != nil && pl.n >= n {
 		e.stats.CacheHits++
-		res, err := pl.Lookup(n, 0)
 		e.mu.Unlock()
+		// The plan may not hold the cells of n yet: the lookup fills
+		// them unlocked, and concurrent lookups publish equal blocks.
+		res, cells, err := pl.lookup(n, 0)
+		if cells > 0 {
+			e.count(func(s *EngineStats) { s.Cells += cells })
+		}
 		return res, SolveInfo{Source: SourceCacheHit, Signature: sig}, err
 	}
 	if f, ok := e.flights[key]; ok {
 		// An identical solve is in flight: wait for the leader instead
-		// of duplicating a multi-second DP. Identical inputs fail
-		// identically, so sharing the leader's error is exact too.
+		// of duplicating its DP. Identical inputs fail identically, so
+		// sharing the leader's error is exact too.
 		e.stats.Coalesced++
 		e.mu.Unlock()
 		<-f.done
@@ -293,8 +299,8 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 		return f.res, info, f.err
 	}
 	// Leader: register the flight and pick the warm-start base under
-	// the lock. Plans are immutable, so the resolve reads the base
-	// unlocked even if the cache evicts it meanwhile.
+	// the lock. Published blocks never change, so the resolve reads
+	// the base unlocked even if the cache evicts it meanwhile.
 	f := &flight{done: make(chan struct{})}
 	e.flights[key] = f
 	base := e.cache.bestSuffix(fps, n)
@@ -306,21 +312,28 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 		res, cert = solveCertified(procs, n)
 	}
 	var pl *Plan
+	var cells int
 	var err error
 	source := SourceCoarse
 	if !cert.Certified {
 		source = SourceCold
 		if base != nil {
-			if derived, rerr := base.resolve(n, procs, fps, e.workers); rerr == nil {
+			if derived, rerr := base.resolve(n, procs, fps); rerr == nil {
 				pl, source = derived, SourceResolve
 			}
 		}
 		if pl == nil {
-			pl, err = solveRows(procs, fps, n, e.workers)
+			if err = validateDPInput(procs, n); err == nil {
+				pl = newPlan(procs, fps, n, nil)
+			}
+		}
+		if pl != nil {
+			res, cells, err = pl.lookup(n, 0)
 		}
 	}
 
 	e.mu.Lock()
+	e.stats.Cells += cells
 	info := SolveInfo{Source: source, Signature: sig}
 	if err == nil {
 		switch source {
@@ -337,7 +350,6 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 		}
 		if pl != nil {
 			e.cache.Put(sig, pl)
-			res, err = pl.Lookup(n, 0)
 		}
 	}
 	f.res, f.info, f.err = res, info, err

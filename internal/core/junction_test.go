@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cost"
 )
@@ -56,48 +58,46 @@ func requireSameRow(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestJunctionCostsMatchKernel rebuilds every row's costs from a
-// plan's choices and holds them to the kernel's cost rows bit for bit,
-// on Table 1, jittered Table 1, dyadic, float-affine and tabulated
-// (cost.Table) platforms. One plan rebuilds row by row, each row from
-// the memo of the row after it; another rebuilds row 0 from the root
-// in one call, which memoizes row 0 alone, then the middle row, again
-// from the root. A fresh plan holds no costs at all. One jittered
-// Table 1 plan is wide enough to rebuild its rows on a pool of
-// workers.
+// TestJunctionCostsMatchKernel computes every row's costs through a
+// fault and holds them to the kernel's cost rows bit for bit, on Table
+// 1, jittered Table 1, dyadic, float-affine and tabulated (cost.Table)
+// platforms. On a plan whose every block Algorithm 2 published, the
+// costs of a row are rebuilt from its choices, each block from the
+// costs of the blocks of the next row it reads; they are read whole,
+// row by row, and then over a few windows on a fresh fault. On a plan
+// that answered Lookup(n, 0) alone, the fault fills the blocks it
+// meets with the kernel and rebuilds the others. One jittered Table 1
+// plan is wide enough for Algorithm 2 to publish its rows from a pool
+// of workers.
 func TestJunctionCostsMatchKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
 	check := func(label string, procs []Processor, n int) {
 		t.Helper()
 		want := kernelCostRows(procs, n)
-		stepwise, err := SolvePlan(procs, n)
+		whole, err := solveRows(procs, n, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, row := range stepwise.rows {
-			if row.cost.Load() != nil {
-				t.Fatalf("%s: a fresh plan holds the costs of row %d", label, i)
-			}
-		}
-		for j := len(procs) - 1; j >= 0; j-- {
-			requireSameRow(t, fmt.Sprintf("%s row %d", label, j), stepwise.costs(j, nil), want[j])
-		}
-		whole, err := SolvePlan(procs, n)
+		cone, err := SolvePlan(procs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp := newRowPool(n, 2)
-		defer rp.close()
-		mid := len(procs) / 2
-		requireSameRow(t, fmt.Sprintf("%s row 0 from the root", label), whole.costs(0, rp), want[0])
-		requireSameRow(t, fmt.Sprintf("%s row %d from the root", label, mid), whole.costs(mid, rp), want[mid])
-		for j, row := range whole.rows {
-			if c := row.cost.Load(); (c != nil) != (j == 0 || j == mid) {
-				t.Fatalf("%s: row %d memoized = %v", label, j, c != nil)
+		if _, err := cone.Lookup(n, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range []*Plan{whole, cone} {
+			f := pl.newFault()
+			for j := len(procs) - 1; j >= 0; j-- {
+				requireSameRow(t, fmt.Sprintf("%s row %d", label, j), f.costs(j, 0, n), want[j])
+			}
+			for k := 0; k < 4; k++ {
+				j, a := rng.Intn(len(procs)), rng.Intn(n+1)
+				z := a + rng.Intn(n+1-a)
+				got := pl.newFault().costs(j, a, z)
+				requireSameRow(t, fmt.Sprintf("%s row %d on [%d, %d]", label, j, a, z), got, want[j][a:z+1])
 			}
 		}
-		requireSameRow(t, fmt.Sprintf("%s memoized row 0", label), *whole.rows[0].cost.Load(), want[0])
 	}
-	rng := rand.New(rand.NewSource(17))
 	check("table1", table1Procs(), 3000)
 	for trial := 0; trial < 4; trial++ {
 		check(fmt.Sprintf("jittered table1 %d", trial), jitteredTable1Procs(rng), 1000+rng.Intn(3000))
@@ -116,26 +116,50 @@ func crashAt(procs []Processor, i int) []Processor {
 	return append(append([]Processor(nil), procs[:i]...), procs[i+1:]...)
 }
 
-// TestPlanResolveMemo resolves three times from one base: a crash
+// planWords snapshots every published block of pl's rows: its header
+// and words, by row and block.
+func planWords(pl *Plan) map[[2]int][]uint64 {
+	words := map[[2]int][]uint64{}
+	for i, row := range pl.rows {
+		for b, w := range rowWords(row) {
+			if w != nil {
+				words[[2]int{i, b}] = w
+			}
+		}
+	}
+	return words
+}
+
+// requireKeptBlocks fails unless every block published in before is
+// published in after with the same bits.
+func requireKeptBlocks(t *testing.T, label string, before, after map[[2]int][]uint64) {
+	t.Helper()
+	for key, w := range before {
+		if !slices.Equal(after[key], w) {
+			t.Fatalf("%s: row %d block %d changed from %x to %x", label, key[0], key[1], w, after[key])
+		}
+	}
+}
+
+// TestPlanBlocksImmutable resolves three times from one base: a crash
 // deep in the platform, a crash nearer the root at another width, then
-// the first crash again at a third. Each answer must match Algorithm 2
-// bit for bit. Each resolve memoizes its junction, the row behind the
-// crash, on the base and no other row, and a memoized junction must
-// stay exactly as it was: neither a resolve recomputing its prefix
-// rows from it nor a later rebuild may use it as a buffer.
-func TestPlanResolveMemo(t *testing.T) {
+// the first crash again at a third, with lookups on the base between
+// them. Each answer must match Algorithm 2 bit for bit. The derived
+// plans share the base's suffix rows and publish into them: every
+// block the base held before a resolve or a lookup must hold the same
+// bits after it.
+func TestPlanBlocksImmutable(t *testing.T) {
 	procs := jitteredTable1Procs(rand.New(rand.NewSource(23)))
 	const n = 4000
 	base, err := SolvePlan(procs, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type memo struct {
-		ptr  *[]float64
-		bits []float64
+	if _, err := base.Lookup(n, 0); err != nil {
+		t.Fatal(err)
 	}
-	kept := map[int]memo{}
-	for k, c := range []struct{ crash, remaining int }{{4, 3900}, {9, 3500}, {4, 2000}} {
+	for k, c := range []struct{ crash, remaining, lookup int }{{4, 3900, 3000}, {9, 3500, 1200}, {4, 2000, 3999}} {
+		before := planWords(base)
 		survivors := crashAt(procs, c.crash)
 		got, err := base.Resolve(c.remaining, survivors)
 		if err != nil {
@@ -146,28 +170,16 @@ func TestPlanResolveMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, fmt.Sprintf("resolve %d (crash %d, %d items)", k, c.crash, c.remaining), got, want)
-		for j, m := range kept {
-			if base.rows[j].cost.Load() != m.ptr {
-				t.Fatalf("resolve %d replaced the memo of row %d", k, j)
-			}
-			requireSameRow(t, fmt.Sprintf("after resolve %d, memo of row %d", k, j), *m.ptr, m.bits)
+		after := planWords(base)
+		requireKeptBlocks(t, fmt.Sprintf("resolve %d", k), before, after)
+		if got, err = base.Lookup(c.lookup, 0); err != nil {
+			t.Fatal(err)
 		}
-		if j := c.crash + 1; kept[j].ptr == nil {
-			c := base.rows[j].cost.Load()
-			if c == nil {
-				t.Fatalf("resolve %d left its junction, row %d, without costs", k, j)
-			}
-			kept[j] = memo{c, append([]float64(nil), *c...)}
+		if want, err = Algorithm2(procs, c.lookup); err != nil {
+			t.Fatal(err)
 		}
-		for j, row := range base.rows {
-			if (row.cost.Load() != nil) != (kept[j].ptr != nil) {
-				t.Fatalf("after resolve %d, row %d memoized = %v", k, j, row.cost.Load() != nil)
-			}
-		}
-	}
-	want := kernelCostRows(procs, n)
-	for j, m := range kept {
-		requireSameRow(t, fmt.Sprintf("memo of row %d", j), m.bits, want[j])
+		requireSameResult(t, fmt.Sprintf("lookup %d (%d items)", k, c.lookup), got, want)
+		requireKeptBlocks(t, fmt.Sprintf("lookup %d", k), after, planWords(base))
 	}
 }
 
@@ -217,11 +229,15 @@ func TestPlanResolveConcurrent(t *testing.T) {
 	}
 }
 
-// TestPlanChoiceBytes holds a plan's packed choices to at most half a
-// byte per DP cell, on jittered Table 1 at 16,384 items (the shape of
-// a planning daemon's platforms) and on float-affine platforms, whose
-// rounded costs step their choices by more than one, at 20,000 items.
-// The size counts every row's headers and words at their capacity.
+// TestPlanChoiceBytes holds a fully demanded plan's packed choices to
+// at most half a byte per DP cell, on jittered Table 1 at 16,384 items
+// (the shape of a planning daemon's platforms) and on float-affine
+// platforms, whose rounded costs step their choices by more than one,
+// at 20,000 items. Every item count is looked up at every position, so
+// every block of every row is published. The size counts every row's
+// page index at its capacity, every page it allocated and every
+// offset block's words, over the cells of the rows a plan keeps (the root keeps
+// none).
 func TestPlanChoiceBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large n")
@@ -232,9 +248,37 @@ func TestPlanChoiceBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i := range procs {
+			for d := n; d >= 0; d-- {
+				if _, err := pl.Lookup(d, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		bytes := 0
 		for _, row := range pl.rows {
-			bytes += 8 * (cap(row.choice.head) + cap(row.choice.data))
+			bytes += 8 * (cap(row.pages) + cap(row.pairs) + cap(row.offs))
+			for k := range row.pages {
+				if row.pages[k].Load() != nil {
+					bytes += int(unsafe.Sizeof(choicePage{}))
+				}
+				if row.pairs[k].Load() != nil {
+					bytes += int(unsafe.Sizeof(pairPage{}))
+				}
+				if op := row.offs[k].Load(); op != nil {
+					bytes += int(unsafe.Sizeof(offsetPage{}))
+					for b := range op.blk {
+						if w := op.blk[b].Load(); w != nil {
+							bytes += int(unsafe.Sizeof(*w)) + 8*cap(*w)
+						}
+					}
+				}
+			}
+			for b := 0; b*choiceBlock <= row.n; b++ {
+				if !row.filled(b) {
+					t.Fatalf("%s: block %d of a row is not filled", label, b)
+				}
+			}
 		}
 		perCell := float64(bytes) / float64(len(pl.rows)*(n+1))
 		t.Logf("%s: %.3f bytes per cell", label, perCell)

@@ -21,40 +21,25 @@ type rowWork struct {
 // row after theirs, so disjoint ranges may run concurrently.
 type rowKernel interface{ fill(lo, hi int) }
 
-// exactRow is a row of the exact recurrence, filled by rowRange, whose
-// choices pack encodes chunk by chunk as they are filled.
+// exactRow is a row of the exact recurrence, filled by rowRange into
+// the cost and choice buffers, whose blocks of choices it publishes to
+// row chunk by chunk as they are filled.
 type exactRow struct {
 	comm, comp, next, cost []float64
-	pack                   *choicePacker
+	choice                 []int32
+	row                    *choiceRow
 }
 
 func (r *exactRow) fill(lo, hi int) {
-	rowRange(r.comm, r.comp, r.next, r.cost, r.pack.c, lo, hi)
-	r.pack.encode(lo, hi)
-}
-
-// rebuiltRow is a row's costs rebuilt from its packed choices with the
-// kernel's expression (see Plan.costs). A chunk starts at a block
-// boundary and decodes its own blocks.
-type rebuiltRow struct {
-	comm, comp, next, cost []float64
-	choice                 *choiceRow
-}
-
-func (r *rebuiltRow) fill(lo, hi int) {
-	comm, comp, next, cost := r.comm, r.comp, r.next, r.cost[:hi+1]
-	var ch [choiceBlock]int32
-	for d := lo; d <= hi; d += choiceBlock {
-		blk := ch[:min(choiceBlock, hi+1-d)]
-		r.choice.decodeBlock(d/choiceBlock, blk)
-		for k, s := range blk {
-			cost[d+k] = comm[s] + maxf(comp[s], next[d+k-int(s)])
-		}
+	rowRange(r.comm, r.comp, r.next, r.cost, r.choice, lo, hi)
+	for b := lo / choiceBlock; b*choiceBlock <= hi; b++ {
+		blo, bhi := r.row.blockCells(b)
+		r.row.publish(b, r.choice[blo:bhi+1])
 	}
 }
 
 // rowPool is a persistent pool of workers computing disjoint chunks of
-// the DP rows of one solve or resolve. The workers are spawned once per
+// the DP rows of one Algorithm 2 solve. The workers are spawned once per
 // solve and reused for every row. Within a row, chunks are independent (they
 // only read the previous row), so the result is bit-identical to the
 // sequential recurrence; the row-to-row dependency stays sequential
@@ -150,9 +135,10 @@ const firstScanBlock = 8
 // Algorithm 2 recurrence (crossover search + early break). It only
 // reads comm, comp and costNext, so disjoint ranges may run
 // concurrently. It is the one row kernel of every exact solve —
-// Algorithm2, Algorithm2Parallel, SolvePlan and Plan.Resolve all fill
-// their rows through solveRows — which is what keeps their results
-// bit-identical to each other.
+// Algorithm2 and Algorithm2Parallel fill whole rows with it through
+// solveRows, and a plan's Lookup fills blocks with it on demand
+// (demand.go) — which is what keeps their results bit-identical to
+// each other.
 //
 // The crossover emax(d) — the smallest e with comp[e] >= costNext[d-e]
 // (or d when no such e exists) — is monotone in d, and moreover
@@ -168,9 +154,11 @@ const firstScanBlock = 8
 // A cell reads comm and comp only at shares up to its crossover, and
 // emax(d) <= emax(n) for every d <= n, so comm and comp need only hold
 // the shares [0, emax(n)] of the row's last cell n: fillRows tabulates
-// no more. The kernel bounds its reads by len(comp)-1, both in the
-// hoisted slices and in the seed search; a table shorter than that
-// invariant asks for makes a hoisted slice panic, never a wrong cell.
+// no more, and a fault runs the kernel on a window of shares and cells
+// shifted to start at 0. The kernel bounds its reads by len(comp)-1,
+// both in the hoisted slices and in the seed search; a table shorter
+// than that invariant asks for makes a hoisted slice panic, never a
+// wrong cell.
 //
 // Below the crossover comp[e] < costNext[d-e] (both rows are
 // nondecreasing), so the recurrence's max is exactly costNext[d-e] and

@@ -106,7 +106,7 @@ func FuzzPlanResolve(f *testing.F) {
 			}
 			// Chain: the next round resolves against the derived plan,
 			// mirroring how the Engine warm-starts crash cascades.
-			plan, err = plan.resolve(remaining, survivors, fingerprints(survivors), 0)
+			plan, err = plan.resolve(remaining, survivors, fingerprints(survivors))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -101,21 +101,17 @@ func TestPlanResolvePureSuffix(t *testing.T) {
 				remaining, got.Distribution, got.Makespan, want.Distribution, want.Makespan)
 		}
 	}
-	d, err := pl.resolve(n, survivors, fingerprints(survivors), 0)
+	d, err := pl.resolve(n, survivors, fingerprints(survivors))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.n != n {
 		t.Fatalf("pure-suffix derived plan width = %d, want %d", d.n, n)
 	}
-	// Zero rows recomputed and no costs rebuilt: every derived row is
-	// the source row itself, choices and cost memo alike.
+	// Zero rows recomputed: every derived row is the source row itself.
 	for j := range d.rows {
 		if d.rows[j] != pl.rows[j+1] {
 			t.Fatalf("pure-suffix derived row %d does not share source row %d", j, j+1)
-		}
-		if d.rows[j].cost.Load() != nil {
-			t.Fatalf("pure-suffix resolve rebuilt the costs of row %d", j)
 		}
 	}
 }
@@ -377,7 +373,7 @@ func TestPlanCacheLRU(t *testing.T) {
 		t.Fatal("wrong survivors after eviction")
 	}
 	// Evicting the owner of shared rows must leave them intact.
-	d, err := a.resolve(10, procs[1:], fingerprints(procs[1:]), 0)
+	d, err := a.resolve(10, procs[1:], fingerprints(procs[1:]))
 	if err != nil {
 		t.Fatal(err)
 	}

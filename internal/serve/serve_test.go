@@ -510,7 +510,9 @@ func requirePersistedAcrossRestart(t *testing.T, walPath string, req PlanRequest
 		if stats.StoreEntries != 1 {
 			t.Fatalf("store entries = %d, want 1", stats.StoreEntries)
 		}
-		if source == wantSource && stats.Engine != wantEngine {
+		routes := stats.Engine
+		routes.Cells = 0 // the DP work an answer takes is pinned in core
+		if source == wantSource && routes != wantEngine {
 			t.Fatalf("engine stats = %+v, want %+v", stats.Engine, wantEngine)
 		}
 	}
