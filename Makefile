@@ -40,8 +40,8 @@ bench-recovery:
 
 # Regenerate BENCH_solver.json (incremental solver engine vs the
 # from-scratch DP at the paper's full 817,101-item scale: cold solves,
-# the worker-pool scaling curve, the certified exact solve, warm crash
-# re-solves, plan-cache hits). Takes a few minutes.
+# the GOMAXPROCS scaling curve, the certified exact solve, warm crash
+# re-solves, plan-cache hits). Takes a few seconds.
 bench-solver:
 	$(GO) run ./cmd/scatterbench -exp solver -items 817101 -json BENCH_solver.json
 

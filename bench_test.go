@@ -352,24 +352,3 @@ func BenchmarkLPFloatVsExact(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAlgorithm2Parallel compares the sequential and parallel
-// exact DP at a size where the row sweep dominates.
-func BenchmarkAlgorithm2Parallel(b *testing.B) {
-	procs := table1Procs(b)
-	const n = 100000
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Algorithm2Parallel(procs, n, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Algorithm2Parallel(procs, n, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

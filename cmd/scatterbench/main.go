@@ -13,9 +13,9 @@
 //	                                 # also write the document the
 //	                                 # experiment publishes (recovery,
 //	                                 # degraded, serve, solver)
-//	scatterbench -exp solver -items 817101 -workers 4
+//	scatterbench -exp solver -items 817101
 //	                                 # the solver experiment at a given
-//	                                 # scale and pool size
+//	                                 # scale
 //	scatterbench -exp algocost -cpuprofile cpu.out -memprofile mem.out
 //	                                 # profile any run with runtime/pprof
 //
@@ -44,7 +44,6 @@ func main() {
 		md         = flag.String("md", "", "also write a Markdown summary to this file")
 		svgDir     = flag.String("svg", "", "write figure SVGs into this directory")
 		jsonFile   = flag.String("json", "", "write the document the experiment publishes to this file (one experiment only)")
-		workers    = flag.Int("workers", 0, "with -exp solver: fix the scaling curve to this pool size (0 = sweep 1,2,4,8,GOMAXPROCS)")
 		items      = flag.Int("items", 0, "with -exp solver: scatter size (0 = 100,000; the paper's full scale is 817,101)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -105,7 +104,7 @@ func main() {
 		}
 		if *exp == "solver" {
 			runner = func() (experiment.Report, error) {
-				return experiment.Solver(experiment.SolverOptions{Items: *items, Workers: *workers})
+				return experiment.Solver(experiment.SolverOptions{Items: *items})
 			}
 		}
 		rep, err := runner()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/cost"
 )
@@ -136,22 +137,13 @@ func fillCosts(f cost.Function, start int, out []float64) {
 // each cell keeps the largest minimizing share at or below the
 // crossover, because rowRange starts there, scans downwards and
 // updates only on a strictly smaller cost.
-// It runs the shared rowRange kernel, on a pool of GOMAXPROCS workers
-// from 2^15 items (planParallelThreshold) and on the calling goroutine
-// below, and evaluates each processor's costs only up to its row's
-// crossover, the last share the row reads.
+// It fills the full table with the shared rowRange kernel, each row
+// spread over GOMAXPROCS goroutines from 2^15 items
+// (rowFanOutThreshold) and on the calling goroutine below, and reads
+// the answer with Lookup(n, 0), which finds every block it reads
+// published.
 func Algorithm2(procs []Processor, n int) (Result, error) {
-	return Algorithm2Parallel(procs, n, 0)
-}
-
-// Algorithm2Parallel is Algorithm2 with an explicit worker count for
-// the row pool (<= 0 selects GOMAXPROCS; 1 keeps every row on the
-// calling goroutine). Results are bit-identical to Algorithm2 at any
-// worker count: within a row, cells only read the previous row. It
-// fills the whole table with solveRows and reads the answer with
-// Lookup(n, 0), which finds every block it reads published.
-func Algorithm2Parallel(procs []Processor, n, workers int) (Result, error) {
-	pl, err := solveRows(procs, n, workers)
+	pl, err := fullTable(procs, n, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return Result{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -78,7 +77,7 @@ type kernelWork struct{ cells, scanShares, boundChecks int64 }
 // sequential loop over the rows, a fresh binary search for the
 // crossover in every cell, a descending scan from it with the early
 // break. It tabulates every processor afresh and shares no code with
-// solveRows beyond tabulate and reconstruct.
+// fullTable beyond tabulate and reconstruct.
 func referenceAlgorithm2(procs []Processor, n int, opts refOptions) (Result, error) {
 	if err := validateDPInput(procs, n); err != nil {
 		return Result{}, err
@@ -335,7 +334,8 @@ func TestAlgorithm2BlockBoundWork(t *testing.T) {
 
 // TestAlgorithm2MatchesReferenceKernel holds the one exact driver to
 // the paper's per-cell-search Algorithm 2 bit for bit, on both sides of
-// the row-pool threshold and at every worker count.
+// the fan-out threshold. Above it, every platform's table is also
+// filled at 1, 2, 4 and 7 workers: seven leave an uneven last chunk.
 func TestAlgorithm2MatchesReferenceKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	platforms := []struct {
@@ -343,13 +343,22 @@ func TestAlgorithm2MatchesReferenceKernel(t *testing.T) {
 		procs []Processor
 		sizes []int
 	}{
-		{"table1", table1Procs(), []int{0, 1, 4097, planParallelThreshold - 1, planParallelThreshold + 1234}},
-		{"dyadic", randomDyadicProcs(rng, 6), []int{2, 4097, planParallelThreshold - 1, planParallelThreshold, planParallelThreshold + 1234}},
+		{"table1", table1Procs(), []int{0, 1, 4097, rowFanOutThreshold - 1, rowFanOutThreshold + 1234}},
+		{"dyadic", randomDyadicProcs(rng, 6), []int{2, 4097, rowFanOutThreshold - 1, rowFanOutThreshold, rowFanOutThreshold + 1234}},
 		{"dyadic-linear", randomLinearProcs(rng, 5), []int{0, 17, 2000}},
 		{"dyadic-affine", randomAffineProcs(rng, 4), []int{1, 33, 2000}},
-		{"float-affine", randomFloatAffineProcs(rng, 3), []int{5000, planParallelThreshold + 1234}},
+		{"float-affine", randomFloatAffineProcs(rng, 3), []int{5000, rowFanOutThreshold + 1234}},
+		// Most draws of the linear and affine generators give some
+		// processor a link slower than the rest of the platform
+		// computes; its cells then scan every share below their
+		// crossover, Algorithm 2's O(n²) worst case, at about a second
+		// a table at this size and minutes under -race. These seeds
+		// draw tables that stay fast, with free and flat links whose
+		// ties every chunk split must break as the reference does.
+		{"linear", randomLinearProcs(rand.New(rand.NewSource(3)), 4), []int{rowFanOutThreshold + 1234}},
+		{"affine", randomAffineProcs(rand.New(rand.NewSource(10)), 4), []int{rowFanOutThreshold + 1234}},
 	}
-	workers := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
+	workers := []int{1, 2, 4, 7}
 	for _, pf := range platforms {
 		for _, n := range pf.sizes {
 			want, err := referenceAlgorithm2(pf.procs, n, refOptions{})
@@ -361,11 +370,15 @@ func TestAlgorithm2MatchesReferenceKernel(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResult(t, fmt.Sprintf("%s n=%d Algorithm2", pf.name, n), got, want)
-			if n <= planParallelThreshold {
-				continue // one pooled size per platform sweeps the workers
+			if n <= rowFanOutThreshold {
+				continue // one fanned-out size per platform sweeps the workers
 			}
 			for _, w := range workers {
-				got, err := Algorithm2Parallel(pf.procs, n, w)
+				pl, err := fullTable(pf.procs, n, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := pl.Lookup(n, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -376,12 +389,13 @@ func TestAlgorithm2MatchesReferenceKernel(t *testing.T) {
 }
 
 // TestAlgorithm2Concurrent runs Algorithm2 from 16 goroutines at once,
-// at a size that starts a row pool per call and at one that stays on
-// the caller; every answer must match the reference kernel's.
+// at a size whose rows fan out over GOMAXPROCS goroutines per call and
+// at one that stays on the caller; every answer must match the
+// reference kernel's.
 func TestAlgorithm2Concurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	procs := randomDyadicProcs(rng, 4)
-	for _, n := range []int{3000, planParallelThreshold + 7} {
+	for _, n := range []int{3000, rowFanOutThreshold + 7} {
 		want, err := referenceAlgorithm2(procs, n, refOptions{})
 		if err != nil {
 			t.Fatal(err)

@@ -67,14 +67,14 @@ func requireSameRow(t *testing.T, label string, got, want []float64) {
 // row by row, and then over a few windows on a fresh fault. On a plan
 // that answered Lookup(n, 0) alone, the fault fills the blocks it
 // meets with the kernel and rebuilds the others. One jittered Table 1
-// plan is wide enough for Algorithm 2 to publish its rows from a pool
-// of workers.
+// plan is wide enough for Algorithm 2 to publish its rows from two
+// goroutines.
 func TestJunctionCostsMatchKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	check := func(label string, procs []Processor, n int) {
 		t.Helper()
 		want := kernelCostRows(procs, n)
-		whole, err := solveRows(procs, n, 2)
+		whole, err := fullTable(procs, n, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestJunctionCostsMatchKernel(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		check(fmt.Sprintf("jittered table1 %d", trial), jitteredTable1Procs(rng), 1000+rng.Intn(3000))
 	}
-	check("pooled jittered table1", jitteredTable1Procs(rng), planParallelThreshold+123)
+	check("fanned-out jittered table1", jitteredTable1Procs(rng), rowFanOutThreshold+123)
 	for trial := 0; trial < 8; trial++ {
 		p, n := 2+rng.Intn(6), rng.Intn(2000)
 		check(fmt.Sprintf("dyadic %d", trial), randomDyadicProcs(rng, p), n)

@@ -1,89 +1,15 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// rowWork is one DP row being computed across the pool. Workers claim
-// disjoint contiguous chunks of the d range by advancing the atomic
-// cursor, so dispatching a row costs one channel send per worker — not
-// one per chunk — and the chunk size can shrink for load balance
-// without growing coordination traffic.
-type rowWork struct {
-	k        rowKernel
-	n, chunk int
-	cursor   atomic.Int64
-}
-
-// rowKernel fills the cells [lo, hi] of one row. Cells only read the
-// row after theirs, so disjoint ranges may run concurrently.
-type rowKernel interface{ fill(lo, hi int) }
-
-// exactRow is a row of the exact recurrence, filled by rowRange into
-// the cost and choice buffers, whose blocks of choices it publishes to
-// row chunk by chunk as they are filled.
-type exactRow struct {
-	comm, comp, next, cost []float64
-	choice                 []int32
-	row                    *choiceRow
-}
-
-func (r *exactRow) fill(lo, hi int) {
-	rowRange(r.comm, r.comp, r.next, r.cost, r.choice, lo, hi)
-	for b := lo / choiceBlock; b*choiceBlock <= hi; b++ {
-		blo, bhi := r.row.blockCells(b)
-		r.row.publish(b, r.choice[blo:bhi+1])
-	}
-}
-
-// rowPool is a persistent pool of workers computing disjoint chunks of
-// the DP rows of one Algorithm 2 solve. The workers are spawned once per
-// solve and reused for every row. Within a row, chunks are independent (they
-// only read the previous row), so the result is bit-identical to the
-// sequential recurrence; the row-to-row dependency stays sequential
-// via the per-row barrier in run().
-type rowPool struct {
-	work    chan *rowWork
-	wg      sync.WaitGroup // per-row barrier, one Done per worker
-	workers int
-}
-
-// newRowPool starts workers goroutines (GOMAXPROCS when workers <= 0)
-// that wait for rows of n+1 cells. Callers must close() the pool when
-// done. A single worker needs no pool, nor do rows below
-// planParallelThreshold, whose fan-out costs more than the row: the
-// result is then nil, whose rows run inline.
-func newRowPool(n, workers int) *rowPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || n < planParallelThreshold {
-		return nil
-	}
-	rp := &rowPool{work: make(chan *rowWork, workers), workers: workers}
-	for k := 0; k < workers; k++ {
-		go func() {
-			for w := range rp.work {
-				for {
-					c := int(w.cursor.Add(1) - 1)
-					lo := c * w.chunk
-					if lo > w.n {
-						break
-					}
-					hi := lo + w.chunk - 1
-					if hi > w.n {
-						hi = w.n
-					}
-					w.k.fill(lo, hi)
-				}
-				rp.wg.Done()
-			}
-		}()
-	}
-	return rp
-}
+// rowFanOutThreshold is the item count from which fullTable spreads
+// each row over several goroutines; below it the fan-out costs more
+// than the row computation, so small solves stay on the calling
+// goroutine.
+const rowFanOutThreshold = 1 << 15
 
 // minRowChunk keeps chunks big enough that the per-chunk binary-search
 // seed and the atomic claim are amortized; rowChunksPerWorker trades
@@ -94,37 +20,73 @@ const (
 	rowChunksPerWorker = 8
 )
 
-// run fills the cells [0, n] of one DP row with k, over disjoint
-// chunks, and returns once every chunk is done. The chunk size adapts to n and the
-// worker count instead of a fixed floor, so small rows stay on one
-// worker and large rows split finely enough to balance. Chunks hold
-// whole blocks of packed choices (choiceBlock cells). A nil pool runs
-// the row inline.
-func (rp *rowPool) run(n int, k rowKernel) {
-	if rp == nil {
-		k.fill(0, n)
-		return
+// fullTable fills Algorithm 2's full table for procs at width n and
+// returns the plan holding every row's packed choices; it keeps no
+// costs. Two cost rows alternate: the root's costs, then each row's,
+// computed by rowRange from the one before. Row i reads its
+// processor's costs only up to its crossover at d = n (see rowRange),
+// so it evaluates them on [0, emax_i(n)] alone.
+//
+// From rowFanOutThreshold items, each row is split into chunks of
+// whole choice blocks that up to workers goroutines claim from an
+// atomic cursor and join once the row is done. Within a row, cells
+// only read the previous row, so any split is bit-identical to the
+// sequential recurrence. Each chunk publishes its blocks of choices
+// as soon as it is filled.
+func fullTable(procs []Processor, n, workers int) (*Plan, error) {
+	if err := validateDPInput(procs, n); err != nil {
+		return nil, err
 	}
-	chunk := (n + rp.workers*rowChunksPerWorker) / (rp.workers * rowChunksPerWorker)
-	chunk = (max(chunk, minRowChunk) + choiceBlock - 1) / choiceBlock * choiceBlock
-	if n < chunk {
-		// The fan-out would cost more than the row: run it inline.
-		k.fill(0, n)
-		return
+	pl := newPlan(procs, nil, n, nil)
+	// The root, served last, takes whatever remains.
+	next, cur := make([]float64, n+1), make([]float64, n+1)
+	root := procs[len(procs)-1]
+	fillCosts(root.Comm, 0, next)
+	fillCosts(root.Comp, 0, cur)
+	for d := range next {
+		next[d] += cur[d]
 	}
-	w := &rowWork{k: k, n: n, chunk: chunk}
-	rp.wg.Add(rp.workers)
-	for k := 0; k < rp.workers; k++ {
-		rp.work <- w
-	}
-	rp.wg.Wait()
-}
 
-// close shuts the workers down once all submitted rows have completed.
-func (rp *rowPool) close() {
-	if rp != nil {
-		close(rp.work)
+	chunk, fan := n+1, 1 // one chunk, filled by the calling goroutine
+	if workers > 1 && n >= rowFanOutThreshold {
+		chunk = (n + workers*rowChunksPerWorker) / (workers * rowChunksPerWorker)
+		chunk = (max(chunk, minRowChunk) + choiceBlock - 1) / choiceBlock * choiceBlock
+		fan = workers
 	}
+	choice := make([]int32, n+1)
+	var tabs costRow // the row processor's costs up to its crossover
+	for i := len(pl.rows) - 1; i >= 0; i-- {
+		tabs.resize(crossover(procs[i].Comp, next, n) + 1)
+		tabs.fill(procs[i], 0)
+		row := pl.rows[i]
+		var cursor atomic.Int64
+		claim := func() {
+			for {
+				lo := int(cursor.Add(1)-1) * chunk
+				if lo > n {
+					return
+				}
+				hi := min(lo+chunk-1, n)
+				rowRange(tabs.comm, tabs.comp, next, cur, choice, lo, hi)
+				for b := lo / choiceBlock; b*choiceBlock <= hi; b++ {
+					blo, bhi := row.blockCells(b)
+					row.publish(b, choice[blo:bhi+1])
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		wg.Add(fan - 1)
+		for range fan - 1 {
+			go func() {
+				defer wg.Done()
+				claim()
+			}()
+		}
+		claim()
+		wg.Wait()
+		next, cur = cur, next
+	}
+	return pl, nil
 }
 
 // firstScanBlock is the width of rowRange's first bounded block below
@@ -135,8 +97,8 @@ const firstScanBlock = 8
 // Algorithm 2 recurrence (crossover search + early break). It only
 // reads comm, comp and costNext, so disjoint ranges may run
 // concurrently. It is the one row kernel of every exact solve —
-// Algorithm2 and Algorithm2Parallel fill whole rows with it through
-// solveRows, and a plan's Lookup fills blocks with it on demand
+// Algorithm2 fills whole rows with it through fullTable, and a
+// plan's Lookup fills blocks with it on demand
 // (demand.go) — which is what keeps their results bit-identical to
 // each other.
 //
@@ -153,7 +115,7 @@ const firstScanBlock = 8
 //
 // A cell reads comm and comp only at shares up to its crossover, and
 // emax(d) <= emax(n) for every d <= n, so comm and comp need only hold
-// the shares [0, emax(n)] of the row's last cell n: fillRows tabulates
+// the shares [0, emax(n)] of the row's last cell n: fullTable tabulates
 // no more, and a fault runs the kernel on a window of shares and cells
 // shifted to start at 0. The kernel bounds its reads by len(comp)-1,
 // both in the hoisted slices and in the seed search; a table shorter

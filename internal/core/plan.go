@@ -78,71 +78,6 @@ func newPlan(procs []Processor, fps []string, n int, suffix []*choiceRow) *Plan 
 	return &Plan{procs: append([]Processor(nil), procs...), fps: fps, n: n, rows: rows}
 }
 
-// planParallelThreshold is the item count from which Algorithm 2 fills
-// rows with a worker pool (newRowPool); below it the fan-out costs
-// more than the row computation, so small solves stay on the calling
-// goroutine.
-const planParallelThreshold = 1 << 15
-
-// baseWindow is the number of shares at a time for which the base row
-// evaluates the root's costs.
-const baseWindow = 1024
-
-// solveRows fills every row of a plan of procs at width n: Algorithm
-// 2's full table. It fills the base row, then every other row with
-// rowRange, on a pool of workers (<= 0: GOMAXPROCS) once n reaches
-// planParallelThreshold. The plan keeps every row's packed choices and
-// no costs.
-func solveRows(procs []Processor, n, workers int) (*Plan, error) {
-	if err := validateDPInput(procs, n); err != nil {
-		return nil, err
-	}
-	pl := newPlan(procs, nil, n, nil)
-	rp := newRowPool(n, workers)
-	defer rp.close()
-	pl.fillRows(rootCosts(procs[len(procs)-1], n), rp)
-	return pl, nil
-}
-
-// rootCosts returns the base row's costs on [0, n]: the last processor
-// takes everything that remains. They are evaluated a window at a
-// time, never as n-wide tables.
-func rootCosts(pr Processor, n int) []float64 {
-	cost := make([]float64, n+1)
-	var win costRow
-	for lo := 0; lo <= n; lo += baseWindow {
-		win.resize(min(baseWindow, n+1-lo))
-		win.fill(pr, lo)
-		for k := range win.comm {
-			cost[lo+k] = win.comm[k] + win.comp[k]
-		}
-	}
-	return cost
-}
-
-// fillRows computes every row from the last down to row 0 at width
-// pl.n from next, the root's costs on [0, pl.n]. Row i reads its
-// processor's costs only up to its crossover at d = pl.n (see
-// rowRange), so it evaluates them on [0, emax_i(pl.n)] alone, into two
-// buffers every row reuses. Each row is computed into one choice
-// buffer and one cost buffer and keeps only its packed choices; two
-// cost rows are live at a time. Rows are filled on rp (nil: on the
-// calling goroutine).
-func (pl *Plan) fillRows(next []float64, rp *rowPool) {
-	var tabs costRow // the row processor's costs up to its crossover
-	var cost []float64
-	choice := make([]int32, pl.n+1)
-	for i := len(pl.rows) - 1; i >= 0; i-- {
-		tabs.resize(crossover(pl.procs[i].Comp, next, pl.n) + 1)
-		tabs.fill(pl.procs[i], 0)
-		if cost == nil {
-			cost = make([]float64, pl.n+1)
-		}
-		rp.run(pl.n, &exactRow{comm: tabs.comm, comp: tabs.comp, next: next, cost: cost, choice: choice, row: pl.rows[i]})
-		next, cost = cost, next
-	}
-}
-
 // crossover returns the crossover of the cell d = n of a row whose
 // processor computes with comp over the next row's costs next: the
 // smallest e in [0, n) with comp(e) >= next[n-e], or n when there is

@@ -276,7 +276,7 @@ func TestEngineSolveMatrix(t *testing.T) {
 	}
 }
 
-// TestCrossoverMatchesKernel holds fillRows' crossover search, which
+// TestCrossoverMatchesKernel holds fullTable's crossover search, which
 // evaluates comp one share at a time, to the crossover of the row's
 // last cell by its definition over the full comp table — the emax the
 // kernel reaches at d = n. It covers every row of Table 1 and of
@@ -395,29 +395,39 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 }
 
-// TestPlanSolveParallelIdentical forces the pooled row fill past the
-// parallel threshold and checks bit-identity with the one-worker path.
+// TestPlanSolveParallelIdentical holds a demand-filled plan to the
+// full table Algorithm 2 fills from two goroutines per row, past the
+// fan-out threshold: Lookup(d, i) gives the same bits on both at every
+// processor position and at item counts spread over the whole width.
 func TestPlanSolveParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large n")
 	}
 	procs := planTestProcs()
-	n := planParallelThreshold + 123
-	pl, err := SolvePlan(procs, n)
+	n := rowFanOutThreshold + 123
+	full, err := fullTable(procs, n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pl.Lookup(n, 0)
+	demand, err := SolvePlan(procs, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Algorithm2Parallel(procs, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameDist(got.Distribution, want.Distribution) || got.Makespan != want.Makespan {
-		t.Fatalf("parallel plan fill differs: got %v (%g), want %v (%g)",
-			got.Distribution, got.Makespan, want.Distribution, want.Makespan)
+	for _, d := range []int{n, n - 1, n / 2, rowFanOutThreshold - 1, 4097, 63, 0} {
+		for i := range procs {
+			got, err := demand.Lookup(d, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := full.Lookup(d, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameDist(got.Distribution, want.Distribution) || !sameBits(got.Makespan, want.Makespan) {
+				t.Fatalf("Lookup(%d, %d): demand-filled %v (%g), full table %v (%g)",
+					d, i, got.Distribution, got.Makespan, want.Distribution, want.Makespan)
+			}
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ func FuzzRowRangeRounded(f *testing.F) {
 // checkChunkedRow fills the cells [lo, n] of a row with rowRange, in
 // chunks of the given width, and holds every cell to referenceCell
 // bit for bit. It then fills the chunks again from comm and comp cut
-// after the crossover of the last cell n, as fillRows tabulates them,
+// after the crossover of the last cell n, as fullTable tabulates them,
 // and requires the same bits: the kernel never reads past it.
 func checkChunkedRow(t *testing.T, comm, comp, costNext []float64, lo, chunk int, label string) {
 	t.Helper()

@@ -133,10 +133,9 @@ func TestAlgoCostScaledDown(t *testing.T) {
 	// The heuristic's cost barely depends on n while Algorithm 2's
 	// grows with it, so the runtime ordering the paper reports at
 	// 817,101 items only shows once n is large enough. On a 2-vCPU
-	// host the heuristic takes ~5 ms at p = 16 (~2.5 ms of exact LP,
-	// the rest rounding ~775-bit rationals); Algorithm 2's row kernel
-	// takes about as long at 20,000 items and ~20 ms, ~4x longer, at
-	// 100,000.
+	// host the heuristic takes ~2-4 ms at p = 16, nearly all of it the
+	// exact LP (its rounding takes 30-50 µs); Algorithm 2 takes
+	// ~18-23 ms at 100,000 items, 5-10x longer.
 	rep, err := AlgoCostWith([]int{100, 200, 400, 800}, 100000)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package experiment
 
 // Solver prices the incremental solver engine (core.Plan/core.Engine)
 // against the from-scratch dynamic programs on the Table 1 grid at the
-// paper's full 817,101-item scale: cold solves, a worker-pool scaling
+// paper's full 817,101-item scale: cold solves, a GOMAXPROCS scaling
 // curve, the certified exact solve, warm re-solves after a crash
 // (pure-suffix and partial row reuse), and plan-cache hits. Every
 // answer is checked bit-identical to the fresh solver.
@@ -29,7 +29,8 @@ type solverRow struct {
 	Name     string  `json:"name"`
 	Seconds  float64 `json:"seconds"`
 	Makespan float64 `json:"makespan_virtual_s"`
-	// Workers is the row-pool size for scaling-curve rows; 0 elsewhere.
+	// Workers is the GOMAXPROCS a scaling-curve row ran at; 0
+	// elsewhere.
 	Workers int `json:"workers,omitempty"`
 	// ExitMargin is set on the certified row only: how far the weakest
 	// exit bound of its certificate cleared the makespan.
@@ -50,12 +51,12 @@ type solverDoc struct {
 	Platform   string `json:"platform"`
 	Items      int    `json:"items"`
 	Processors int    `json:"processors"`
-	// GOMAXPROCS records the host parallelism the scaling curve ran
-	// under: rows with workers beyond it cannot improve and say so.
+	// GOMAXPROCS records the host parallelism: scaling-curve rows run
+	// above it cannot improve and say so.
 	GOMAXPROCS int         `json:"gomaxprocs"`
 	Rows       []solverRow `json:"rows"`
-	// SpeedupParallelBestVsW1 is the workers=1 pooled time over the
-	// best time on the scaling curve. On a single-CPU host this is ~1
+	// SpeedupParallelBestVsW1 is the GOMAXPROCS=1 time over the best
+	// time on the scaling curve. On a single-CPU host this is ~1
 	// by physics; on multi-core hosts it must exceed 1.
 	SpeedupParallelBestVsW1 float64 `json:"speedup_parallel_best_vs_w1"`
 	// SpeedupCertifiedVsCold is the sequential cold-solve time over the
@@ -76,10 +77,6 @@ type SolverOptions struct {
 	// Items is the scatter size; 0 means solverReportItems. The
 	// committed BENCH_solver.json runs the paper's full 817,101.
 	Items int
-	// Workers restricts the scaling curve to a single pool size
-	// (workers=1 is still measured as the baseline); 0 sweeps
-	// 1, 2, 4, 8, and GOMAXPROCS.
-	Workers int
 }
 
 // timeSolve runs f once; sub-millisecond results are re-run in a batch
@@ -126,17 +123,19 @@ func dropAt(procs []core.Processor, i int) []core.Processor {
 	return append(out, procs[i+1:]...)
 }
 
-// scalingWorkers is the worker-count sweep: 1, 2, 4, 8, and
-// GOMAXPROCS, deduplicated and sorted. A fixed override collapses it
-// to {1, w}.
-func scalingWorkers(override int) []int {
-	set := map[int]bool{1: true}
-	if override > 0 {
-		set[override] = true
-	} else {
-		for _, w := range []int{2, 4, 8, runtime.GOMAXPROCS(0)} {
-			set[w] = true
-		}
+// timeAtProcs is timeSolve with GOMAXPROCS set to procs, as go test
+// -cpu sets it, and restored after.
+func timeAtProcs(procs int, f func() error) (float64, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return timeSolve(f)
+}
+
+// scalingProcs is the GOMAXPROCS sweep: 1, 2, 4, 8, and the host's,
+// deduplicated and sorted.
+func scalingProcs() []int {
+	set := map[int]bool{}
+	for _, w := range []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)} {
+		set[w] = true
 	}
 	ws := make([]int, 0, len(set))
 	for w := range set {
@@ -168,29 +167,29 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 	boolp := func(b bool) *bool { return &b }
 
 	// Cold from-scratch sequential DP: the baseline everything else is
-	// priced against. Pinned to one worker, since Algorithm2 itself
-	// runs a row pool at this size.
+	// priced against. Pinned to GOMAXPROCS 1, since Algorithm2 spreads
+	// each row over GOMAXPROCS goroutines at this size.
 	var cold core.Result
-	coldSecs, err := timeSolve(func() (e error) { cold, e = core.Algorithm2Parallel(procs, items, 1); return })
+	coldSecs, err := timeAtProcs(1, func() (e error) { cold, e = core.Algorithm2(procs, items); return })
 	if err != nil {
 		return doc, err
 	}
 	add(solverRow{Name: "algorithm2_cold", Seconds: coldSecs, Makespan: cold.Makespan,
-		Note: "from-scratch sequential DP (Algorithm2Parallel at one worker); the cold baseline"})
+		Note: "from-scratch sequential DP (Algorithm2 at GOMAXPROCS 1); the cold baseline"})
 
-	// Worker-pool scaling curve. Every point is checked bit-identical
+	// GOMAXPROCS scaling curve. Every point is checked bit-identical
 	// to the sequential solve; times are reported honestly even when
-	// the host cannot profit (workers > GOMAXPROCS).
+	// the host cannot profit (above its own GOMAXPROCS).
 	var w1Secs, bestSecs float64
-	for _, w := range scalingWorkers(opts.Workers) {
+	for _, w := range scalingProcs() {
 		var par core.Result
-		parSecs, err := timeSolve(func() (e error) { par, e = core.Algorithm2Parallel(procs, items, w); return })
+		parSecs, err := timeAtProcs(w, func() (e error) { par, e = core.Algorithm2(procs, items); return })
 		if err != nil {
 			return doc, err
 		}
-		note := "persistent worker pool over row chunks; bit-identical by construction"
+		note := "Algorithm2 at GOMAXPROCS=workers: each row's chunks fanned out over that many goroutines; bit-identical by construction"
 		if w > maxprocs {
-			note += fmt.Sprintf(" (workers exceed GOMAXPROCS=%d: no speedup is physically possible on this host)", maxprocs)
+			note += fmt.Sprintf(" (above the host's GOMAXPROCS=%d: no speedup is physically possible on this host)", maxprocs)
 		}
 		add(solverRow{Name: fmt.Sprintf("algorithm2_parallel_w%d", w), Seconds: parSecs,
 			Makespan: par.Makespan, Workers: w,

@@ -54,7 +54,6 @@ var divGuardPkgPrefixes = []string{
 var itemCountArgs = map[string]int{
 	"Algorithm1":          1,
 	"Algorithm2":          1,
-	"Algorithm2Parallel":  1,
 	"SolveLinear":         1,
 	"SolveLinearRational": 1,
 	"Heuristic":           1,

@@ -24,8 +24,7 @@ import (
 //  3. goroutine results collected in channel-arrival order
 //     (append(s, <-ch) or ranging over the result channel), because
 //     arrival order is scheduler-dependent — results must be indexed
-//     by rank (the rowPool / World.Run shape) and merged in rank
-//     order.
+//     by rank (the World.Run shape) and merged in rank order.
 var DetOrder = &Analyzer{
 	Name: "detorder",
 	Doc: "solver/chaos/mpi code must not let unordered sources become ordered outputs: " +

@@ -12,14 +12,13 @@ import (
 // the paper's algorithms are defined for n >= 0, and a negative
 // constant is a guaranteed validation error at run time.
 func negItems(procs []core.Processor, pl *core.Plan, eng *core.Engine) {
-	_, _ = core.Algorithm1(procs, -1)            // want "Algorithm1 called with a constant negative item count"
-	_, _ = core.Algorithm2(procs, -3)            // want "Algorithm2 called with a constant negative item count"
-	_, _ = core.Algorithm2Parallel(procs, -1, 4) // want "Algorithm2Parallel called with a constant negative item count"
-	_, _ = core.SolvePlan(procs, -7)             // want "SolvePlan called with a constant negative item count"
-	_, _ = pl.Lookup(-1, 0)                      // want "Plan.Lookup called with a constant negative item count"
-	_, _ = pl.Resolve(-4, procs)                 // want "Plan.Resolve called with a constant negative item count"
-	_, _ = eng.Solve(procs, -2)                  // want "Engine.Solve called with a constant negative item count"
-	_ = core.Uniform(len(procs), -1)             // want "Uniform called with a constant negative item count"
+	_, _ = core.Algorithm1(procs, -1) // want "Algorithm1 called with a constant negative item count"
+	_, _ = core.Algorithm2(procs, -3) // want "Algorithm2 called with a constant negative item count"
+	_, _ = core.SolvePlan(procs, -7)  // want "SolvePlan called with a constant negative item count"
+	_, _ = pl.Lookup(-1, 0)           // want "Plan.Lookup called with a constant negative item count"
+	_, _ = pl.Resolve(-4, procs)      // want "Plan.Resolve called with a constant negative item count"
+	_, _ = eng.Solve(procs, -2)       // want "Engine.Solve called with a constant negative item count"
+	_ = core.Uniform(len(procs), -1)  // want "Uniform called with a constant negative item count"
 }
 
 // Zero, positive, and non-constant counts are fine; so is a negative
